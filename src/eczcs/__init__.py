@@ -37,8 +37,6 @@ from .gbf import (
     GBF,
     PartitionSpec,
     build_theorem3_f,
-    evaluate_gbf,
-    gbf_sequence,
     lemma2_ccc,
     optimal_theorem3_params,
     theorem3_construct,
@@ -60,7 +58,6 @@ from .sequences import (
     negate,
     parse_family_text,
     parse_sequence,
-    save_family,
 )
 from .simulate import (
     MSEPoint,

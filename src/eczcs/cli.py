@@ -108,10 +108,6 @@ def _emit_family(fam: Family, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_parts(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in part.split(",")) for part in text.split(";"))
-
-
 def cmd_catalog(args) -> int:
     for entry in seed_catalog():
         m, n, length, width = entry.params
@@ -230,16 +226,26 @@ def _require_z(args) -> int:
     return args.Z
 
 
+def _check_index(i: int, count: int, what: str) -> None:
+    if not 0 <= i < count:
+        raise ValueError(f"{what} index {i} outside 0..{count - 1}")
+
+
 def cmd_profile(args) -> int:
     fam, path = _load_family_arg(args.family, args.q)
     kind, _, rest = args.pair.partition(":")
     if kind in ("rho", "rhohat"):
         m1, m2 = (int(x) for x in rest.split(","))
+        for m in (m1, m2):
+            _check_index(m, fam.num_sets, "set")
         profile = (profile_set_corr if kind == "rho" else profile_cross_channel)(fam, m1, m2)
     elif kind in ("accf", "pccf"):
         first, second = rest.split(",")
         m1, n1 = (int(x) for x in first.split("."))
         m2, n2 = (int(x) for x in second.split("."))
+        for m, n in ((m1, n1), (m2, n2)):
+            _check_index(m, fam.num_sets, "set")
+            _check_index(n, fam.set_size, "member")
         s0, s1 = fam.sets[m1].members[n1], fam.sets[m2].members[n2]
         profile = (profile_accf if kind == "accf" else profile_pccf)(s0, s1, label=args.pair)
     else:
@@ -412,3 +418,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

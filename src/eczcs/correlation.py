@@ -170,15 +170,6 @@ class CorrelationProfile:
         if not self.shifts:
             raise ValueError("empty shift range")
 
-    def magnitudes(self) -> tuple[float, ...]:
-        return tuple(v.magnitude() for v in self.values)
-
-    def mag_sq(self) -> tuple:
-        return tuple(v.mag_sq() for v in self.values)
-
-    def zero_mask(self) -> tuple[bool, ...]:
-        return tuple(v.is_zero() for v in self.values)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
@@ -214,9 +205,3 @@ def profile_cross_channel(fam: Family, m1: int, m2: int) -> CorrelationProfile:
     return CorrelationProfile(
         f"rhohat:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table)
     )
-
-
-def nonnegative_half(profile: CorrelationProfile) -> CorrelationProfile:
-    """Restrict a full aperiodic profile to shifts u >= 0."""
-    keep = [(u, v) for u, v in zip(profile.shifts, profile.values) if u >= 0]
-    return CorrelationProfile(profile.label, tuple(u for u, _ in keep), tuple(v for _, v in keep))

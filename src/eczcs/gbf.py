@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sequences import Family, PhaseSequence, SequenceSet
 
 MAX_VARIABLES = 20  # 2^20 sequence entries; anything larger is a config error
@@ -60,24 +62,22 @@ class GBF:
         return total % self.q
 
     def sequence(self) -> PhaseSequence:
-        return PhaseSequence(self.q, tuple(self.evaluate(i) for i in range(1 << self.m)))
-
-    def __add__(self, other: "GBF") -> "GBF":
-        if (self.m, self.q) != (other.m, other.q):
-            raise ValueError("cannot add functions with different (m, q)")
-        return GBF(self.m, self.q, self.terms + other.terms)
-
-    @staticmethod
-    def monomial(m: int, q: int, variables: tuple[int, ...], coeff: int) -> "GBF":
-        return GBF(m, q, ((tuple(variables), coeff),))
+        return PhaseSequence(self.q, tuple(_phase_vector(self).tolist()))
 
 
-def evaluate_gbf(func: GBF, index: int) -> int:
-    return func.evaluate(index)
+def _index_vector(m: int, q: int) -> np.ndarray:
+    """0..2^m-1, held as Python ints when a sum of 2^m values below q could overflow int64."""
+    return np.arange(1 << m, dtype=np.int64 if q << m < 1 << 63 else object)
 
 
-def gbf_sequence(func: GBF) -> PhaseSequence:
-    return func.sequence()
+def _phase_vector(func: GBF) -> np.ndarray:
+    """All 2^m values of func, one monomial at a time over the index vector."""
+    index = _index_vector(func.m, func.q)
+    total = np.zeros_like(index)
+    for variables, coeff in func.terms:
+        bits = sum(1 << (v - 1) for v in variables)
+        total += coeff * ((index & bits) == bits).astype(index.dtype)
+    return total % func.q
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,34 @@ def theorem3_zcz_width(spec: PartitionSpec) -> int:
     return 1 << (spec.parts[0][0] - 1)
 
 
+def _selections(index: np.ndarray, variables: tuple[int, ...], half: int) -> list[np.ndarray]:
+    """Entry s is half times the sum of the x_variables[j] for the set bits j of s."""
+    out = [np.zeros_like(index)]
+    for v in variables:
+        bit = half * ((index >> (v - 1)) & 1)
+        out += [o + bit for o in out]
+    return out
+
+
+def _chained_family(spec: PartitionSpec, q: int, eta, heads: tuple[int, ...]) -> Family:
+    """The 2^k sets from f, the chained function of spec and eta, mod q.
+
+    Member n of set p is f + q/2 (the heads[j] for the set bits j of n +
+    the last element of chain alpha for each set bit p_alpha).
+    """
+    base = _phase_vector(build_theorem3_f(spec, q, eta))
+    index = _index_vector(spec.m, q)
+    members = _selections(index, heads, q // 2)
+    tails = tuple(part[-1] for part in spec.parts)
+    sets = []
+    for offset in _selections(index, tails, q // 2):
+        row = base + offset
+        sets.append(SequenceSet(tuple(
+            PhaseSequence(q, tuple(((row + o) % q).tolist())) for o in members
+        )))
+    return Family(tuple(sets))
+
+
 def theorem3_construct(spec: PartitionSpec, v: int, q: int = 2, eta=None) -> Family:
     """Enhanced cross Z-complementary family from a chained Boolean function.
 
@@ -163,22 +191,8 @@ def theorem3_construct(spec: PartitionSpec, v: int, q: int = 2, eta=None) -> Fam
         raise ValueError(f"need 1 <= v <= k = {k}, got v = {v}")
     if v < k:
         spec.require_chain_heads(v)
-    base = build_theorem3_f(spec, q, eta)
-    half = q // 2
-    sets = []
-    for p in range(1 << k):
-        members = []
-        for n in range(1 << v):
-            func = base
-            for alpha in range(1, v + 1):
-                if (n >> (v - alpha)) & 1:  # bit n_{v-alpha+1}
-                    func = func + GBF.monomial(spec.m, q, (spec.parts[alpha - 1][0],), half)
-            for alpha in range(1, k + 1):
-                if (p >> (alpha - 1)) & 1:  # bit p_alpha
-                    func = func + GBF.monomial(spec.m, q, (spec.parts[alpha - 1][-1],), half)
-            members.append(func.sequence())
-        sets.append(SequenceSet(tuple(members)))
-    return Family(tuple(sets))
+    heads = tuple(spec.parts[alpha - 1][0] for alpha in range(v, 0, -1))  # bit j = n_{j+1}
+    return _chained_family(spec, q, eta, heads)
 
 
 def lemma2_ccc(spec: PartitionSpec, q: int = 2, eta=None) -> Family:
@@ -188,22 +202,8 @@ def lemma2_ccc(spec: PartitionSpec, q: int = 2, eta=None) -> Family:
     q/2 times the chain heads selected by kappa's bits and q/2 times the
     chain tails selected by nu's bits: a (2^k, 2^m) code with M = N.
     """
-    k = spec.k
-    base = build_theorem3_f(spec, q, eta)
-    half = q // 2
-    sets = []
-    for nu in range(1 << k):
-        members = []
-        for kappa in range(1 << k):
-            func = base
-            for alpha in range(1, k + 1):
-                if (kappa >> (alpha - 1)) & 1:
-                    func = func + GBF.monomial(spec.m, q, (spec.parts[alpha - 1][0],), half)
-                if (nu >> (alpha - 1)) & 1:
-                    func = func + GBF.monomial(spec.m, q, (spec.parts[alpha - 1][-1],), half)
-            members.append(func.sequence())
-        sets.append(SequenceSet(tuple(members)))
-    return Family(tuple(sets))
+    heads = tuple(part[0] for part in spec.parts)
+    return _chained_family(spec, q, eta, heads)
 
 
 def optimal_theorem3_params(m: int, k: int, v: int) -> PartitionSpec:

@@ -196,10 +196,6 @@ def family_from_json(obj: dict) -> Family:
     return fam
 
 
-def save_family(fam: Family, path) -> None:
-    Path(path).write_text(json.dumps(family_to_json(fam), indent=1) + "\n")
-
-
 def load_family(path) -> Family:
     return family_from_json(json.loads(Path(path).read_text()))
 

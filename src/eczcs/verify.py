@@ -52,6 +52,11 @@ class Verdict:
         }
 
 
+def _check_width(width: int, length: int) -> None:
+    if not 0 <= width <= length:
+        raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
+
+
 def _front_window(width: int) -> range:
     return range(1, width + 1)
 
@@ -67,8 +72,7 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     correlations for |u| <= width.  Negative shifts follow from conjugate
     symmetry because every ordered pair is checked.
     """
-    if width > sset.length:
-        raise ValueError("zone width cannot exceed the sequence length")
+    _check_width(width, sset.length)
     length = sset.length
     top = min(width, length - 1)
     violations = []
@@ -113,8 +117,7 @@ def check_zccs(fam: Family, width: int) -> Verdict:
     Same-set sums must equal N*L at u=0 and vanish for 0 < |u| < width;
     cross-set sums must vanish for |u| < width.
     """
-    if width > fam.length:
-        raise ValueError("zone width cannot exceed the sequence length")
+    _check_width(width, fam.length)
     length, peak = fam.length, fam.set_size * fam.length
     violations = []
     for (m1, m2), table in _family_tables(fam, rotated=False).items():
@@ -167,8 +170,7 @@ def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
 
 def check_szccs(fam: Family, width: int) -> Verdict:
     """Symmetrical Z-complementary code set: both zone ends, no rotation."""
-    if width > fam.length:
-        raise ValueError("zone width cannot exceed the sequence length")
+    _check_width(width, fam.length)
     return Verdict(tuple(_symmetric_zone_violations(fam, width)))
 
 
@@ -180,13 +182,11 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     itself) must vanish on the tail window.  The rotated sum has no
     swap-and-conjugate symmetry, so both shift signs are evaluated.
     """
-    if width > fam.length:
-        raise ValueError("zone width cannot exceed the sequence length")
+    _check_width(width, fam.length)
     length = fam.length
     violations = _symmetric_zone_violations(fam, width)
-    tail = [u for u in _tail_window(length, width) if 0 <= u <= length - 1]
     for (m1, m2), table in _family_tables(fam, rotated=True).items():
-        for u_abs in tail:
+        for u_abs in _tail_window(length, width):
             for u in {u_abs, -u_abs}:
                 val = _table_at(table, length, u)
                 if not val.is_zero():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eczcs import format_family_text, load_family
+from eczcs import __version__, format_family_text, load_family
 from eczcs.cli import main
 
 
@@ -10,6 +14,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "eczcs.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == __version__
 
 
 def test_catalog_lists_seeds(capsys):
@@ -92,6 +107,9 @@ def test_verify_exit_codes(tmp_path, capsys, table4):
 
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.txt"), "--kind", "eczcs", "--Z", "9")
     assert code == 2
+    for kind in ("zccs", "eczcs"):
+        code, out, err = run(capsys, "verify", str(fam_file), "--kind", kind, "--Z", "-3")
+        assert code == 2 and "error" in err and out == ""
     bad = tmp_path / "bad.txt"
     bad.write_text("++*+\n")
     code, _, err = run(capsys, "verify", str(bad), "--kind", "eczcs", "--Z", "1")
@@ -117,6 +135,13 @@ def test_profile_command(tmp_path, capsys, table4):
     assert code == 0
     code, _, err = run(capsys, "profile", str(fam_file), "--pair", "weird:0,0")
     assert code == 2
+    for pair, message in (
+        ("rho:0,5", "set index 5 outside 0..1"),
+        ("accf:0.0,0.9", "member index 9 outside 0..1"),
+        ("pccf:-1.0,0.0", "set index -1 outside 0..1"),
+    ):
+        code, out, err = run(capsys, "profile", str(fam_file), "--pair", pair)
+        assert code == 2 and message in err and out == ""
 
 
 def test_train_command(tmp_path, capsys, table4):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,9 +10,7 @@ from eczcs import (
     check_ccc,
     check_eczcs,
     check_mocs,
-    evaluate_gbf,
     format_family_text,
-    gbf_sequence,
     is_optimal,
     lemma2_ccc,
     optimal_theorem3_params,
@@ -22,25 +21,25 @@ from eczcs import (
 
 def test_quadratic_quaternary_sequence():
     f = GBF(4, 4, (((2,), 2), ((1, 2), 1)))  # 2*x2 + x1*x2
-    values = tuple(evaluate_gbf(f, i) for i in range(16))
+    values = tuple(f.evaluate(i) for i in range(16))
     assert values == (0, 0, 2, 3) * 4
-    assert gbf_sequence(f).phases == values
+    assert f.sequence().phases == values
 
 
 def test_constant_function():
     f = GBF(3, 2, (((), 1),))
-    assert gbf_sequence(f).phases == (1,) * 8
+    assert f.sequence().phases == (1,) * 8
 
 
 def test_lsb_ordering():
     f = GBF(2, 2, (((1,), 1),))  # x1
-    assert gbf_sequence(f).phases == (0, 1, 0, 1)
+    assert f.sequence().phases == (0, 1, 0, 1)
 
 
 def test_bit_order_regression_period_two():
     # the x1 sequence must alternate with period 2 for any m
     for m in (3, 4, 5):
-        seq = gbf_sequence(GBF(m, 2, (((1,), 1),))).phases
+        seq = GBF(m, 2, (((1,), 1),)).sequence().phases
         assert seq == (0, 1) * (2 ** (m - 1))
 
 
@@ -52,7 +51,19 @@ def test_gbf_canonicalization_and_validation():
     with pytest.raises(ValueError):
         GBF(2, 4, (((3,), 1),))
     with pytest.raises(ValueError):
-        evaluate_gbf(GBF(2, 2, ()), 4)
+        GBF(2, 2, ()).evaluate(4)
+
+
+def test_sequence_matches_pointwise_evaluation():
+    rng = random.Random(11)
+    for _ in range(200):
+        m, q = rng.randint(1, 8), rng.choice((2, 4, 6, 8, 6 * 10**18, 2**64 + 2))
+        terms = tuple(
+            (tuple(rng.sample(range(1, m + 1), rng.randint(0, min(3, m)))), rng.randrange(q))
+            for _ in range(rng.randint(0, 6))
+        )
+        f = GBF(m, q, terms)
+        assert f.sequence().phases == tuple(f.evaluate(i) for i in range(2**m))
 
 
 def test_partition_validation():
@@ -167,3 +178,70 @@ def test_quaternary_construction_verifies():
     fam = theorem3_construct(spec, v=1, q=4, eta=(1, 2, 0, 3, 1))
     assert fam.q == 4
     assert check_eczcs(fam, theorem3_zcz_width(spec)).passed
+
+
+def _ordered_partitions(m):
+    """Every ordered partition of 1..m with an ordering inside each part."""
+    for perm in itertools.permutations(range(1, m + 1)):
+        for cuts in itertools.product((False, True), repeat=m - 1):
+            parts, start = [], 0
+            for i, cut in enumerate(cuts, start=1):
+                if cut:
+                    parts.append(perm[start:i])
+                    start = i
+            parts.append(perm[start:])
+            yield PartitionSpec(m, tuple(parts))
+
+
+def _reference_sequence(f, heads, tails):
+    half = f.q // 2
+    extra = tuple(((x,), half) for x in heads + tails)
+    return GBF(f.m, f.q, f.terms + extra).sequence()
+
+
+def _bits(n, count):
+    return [(n >> j) & 1 for j in range(count)]
+
+
+def test_constructions_match_per_member_reference():
+    rng = random.Random(12)
+    for m in range(1, 5):
+        for spec in _ordered_partitions(m):
+            k = spec.k
+            heads = [part[0] for part in spec.parts]
+            tails = [part[-1] for part in spec.parts]
+            for q in (2, 4, 8, 2**64 + 2):
+                eta = tuple(rng.randrange(q) for _ in range(m + 1))
+                f = build_theorem3_f(spec, q, eta)
+                for v in range(1, k + 1):
+                    if v < k and [p[0] for p in spec.parts[v:]] != list(range(m, m - k + v, -1)):
+                        with pytest.raises(ValueError):
+                            theorem3_construct(spec, v, q, eta)
+                        continue
+                    expect = [
+                        [
+                            # member n adds head alpha when bit n_{v-alpha+1} is set
+                            _reference_sequence(
+                                f,
+                                tuple(heads[a - 1] for a in range(1, v + 1) if (n >> (v - a)) & 1),
+                                tuple(t for t, b in zip(tails, _bits(p, k)) if b),
+                            )
+                            for n in range(2**v)
+                        ]
+                        for p in range(2**k)
+                    ]
+                    fam = theorem3_construct(spec, v, q, eta)
+                    assert [list(st.members) for st in fam.sets] == expect
+                expect = [
+                    [
+                        _reference_sequence(
+                            f,
+                            tuple(h for h, b in zip(heads, _bits(kappa, k)) if b),
+                            tuple(t for t, b in zip(tails, _bits(nu, k)) if b),
+                        )
+                        for kappa in range(2**k)
+                    ]
+                    for nu in range(2**k)
+                ]
+                fam = lemma2_ccc(spec, q, eta)
+                assert [list(st.members) for st in fam.sets] == expect

@@ -66,8 +66,11 @@ def test_zccs_classification(table3):
 
 
 def test_zccs_width_larger_than_length_rejected(table3):
-    with pytest.raises(ValueError):
-        check_zccs(table3, 13)
+    checks = (check_zccs, check_szccs, check_eczcs, lambda fam, w: check_zcz_set(fam.sets[0], w))
+    for check in checks:
+        for width in (-1, 13):
+            with pytest.raises(ValueError):
+                check(table3, width)
 
 
 def test_mocs_and_ccc():
