@@ -67,7 +67,6 @@ from .simulate import (
     analytic_mse,
     baseline_random_binary,
     baseline_zadoff_chu,
-    baseline_zccs,
     ls_estimate,
     monte_carlo_mse,
     mse_floor,

@@ -6,7 +6,9 @@ master seed, and digests of the input files; re-running a manifest's
 command reproduces the outputs bit for bit.
 
 Exit codes: 0 success (verification passed where applicable), 1 a
-requested check failed, 2 input or usage error.
+requested check failed or a simulated grid point failed (rank-deficient
+training; the report and manifest are still written), 2 input or usage
+error.
 """
 
 from __future__ import annotations
@@ -79,7 +81,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, params: dict, inputs: list[Path], seed=None) -> None:
+def _write_output(out, text: str, command: str, params: dict, inputs: list, seed=None) -> None:
+    """Write text and its manifest to out, or the text to stdout when out is None."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    out = Path(out)
+    out.write_text(text)
     manifest = {
         "command": command,
         "version": __version__,
@@ -98,14 +106,6 @@ def _load_family_arg(path_str: str, q: int) -> tuple[Family, Path]:
     if path.suffix == ".json":
         return family_from_json(json.loads(path.read_text())), path
     return parse_family_text(path.read_text(), q), path
-
-
-def _emit_family(fam: Family, out: str | None, fmt: str) -> None:
-    text = format_family_text(fam) if fmt == "text" else json.dumps(family_to_json(fam), indent=1) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_catalog(args) -> int:
@@ -155,10 +155,10 @@ def cmd_construct(args) -> int:
             width = fam.length
             verdict = check_ccc(fam)
         params = {"builder": args.builder, "spec": spec_dict, "zone": width}
-    _emit_family(fam, args.out, args.format)
-    if args.out:
-        params["verdict"] = verdict.to_json()
-        _write_manifest(Path(args.out), f"construct {args.builder}", params, inputs)
+    text = (format_family_text(fam) if args.format == "text"
+            else json.dumps(family_to_json(fam), indent=1) + "\n")
+    params["verdict"] = verdict.to_json()
+    _write_output(args.out, text, f"construct {args.builder}", params, inputs)
     if not verdict.passed:
         print("auto-verification FAILED", file=sys.stderr)
         return 1
@@ -212,11 +212,7 @@ def cmd_verify(args) -> int:
     payload["Z"] = args.Z
     payload["measured_width"] = measure_zcz_width(fam) if args.measure else None
     text = json.dumps(payload, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        _write_manifest(Path(args.out), "verify", {"kind": args.kind, "Z": args.Z}, [path])
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text, "verify", {"kind": args.kind, "Z": args.Z}, [path])
     return 0 if verdict.passed else 1
 
 
@@ -251,11 +247,7 @@ def cmd_profile(args) -> int:
     else:
         raise ValueError(f"unknown pairing kind {kind!r} (use rho/rhohat/accf/pccf)")
     text = profile.to_csv()
-    if args.out:
-        Path(args.out).write_text(text)
-        _write_manifest(Path(args.out), "profile", {"pair": args.pair}, [path])
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text, "profile", {"pair": args.pair}, [path])
     return 0
 
 
@@ -264,21 +256,14 @@ def cmd_train(args) -> int:
     cfg = GSMConfig(args.nt, args.na)
     tm = build_training_matrix(fam, cfg, source=path.name)
     verdict = check_design_criterion(tm, args.delay_spread)
-    csv_text = training_matrix_to_csv(tm)
     meta = training_matrix_meta(tm)
     meta["criterion"] = verdict.to_json()
     meta["delay_spread"] = args.delay_spread
+    params = {"nt": args.nt, "na": args.na, "delay_spread": args.delay_spread}
+    _write_output(args.out, training_matrix_to_csv(tm), "train", params, [path])
     if args.out:
-        Path(args.out).write_text(csv_text)
         Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=1) + "\n")
-        _write_manifest(
-            Path(args.out),
-            "train",
-            {"nt": args.nt, "na": args.na, "delay_spread": args.delay_spread},
-            [path],
-        )
     else:
-        sys.stdout.write(csv_text)
         print(json.dumps(meta["criterion"], indent=1), file=sys.stderr)
     return 0 if verdict.passed else 1
 
@@ -307,9 +292,30 @@ def _matrix_from_config(spec: dict, base_dir: Path):
     raise ValueError(f"unknown training matrix kind {kind!r}")
 
 
+def _read_sim_config(path: Path) -> dict:
+    """Load a simulate config, naming the first key of the wrong JSON type."""
+    config = json.loads(path.read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"simulate config {path} must be a JSON object")
+    if not isinstance(config.get("matrix"), dict):
+        raise ValueError("simulate config key 'matrix' must be an object")
+
+    def ok(x, kinds):
+        return isinstance(x, kinds) and not isinstance(x, bool)
+
+    for key, kinds, noun in (("ebn0_db", (int, float), "numbers"), ("delay_spreads", int, "integers")):
+        grid = config.get(key, [])
+        if not isinstance(grid, list) or not all(ok(x, kinds) for x in grid):
+            raise ValueError(f"simulate config key {key!r} must be a list of {noun}")
+    for key in ("trials", "seed"):
+        if not ok(config.get(key, 0), int):
+            raise ValueError(f"simulate config key {key!r} must be an integer")
+    return config
+
+
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text())
+    config = _read_sim_config(config_path)
     tm, extra_inputs = _matrix_from_config(config["matrix"], config_path.parent)
     sim = SimConfig(
         ebn0_db=tuple(args.ebn0 or config["ebn0_db"]),
@@ -319,23 +325,21 @@ def cmd_simulate(args) -> int:
         matrix_id=config.get("matrix_id", config["matrix"].get("kind", "")),
     )
     report = monte_carlo_mse(tm, sim)
-    text = report.to_csv()
-    if args.out:
-        Path(args.out).write_text(text)
-        _write_manifest(
-            Path(args.out),
-            "simulate",
-            {
-                "ebn0_db": list(sim.ebn0_db),
-                "delay_spreads": list(sim.delay_spreads),
-                "trials": sim.trials,
-                "matrix_id": sim.matrix_id,
-            },
-            [config_path, *extra_inputs],
-            seed=sim.seed,
+    params = {
+        "ebn0_db": list(sim.ebn0_db),
+        "delay_spreads": list(sim.delay_spreads),
+        "trials": sim.trials,
+        "matrix_id": sim.matrix_id,
+    }
+    inputs = [config_path, *extra_inputs]
+    _write_output(args.out, report.to_csv(), "simulate", params, inputs, seed=sim.seed)
+    failed = sum(p.failed for p in report.points)
+    if failed:
+        print(
+            f"{failed} of {len(report.points)} grid points failed: rank-deficient training",
+            file=sys.stderr,
         )
-    else:
-        sys.stdout.write(text)
+        return 1
     return 0
 
 

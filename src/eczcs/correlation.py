@@ -3,8 +3,9 @@
 Every function returns a :class:`~eczcs.cyclotomic.CycloInt`, so zero tests
 are exact.  For binary and quaternary alphabets the heavy lifting runs
 through ``numpy.correlate`` on exact unit values (sums of Gaussian
-integers stay integral in double precision); other alphabets fall back to
-integer phase-difference tallies.
+integers stay integral in double precision); other alphabets, and every
+periodic correlation, go through the integer phase-difference tally
+:func:`cyclic_tally`.
 """
 
 from __future__ import annotations
@@ -50,18 +51,27 @@ def aacf(s: PhaseSequence, u: int) -> CycloInt:
     return accf(s, s, u)
 
 
+def cyclic_tally(a, b, q: int, shifts, a_mask=None, b_mask=None) -> np.ndarray:
+    """Exact tallies of the cyclic correlation sum_k a[k+u] * conj(b[k]).
+
+    Row r counts how often each phase difference (a[(k+u) mod L] - b[k])
+    mod q occurs at shift u = shifts[r], shape (len(shifts), q).  Where a
+    mask is given, positions it marks False are silent and not counted.
+    """
+    shifts = np.asarray(shifts, dtype=np.int64)
+    pos = np.arange(len(b)) if b_mask is None else np.flatnonzero(b_mask)
+    idx = (pos + shifts[:, None]) % len(a)
+    key = (a[idx] - b[pos]) % q + q * np.arange(len(shifts))[:, None]
+    if a_mask is not None:
+        key = key[a_mask[idx]]
+    return np.bincount(key.ravel(), minlength=len(shifts) * q).reshape(len(shifts), q)
+
+
 def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     """Periodic cross-correlation with cyclic indexing, exact."""
     _check_pair(s0, s1)
     _check_shift(s0.length, u)
-    q, length = s0.q, s0.length
-    a, b = s0.array(), s1.array()
-    if u >= 0:
-        diff = (np.roll(a, -u) - b) % q
-    else:
-        diff = (a - np.roll(b, u)) % q
-    counts = np.bincount(diff, minlength=q)
-    return CycloInt(q, tuple(int(c) for c in counts))
+    return CycloInt(s0.q, cyclic_tally(s0.array(), s1.array(), s0.q, (u,))[0])
 
 
 def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
@@ -81,13 +91,10 @@ def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     return accf(s1, s0, -u).conjugate() + accf(s0, s1, length + u)
 
 
-_EXACT_COMPLEX_Q = (2, 4)
-
-
 def _pair_table_counts(s0: PhaseSequence, s1: PhaseSequence) -> np.ndarray:
     """Count vectors of accf(s0, s1, u) for u = -(L-1)..(L-1), shape (2L-1, q)."""
     q, length = s0.q, s0.length
-    if q in _EXACT_COMPLEX_Q:
+    if q in (2, 4):
         # index i of the full correlation holds the shift u = i - (L - 1)
         z = np.correlate(modulate(s0), modulate(s1), mode="full")
         counts = np.zeros((2 * length - 1, q), dtype=np.int64)
@@ -95,15 +102,11 @@ def _pair_table_counts(s0: PhaseSequence, s1: PhaseSequence) -> np.ndarray:
         if q == 4:
             counts[:, 1] = np.rint(z.imag)
         return counts
-    a, b = s0.array(), s1.array()
-    counts = np.zeros((2 * length - 1, q), dtype=np.int64)
-    for u in range(length):
-        d = (a[u:length] - b[: length - u]) % q
-        counts[u + length - 1] = np.bincount(d, minlength=q)
-        if u:
-            d = (a[: length - u] - b[u:length]) % q
-            counts[length - 1 - u] = np.bincount(d, minlength=q)
-    return counts
+    # aperiodic = cyclic over the pair padded with L-1 silent entries
+    pad = np.zeros(length - 1, dtype=np.int64)
+    live = np.arange(2 * length - 1) < length
+    a, b = np.concatenate((s0.array(), pad)), np.concatenate((s1.array(), pad))
+    return cyclic_tally(a, b, q, _aperiodic_shifts(length), live, live)
 
 
 def _sum_pair_tables(pairs, q: int, length: int) -> list[CycloInt]:
@@ -115,11 +118,9 @@ def _sum_pair_tables(pairs, q: int, length: int) -> list[CycloInt]:
 
 def set_corr_sum(s0: SequenceSet, s1: SequenceSet, u: int) -> CycloInt:
     """Member-wise aperiodic cross-correlation sum of two sequence sets."""
-    _check_sets(s0, s1)
-    total = CycloInt.zero(s0.q)
-    for a, b in zip(s0.members, s1.members):
-        total = total + accf(a, b, u)
-    return total
+    table = set_corr_table(s0, s1)
+    _check_shift(s0.length, u)
+    return table[u + s0.length - 1]
 
 
 def cross_channel_sum(g0: SequenceSet, g1: SequenceSet, u: int) -> CycloInt:
@@ -129,12 +130,9 @@ def cross_channel_sum(g0: SequenceSet, g1: SequenceSet, u: int) -> CycloInt:
     its arguments, and negating the shift is not equivalent to swapping
     either, so callers must evaluate both signs explicitly.
     """
-    _check_sets(g0, g1)
-    n = g0.size
-    total = CycloInt.zero(g0.q)
-    for i, a in enumerate(g0.members):
-        total = total + accf(a, g1.members[(i + 1) % n], u)
-    return total
+    table = cross_channel_table(g0, g1)
+    _check_shift(g0.length, u)
+    return table[u + g0.length - 1]
 
 
 def set_corr_table(s0: SequenceSet, s1: SequenceSet) -> list[CycloInt]:

@@ -79,6 +79,19 @@ def _reduce_counts(q: int, counts) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def reduction_matrix(q: int):
+    """Integer R with counts @ R the canonical form: row k reduces the k-th root.
+
+    Reduction is linear, so stacked count vectors are reduced in one multiply.
+    """
+    import numpy as np
+
+    matrix = np.array([_reduce_counts(q, e) for e in np.eye(q, dtype=int).tolist()], dtype=np.int64)
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=None)
 def root_table(q: int):
     """The q roots of unity as exact-as-possible complex values.
 

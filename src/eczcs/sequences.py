@@ -117,11 +117,6 @@ class Family:
     def q(self) -> int:
         return self.sets[0].q
 
-    # single-letter aliases matching the usual (M, N, L) naming of families
-    M = num_sets
-    N = set_size
-    L = length
-
 
 def modulate(seq: PhaseSequence) -> np.ndarray:
     """Complex image of a sequence: entry t equals exp(2*pi*1j*p_t/q)."""

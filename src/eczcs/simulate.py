@@ -49,13 +49,8 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "", return_residual: bool = False):
-    """Least-squares channel estimate solve(X^H X, X^H y).
-
-    Raises :class:`RankDeficientTraining` when the normal matrix is
-    singular (for example, two antennas transmitting identical rows).
-    The optional residual ||X^H X h - X^H y|| is returned for audit.
-    """
+def _normal_matrix(X: np.ndarray, matrix_id: str = "") -> np.ndarray:
+    """The normal matrix X^H X, or RankDeficientTraining when it is singular."""
     normal = X.conj().T @ X
     dim = normal.shape[0]
     if np.linalg.matrix_rank(normal) < dim:
@@ -63,6 +58,17 @@ def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "", return_res
             f"training matrix {matrix_id or '<unnamed>'} is rank deficient: "
             f"{dim} unknowns but a singular normal matrix"
         )
+    return normal
+
+
+def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "", return_residual: bool = False):
+    """Least-squares channel estimate solve(X^H X, X^H y).
+
+    Raises :class:`RankDeficientTraining` when the normal matrix is
+    singular (for example, two antennas transmitting identical rows).
+    The optional residual ||X^H X h - X^H y|| is returned for audit.
+    """
+    normal = _normal_matrix(X, matrix_id)
     rhs = X.conj().T @ y
     estimate = np.linalg.solve(normal, rhs)
     if return_residual:
@@ -77,11 +83,8 @@ def analytic_mse(X: np.ndarray, sigma2: float) -> float:
     Equals sigma2 / E exactly when the design criterion holds, and is
     strictly larger otherwise (the column norms pin the eigenvalue sum).
     """
-    normal = X.conj().T @ X
-    dim = normal.shape[0]
-    if np.linalg.matrix_rank(normal) < dim:
-        raise RankDeficientTraining("analytic MSE undefined: singular normal matrix")
-    return float(sigma2 * np.trace(np.linalg.inv(normal)).real / dim)
+    normal = _normal_matrix(X)
+    return float(sigma2 * np.trace(np.linalg.inv(normal)).real / normal.shape[0])
 
 
 @dataclass(frozen=True)
@@ -147,9 +150,10 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
 
     Each trial draws a fresh channel and noise realization from a
     generator seeded by (master seed, grid index, trial index); the
-    estimator applies the normal-equation solve factored once per grid
-    point, which is the same linear map as :func:`ls_estimate`.  A
-    singular design marks its grid points as failed instead of raising.
+    estimator applies the normal-equation solve factored once per delay
+    spread, which is the same linear map as :func:`ls_estimate`, and the
+    analytic value is :func:`analytic_mse`.  A singular design marks its
+    grid points as failed instead of raising.
     """
     n_antennas = tm.num_rows
     energy = float(tm.energy)
@@ -160,14 +164,11 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
         floor = mse_floor(sigma2, energy)
         if spread not in x_cache:
             X = build_ls_model_matrix(tm, spread)
-            normal = X.conj().T @ X
-            if np.linalg.matrix_rank(normal) < normal.shape[0]:
-                x_cache[spread] = (X, None, None)
-            else:
-                solver = np.linalg.solve(normal, X.conj().T)
-                trace_inv = float(np.trace(np.linalg.inv(normal)).real)
-                x_cache[spread] = (X, solver, trace_inv)
-        X, solver, trace_inv = x_cache[spread]
+            try:
+                x_cache[spread] = (X, np.linalg.solve(_normal_matrix(X), X.conj().T))
+            except RankDeficientTraining:
+                x_cache[spread] = (X, None)
+        X, solver = x_cache[spread]
         if solver is None:
             points.append(
                 MSEPoint(ebn0, spread, None, None, floor, cfg.trials, cfg.matrix_id, failed=True)
@@ -188,10 +189,8 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
             error = estimate - taps
             total += float(np.real(np.vdot(error, error)))
         empirical = total / (cfg.trials * dim)
-        analytic = sigma2 * trace_inv / dim
-        points.append(
-            MSEPoint(ebn0, spread, empirical, analytic, floor, cfg.trials, cfg.matrix_id)
-        )
+        analytic = analytic_mse(X, sigma2)
+        points.append(MSEPoint(ebn0, spread, empirical, analytic, floor, cfg.trials, cfg.matrix_id))
     return MSEReport(tuple(points))
 
 
@@ -247,13 +246,3 @@ def baseline_zadoff_chu(
         sets.append(SequenceSet(members))
     fam = Family(tuple(sets))
     return build_training_matrix(fam, cfg, source="zadoff-chu")
-
-
-def baseline_zccs(fam: Family, cfg: GSMConfig, source: str = "zccs") -> TrainingMatrix:
-    """A plain code-set family in the same sparse layout.
-
-    The layout is identical to the enhanced-family one; what such a
-    baseline lacks is the rotated cross-channel guarantee, so its
-    wrap-around inter-antenna terms survive.
-    """
-    return build_training_matrix(fam, cfg, source=source)

@@ -17,9 +17,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .correlation import cyclic_tally
 from .cyclotomic import CycloInt, root_table
 from .sequences import Family
-from .verify import Verdict, Violation
+from .verify import Verdict, Violation, periodic_zone_violations
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,7 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
 def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
     """Periodic cross-correlation of two rows over the zero-extended alphabet."""
     vals, mask = tm.values_and_mask()
-    a, am = np.roll(vals[i], -u), np.roll(mask[i], -u)
-    both = am & mask[j]
-    diff = (a[both] - vals[j][both]) % tm.q
-    counts = np.bincount(diff, minlength=tm.q)
-    return CycloInt(tm.q, tuple(int(c) for c in counts))
+    return CycloInt(tm.q, cyclic_tally(vals[i], vals[j], tm.q, (u,), mask[i], mask[j])[0])
 
 
 def _pair_label(tm: TrainingMatrix, i: int, j: int) -> str:
@@ -192,7 +189,7 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     if not 0 <= delay_spread < tm.width:
         raise ValueError("delay spread must lie in [0, matrix width)")
     violations: list[Violation] = []
-    _, mask = tm.values_and_mask()
+    vals, mask = tm.values_and_mask()
     col_counts = mask.sum(axis=0)
     expected = _column_activity(tm)
     for col in np.nonzero(col_counts != expected)[0]:
@@ -201,18 +198,9 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     for i, row_energy in enumerate(tm.row_energies()):
         if row_energy != energy:
             violations.append(Violation("row-energy", (i,), 0, float(row_energy)))
-    for i in range(tm.num_rows):
-        peak = training_pccf(tm, i, i, 0)
-        if peak != CycloInt.integer(tm.q, energy):
-            violations.append(Violation("peak", (i, i), 0, peak.magnitude()))
-        for j in range(tm.num_rows):
-            first = 1 if i == j else 0
-            for u in range(first, delay_spread + 1):
-                val = training_pccf(tm, i, j, u)
-                if not val.is_zero():
-                    violations.append(
-                        Violation(_pair_label(tm, i, j), (i, j), u, val.magnitude())
-                    )
+    violations += periodic_zone_violations(
+        vals, mask, tm.q, delay_spread, lambda i, j: _pair_label(tm, i, j), peak=energy
+    )
     return Verdict(tuple(violations))
 
 

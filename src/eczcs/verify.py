@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .correlation import cross_channel_table, pccf, set_corr_table
-from .cyclotomic import CycloInt
+import numpy as np
+
+from .correlation import cross_channel_table, cyclic_tally, set_corr_table
+from .cyclotomic import CycloInt, reduction_matrix
 from .sequences import Family, SequenceSet, concat
 
 
@@ -57,12 +59,34 @@ def _check_width(width: int, length: int) -> None:
         raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
 
 
-def _front_window(width: int) -> range:
-    return range(1, width + 1)
-
-
 def _tail_window(length: int, width: int) -> range:
     return range(length - width, length)
+
+
+def periodic_zone_violations(values, masks, q: int, top: int, label, peak=None) -> list[Violation]:
+    """Periodic correlations of rows (silent where masks are False, or None) at 0..top.
+
+    Each ordered row pair is tallied once; every value must vanish except
+    a row's in-phase value, which must equal ``peak`` unless that is None.
+    Zeros are decided by one multiply with the reduction matrix, and a
+    CycloInt is built only for a peak or a violation labelled label(i, j).
+    """
+    rows = list(zip(values, masks))
+    counts = np.array(
+        [[cyclic_tally(a, b, q, range(top + 1), am, bm) for b, bm in rows] for a, am in rows]
+    )
+    nonzero = (counts @ reduction_matrix(q)).any(axis=-1)
+    violations = []
+    for i in range(len(rows)):
+        if peak is not None:
+            val = CycloInt(q, counts[i, i, 0])
+            if val != CycloInt.integer(q, peak):
+                violations.append(Violation("peak", (i, i), 0, val.magnitude()))
+        nonzero[i, i, 0] = False
+        for j, u in zip(*np.nonzero(nonzero[i])):
+            val = CycloInt(q, counts[i, j, u])
+            violations.append(Violation(label(i, int(j)), (i, int(j)), int(u), val.magnitude()))
+    return violations
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
@@ -73,17 +97,10 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     symmetry because every ordered pair is checked.
     """
     _check_width(width, sset.length)
-    length = sset.length
-    top = min(width, length - 1)
-    violations = []
-    for i, si in enumerate(sset.members):
-        for j, sj in enumerate(sset.members):
-            first = 1 if i == j else 0
-            for u in range(first, top + 1):
-                val = pccf(si, sj, u)
-                if not val.is_zero():
-                    kind = "zcz-auto" if i == j else "zcz-cross"
-                    violations.append(Violation(kind, (i, j), u, val.magnitude()))
+    violations = periodic_zone_violations(
+        [s.array() for s in sset.members], [None] * sset.size, sset.q,
+        min(width, sset.length - 1), lambda i, j: "zcz-auto" if i == j else "zcz-cross",
+    )
     return Verdict(tuple(violations))
 
 
@@ -107,8 +124,23 @@ def _family_tables(fam: Family, rotated: bool):
     }
 
 
-def _table_at(table, length: int, u: int) -> CycloInt:
-    return table[u + length - 1]
+def _window_violations(tables, length: int, same, cross, kinds, peak=None) -> list[Violation]:
+    """Violations of every set pair's table on its shift window.
+
+    Same-set pairs scan ``same`` (labelled kinds[0]) after checking shift 0
+    against ``peak`` when one is given; other pairs scan ``cross`` (kinds[1]).
+    """
+    violations = []
+    for (m1, m2), table in tables.items():
+        if peak is not None and m1 == m2:
+            val = table[length - 1]
+            if val != peak:
+                violations.append(Violation("peak", (m1, m2), 0, val.magnitude()))
+        for u in same if m1 == m2 else cross:
+            val = table[u + length - 1]
+            if not val.is_zero():
+                violations.append(Violation(kinds[m1 != m2], (m1, m2), u, val.magnitude()))
+    return violations
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -118,21 +150,11 @@ def check_zccs(fam: Family, width: int) -> Verdict:
     cross-set sums must vanish for |u| < width.
     """
     _check_width(width, fam.length)
-    length, peak = fam.length, fam.set_size * fam.length
-    violations = []
-    for (m1, m2), table in _family_tables(fam, rotated=False).items():
-        if m1 == m2:
-            val = _table_at(table, length, 0)
-            if val != CycloInt.integer(fam.q, peak):
-                violations.append(Violation("peak", (m1, m2), 0, val.magnitude()))
-            shifts = range(1, width)
-        else:
-            shifts = range(0, width)
-        for u in shifts:
-            val = _table_at(table, length, u)
-            if not val.is_zero():
-                kind = "same-set" if m1 == m2 else "cross-set"
-                violations.append(Violation(kind, (m1, m2), u, val.magnitude()))
+    peak = CycloInt.integer(fam.q, fam.set_size * fam.length)
+    violations = _window_violations(
+        _family_tables(fam, rotated=False), fam.length, range(1, width), range(width),
+        ("same-set", "cross-set"), peak,
+    )
     return Verdict(tuple(violations))
 
 
@@ -155,17 +177,11 @@ def check_ccc(fam: Family) -> Verdict:
 def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
     """Front- and tail-window zeroness of the plain set correlation sums."""
     length = fam.length
-    window = set(_front_window(width)) | set(_tail_window(length, width))
+    window = set(range(1, width + 1)) | set(_tail_window(length, width))
     same = sorted(u for u in window if 1 <= u <= length - 1)
     cross = sorted(u for u in (window | {0}) if 0 <= u <= length - 1)
-    violations = []
-    for (m1, m2), table in _family_tables(fam, rotated=False).items():
-        for u in same if m1 == m2 else cross:
-            val = _table_at(table, length, u)
-            if not val.is_zero():
-                kind = "same-set" if m1 == m2 else "cross-set"
-                violations.append(Violation(kind, (m1, m2), u, val.magnitude()))
-    return violations
+    tables = _family_tables(fam, rotated=False)
+    return _window_violations(tables, length, same, cross, ("same-set", "cross-set"))
 
 
 def check_szccs(fam: Family, width: int) -> Verdict:
@@ -185,12 +201,10 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     _check_width(width, fam.length)
     length = fam.length
     violations = _symmetric_zone_violations(fam, width)
-    for (m1, m2), table in _family_tables(fam, rotated=True).items():
-        for u_abs in _tail_window(length, width):
-            for u in {u_abs, -u_abs}:
-                val = _table_at(table, length, u)
-                if not val.is_zero():
-                    violations.append(Violation("cross-channel", (m1, m2), u, val.magnitude()))
+    tail = [u for u_abs in _tail_window(length, width) for u in {u_abs, -u_abs}]
+    violations += _window_violations(
+        _family_tables(fam, rotated=True), length, tail, tail, ("cross-channel",) * 2
+    )
     return Verdict(tuple(violations))
 
 

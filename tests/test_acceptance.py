@@ -16,7 +16,6 @@ from eczcs import (
     PhaseSequence,
     SimConfig,
     baseline_random_binary,
-    baseline_zccs,
     build_ls_model_matrix,
     build_training_matrix,
     check_ccc,
@@ -283,7 +282,7 @@ def test_criterion_6iii_baseline_ordering(table4, nonc2_zccs):
     start = time.perf_counter()
     cfg42 = GSMConfig(4, 2)
     enhanced = build_training_matrix(table4, cfg42)
-    plain = baseline_zccs(nonc2_zccs, cfg42, source="nonc2-zccs")
+    plain = build_training_matrix(nonc2_zccs, cfg42, source="nonc2-zccs")
     rng = np.random.default_rng(63)
     rnd = baseline_random_binary(cfg42, 2, 24, rng)
     sim = SimConfig(ebn0_db=EBN0_GRID, delay_spreads=(9,), trials=TRIALS, seed=636)

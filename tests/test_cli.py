@@ -185,3 +185,33 @@ def test_simulate_command_deterministic(tmp_path, capsys):
     assert out_file.read_text() == first
     manifest = json.loads((out_file.parent / "report.csv.manifest.json").read_text())
     assert manifest["seed"] == 3 and str(cfg_file) in manifest["inputs"]
+
+
+def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
+    good = {
+        "matrix": {"kind": "seed", "id": "zccs-2-2-12-10", "nt": 4, "na": 2},
+        "ebn0_db": [10.0],
+        "delay_spreads": [3],
+        "trials": 5,
+        "seed": 1,
+    }
+    cfg_file = tmp_path / "sim.json"
+    for config, named in (
+        (dict(good, ebn0_db=5), "'ebn0_db'"),
+        ([good], "JSON object"),
+        (dict(good, matrix=[4, 2]), "'matrix'"),
+    ):
+        cfg_file.write_text(json.dumps(config))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
+        assert code == 2 and named in err, (config, err)
+    # two identical Zadoff-Chu roots give a singular normal matrix at every grid point
+    config = dict(good, ebn0_db=[10.0, 20.0], matrix={
+        "kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1, "block_length": 8, "roots": [1, 1],
+    })
+    cfg_file.write_text(json.dumps(config))
+    out_file = tmp_path / "report.csv"
+    code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--out", str(out_file))
+    assert code == 1
+    assert "2 of 2 grid points failed" in err
+    assert out_file.read_text().count(",failed,failed,") == 2
+    assert (tmp_path / "report.csv.manifest.json").exists()

@@ -14,6 +14,7 @@ from eczcs import (
     parse_sequence,
     pccf,
     pccf_via_accf,
+    profile_accf,
     profile_cross_channel,
     profile_set_corr,
     set_corr_sum,
@@ -181,9 +182,11 @@ def test_tables_match_pointwise_sums(table5):
     table = set_corr_table(g0, g3)
     rot = cross_channel_table(g0, g3)
     length = table5.length
+    plain = list(zip(g0.members, g3.members))
+    rotated = list(zip(g0.members, g3.members[1:] + g3.members[:1]))
     for u in range(-(length - 1), length):
-        assert table[u + length - 1] == set_corr_sum(g0, g3, u)
-        assert rot[u + length - 1] == cross_channel_sum(g0, g3, u)
+        assert table[u + length - 1] == set_corr_sum(g0, g3, u) == sum_accf(plain, u, 2)
+        assert rot[u + length - 1] == cross_channel_sum(g0, g3, u) == sum_accf(rotated, u, 2)
 
 
 def test_set_shape_mismatch_rejected(table3, table4):
@@ -223,3 +226,30 @@ def test_periodic_energy_invariant_under_cyclic_shift():
         for rot in (1, 5):
             rolled = PhaseSequence(q, s.phases[rot:] + s.phases[:rot])
             assert sum(pccf(rolled, rolled, u).mag_sq() for u in range(12)) == energy
+
+
+def test_general_alphabet_tables_match_accf():
+    """Tables outside q in {2, 4} agree with accf shift by shift, L = 1 included."""
+    rng = random.Random(23)
+    for q in (6, 8, 10, 12):
+        for length in (1, 2, 5, 9):
+            a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
+            shifts = range(-(length - 1), length)
+            assert profile_accf(a, b).values == tuple(accf(a, b, u) for u in shifts)
+            for u in shifts:
+                assert pccf(a, b, u) == pccf_via_accf(a, b, u)
+            g0 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(3)))
+            g1 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(3)))
+            table, rot = set_corr_table(g0, g1), cross_channel_table(g0, g1)
+            plain = list(zip(g0.members, g1.members))
+            rotated = list(zip(g0.members, g1.members[1:] + g1.members[:1]))
+            for u in shifts:
+                assert table[u + length - 1] == sum_accf(plain, u, q)
+                assert rot[u + length - 1] == sum_accf(rotated, u, q)
+
+
+def sum_accf(pairs, u, q):
+    total = CycloInt.zero(q)
+    for a, b in pairs:
+        total = total + accf(a, b, u)
+    return total

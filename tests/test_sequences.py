@@ -160,4 +160,4 @@ def test_fixture_dir_override(tmp_path, monkeypatch, table3):
 def test_family_from_lists():
     fam = family_from_lists(2, [[[0, 1], [1, 0]], [[0, 0], [1, 1]]])
     assert (fam.num_sets, fam.set_size, fam.length, fam.q) == (2, 2, 2, 2)
-    assert (fam.M, fam.N, fam.L) == (2, 2, 2)
+    assert {key: family_to_json(fam)[key] for key in "MNL"} == {"M": 2, "N": 2, "L": 2}

@@ -10,7 +10,6 @@ from eczcs import (
     analytic_mse,
     baseline_random_binary,
     baseline_zadoff_chu,
-    baseline_zccs,
     build_ls_model_matrix,
     build_training_matrix,
     check_design_criterion,
@@ -180,7 +179,7 @@ def test_baseline_layouts(table3):
     assert zc.q == 48 and zc.width == 96
     assert set(zc.row_energies()) == {48}
 
-    zccs_tm = baseline_zccs(table3, cfg)
+    zccs_tm = build_training_matrix(table3, cfg, source="zccs")
     zeros = (None,) * 12
     g = table3.sets
     assert zccs_tm.rows[0] == g[0].members[0].phases + zeros + g[0].members[1].phases + zeros
@@ -190,7 +189,7 @@ def test_baseline_layouts(table3):
 def test_baseline_ordering_at_reference_point(table4, nonc2_zccs):
     cfg = GSMConfig(4, 2)
     enhanced = build_training_matrix(table4, cfg)
-    plain = baseline_zccs(nonc2_zccs, cfg, source="nonc2")
+    plain = build_training_matrix(nonc2_zccs, cfg, source="nonc2")
     rng = np.random.default_rng(21)
     rnd = baseline_random_binary(cfg, 2, 24, rng)
     sim = SimConfig(ebn0_db=(16.0,), delay_spreads=(9,), trials=1000, seed=7)

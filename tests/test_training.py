@@ -6,6 +6,8 @@ import pytest
 from eczcs import (
     GSMConfig,
     activation_table,
+    baseline_random_binary,
+    baseline_zadoff_chu,
     build_ls_model_matrix,
     build_training_matrix,
     check_design_criterion,
@@ -19,6 +21,7 @@ from eczcs import (
 )
 from eczcs.cyclotomic import CycloInt
 from eczcs.gbf import PartitionSpec, theorem3_zcz_width
+from eczcs.training import _pair_label
 
 
 def test_config_validation():
@@ -193,3 +196,60 @@ def test_csv_and_meta_exports(table4):
     assert len(first) == 96 and set(first) <= {"0", "1", "-1"}
     meta = training_matrix_meta(tm)
     assert meta == {"source": "length24", "Nt": 4, "Na": 2, "V": 2, "N": 2, "L": 24, "E": 48}
+
+
+def _reference_matrices(table4, table5):
+    """Training matrices for both antenna shapes, with their zone widths."""
+    rng = np.random.default_rng(31)
+    out = []
+    for cfg in (GSMConfig(4, 2), GSMConfig(8, 3)):
+        if cfg.active_antennas == 2:
+            out.append((build_training_matrix(table4, cfg), 9))
+        out.append((build_training_matrix(table5, cfg), 8))
+        out.append((baseline_zadoff_chu(cfg, 2, 32), 8))  # q = 64
+        out.append((baseline_random_binary(cfg, 2, 16, rng), 8))
+    return out
+
+
+def test_training_pccf_matches_float_cyclic_sum(table4, table5):
+    for tm, _ in _reference_matrices(table4, table5):
+        rows = tm.complex_rows()
+        shifted = np.array([np.roll(rows, -u, axis=1) for u in range(tm.width)])
+        for i in range(tm.num_rows):
+            for j in range(tm.num_rows):
+                ref = shifted[:, i, :] @ np.conj(rows[j])
+                got = [training_pccf(tm, i, j, u).to_complex() for u in range(tm.width)]
+                assert np.max(np.abs(np.array(got) - ref)) < 1e-9, (tm.source, i, j)
+
+
+def test_design_criterion_matches_per_shift_reference(table4, table5):
+    """Correlation violations equal an explicit per-shift loop, in report order."""
+    for tm, zone in _reference_matrices(table4, table5):
+        vals, mask = (x.tolist() for x in tm.values_and_mask())
+        width, q = tm.width, tm.q
+        value = {}
+        for i in range(tm.num_rows):
+            for j in range(tm.num_rows):
+                for u in range(zone + 2):
+                    counts = [0] * q
+                    for k in range(width):
+                        if mask[i][(k + u) % width] and mask[j][k]:
+                            counts[(vals[i][(k + u) % width] - vals[j][k]) % q] += 1
+                    value[i, j, u] = CycloInt(q, tuple(counts))
+        for spread in range(zone + 2):
+            expected = []
+            for i in range(tm.num_rows):
+                peak = value[i, i, 0]
+                if peak != CycloInt.integer(q, tm.energy):
+                    expected.append(("peak", (i, i), 0, peak.magnitude()))
+                for j in range(tm.num_rows):
+                    for u in range(1 if i == j else 0, spread + 1):
+                        if not value[i, j, u].is_zero():
+                            label = _pair_label(tm, i, j)
+                            expected.append((label, (i, j), u, value[i, j, u].magnitude()))
+            got = [
+                (v.check, v.indices, v.shift, v.magnitude)
+                for v in check_design_criterion(tm, spread).violations
+                if v.check not in ("sparsity", "row-energy")
+            ]
+            assert got == expected, (tm.source, spread)

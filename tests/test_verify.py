@@ -19,6 +19,7 @@ from eczcs import (
     is_optimal,
     lemma2_ccc,
     measure_zcz_width,
+    pccf_via_accf,
     tang_fan_matsufuji_bound,
     theorem2_construct,
 )
@@ -162,3 +163,30 @@ def test_verdict_reports_every_violation(table4):
     assert ("same-set", 10) in shifts
     assert len(verdict.violations) >= 2  # both sets violate at u=10
     assert verdict.to_json()["passed"] is False
+
+
+def test_zcz_violations_match_per_shift_reference(table4, table5):
+    """check_zcz_set lists exactly the nonzero pccf_via_accf values, in (i, j, u) order."""
+    rng = random.Random(41)
+    cases = [(flatten_to_zcz(table4), 9), (flatten_to_zcz(table5), 8)]
+    for q in (4, 6):
+        members = tuple(
+            PhaseSequence(q, tuple(rng.randrange(q) for _ in range(10))) for _ in range(3)
+        )
+        cases.append((SequenceSet(members), 4))
+    for sset, zone in cases:
+        members = sset.members
+        for width in range(zone + 2):
+            expected = []
+            for i, si in enumerate(members):
+                for j, sj in enumerate(members):
+                    for u in range(1 if i == j else 0, width + 1):
+                        val = pccf_via_accf(si, sj, u)
+                        if not val.is_zero():
+                            kind = "zcz-auto" if i == j else "zcz-cross"
+                            expected.append((kind, (i, j), u, val.magnitude()))
+            got = [
+                (v.check, v.indices, v.shift, v.magnitude)
+                for v in check_zcz_set(sset, width).violations
+            ]
+            assert got == expected, (zone, width)
