@@ -51,20 +51,35 @@ def aacf(s: PhaseSequence, u: int) -> CycloInt:
     return accf(s, s, u)
 
 
+_TALLY_BLOCK = 1 << 16
+
+
 def cyclic_tally(a, b, q: int, shifts, a_mask=None, b_mask=None) -> np.ndarray:
     """Exact tallies of the cyclic correlation sum_k a[k+u] * conj(b[k]).
 
     Row r counts how often each phase difference (a[(k+u) mod L] - b[k])
     mod q occurs at shift u = shifts[r], shape (len(shifts), q).  Where a
     mask is given, positions it marks False are silent and not counted.
+    Shifts are taken in blocks of about _TALLY_BLOCK gathered entries, so
+    the temporaries stay bounded however many shifts are asked for.
     """
-    shifts = np.asarray(shifts, dtype=np.int64)
-    pos = np.arange(len(b)) if b_mask is None else np.flatnonzero(b_mask)
-    idx = (pos + shifts[:, None]) % len(a)
-    key = (a[idx] - b[pos]) % q + q * np.arange(len(shifts))[:, None]
+    shifts = np.asarray(shifts, dtype=np.int64) % len(a)
     if a_mask is not None:
-        key = key[a_mask[idx]]
-    return np.bincount(key.ravel(), minlength=len(shifts) * q).reshape(len(shifts), q)
+        a = np.where(a_mask, a, 2 * q - 1)
+    a2 = np.concatenate((a, a))  # a2[s + k] = a[(s + k) mod L] for s, k < L
+    pos = np.arange(len(b)) if b_mask is None else np.flatnonzero(b_mask)
+    # key a + q - b lies in 1..2q-1 (difference mod q, folded below) for a
+    # live a and in 2q..3q-1 (dropped) for a silent one; rows are 3q apart
+    step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(pos))))
+    base = (q - b[pos]) + 3 * q * np.arange(step)[:, None]
+    out = np.empty((len(shifts), q), dtype=np.int64)
+    for start in range(0, len(shifts), step):
+        block = shifts[start : start + step]
+        key = a2[block[:, None] + pos]
+        key += base[: len(block)]
+        counts = np.bincount(key.ravel(), minlength=3 * q * len(block)).reshape(-1, 3 * q)
+        out[start : start + step] = counts[:, :q] + counts[:, q : 2 * q]
+    return out
 
 
 def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
@@ -91,10 +106,13 @@ def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     return accf(s1, s0, -u).conjugate() + accf(s0, s1, length + u)
 
 
+_EXACT_COMPLEX_Q = (2, 4)
+
+
 def _pair_table_counts(s0: PhaseSequence, s1: PhaseSequence) -> np.ndarray:
     """Count vectors of accf(s0, s1, u) for u = -(L-1)..(L-1), shape (2L-1, q)."""
     q, length = s0.q, s0.length
-    if q in (2, 4):
+    if q in _EXACT_COMPLEX_Q:
         # index i of the full correlation holds the shift u = i - (L - 1)
         z = np.correlate(modulate(s0), modulate(s1), mode="full")
         counts = np.zeros((2 * length - 1, q), dtype=np.int64)

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .sequences import Family, PhaseSequence, SequenceSet, family_from_lists
+from .sequences import PhaseSequence, family_from_lists
 from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"
@@ -239,10 +239,7 @@ def baseline_zadoff_chu(
         roots = default_zc_roots(block_length, needed)
     if len(roots) != needed:
         raise ValueError(f"need {needed} roots, got {len(roots)}")
-    sequences = [zadoff_chu(block_length, r) for r in roots]
-    sets = []
-    for m in range(cfg.active_antennas):
-        members = tuple(sequences[m * blocks + n] for n in range(blocks))
-        sets.append(SequenceSet(members))
-    fam = Family(tuple(sets))
+    phases = [zadoff_chu(block_length, r).phases for r in roots]
+    sets = [phases[m * blocks : (m + 1) * blocks] for m in range(cfg.active_antennas)]
+    fam = family_from_lists(2 * block_length, sets)
     return build_training_matrix(fam, cfg, source="zadoff-chu")

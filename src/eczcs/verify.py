@@ -59,6 +59,10 @@ def _check_width(width: int, length: int) -> None:
         raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
 
 
+def _front_window(width: int) -> range:
+    return range(1, width + 1)
+
+
 def _tail_window(length: int, width: int) -> range:
     return range(length - width, length)
 
@@ -109,10 +113,9 @@ def tang_fan_matsufuji_bound(n_seqs: int, length: int, q: int) -> int:
 
     Returns L/N - 1 for q > 2.  The binary value L/(2N) is a conjectured
     bound, so callers report it but never hard-fail a set exceeding it.
+    It equals :func:`eczcs_bound` for n_seqs sets of one sequence each.
     """
-    if q == 2:
-        return length // (2 * n_seqs)
-    return length // n_seqs - 1
+    return eczcs_bound(n_seqs, 1, length, q)
 
 
 def _family_tables(fam: Family, rotated: bool):
@@ -177,7 +180,7 @@ def check_ccc(fam: Family) -> Verdict:
 def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
     """Front- and tail-window zeroness of the plain set correlation sums."""
     length = fam.length
-    window = set(range(1, width + 1)) | set(_tail_window(length, width))
+    window = set(_front_window(width)) | set(_tail_window(length, width))
     same = sorted(u for u in window if 1 <= u <= length - 1)
     cross = sorted(u for u in (window | {0}) if 0 <= u <= length - 1)
     tables = _family_tables(fam, rotated=False)

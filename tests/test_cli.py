@@ -200,6 +200,10 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         (dict(good, ebn0_db=5), "'ebn0_db'"),
         ([good], "JSON object"),
         (dict(good, matrix=[4, 2]), "'matrix'"),
+        (dict(good, trials="5"), "'trials'"),
+        (dict(good, delay_spreads=[3.5]), "'delay_spreads'"),
+        (dict(good, seed=True), "'seed'"),
+        (dict(good, ebn0_db=[True]), "'ebn0_db'"),
     ):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from eczcs import (
     set_corr_sum,
     set_corr_table,
 )
+from eczcs import correlation
 from eczcs.cyclotomic import CycloInt
 
 from conftest import RHO_T4_00, RHOHAT_T4_01, RHO_T5_02, RHOHAT_T5_LIST, float_accf, float_pccf
@@ -246,6 +249,44 @@ def test_general_alphabet_tables_match_accf():
             for u in shifts:
                 assert table[u + length - 1] == sum_accf(plain, u, q)
                 assert rot[u + length - 1] == sum_accf(rotated, u, q)
+
+
+@pytest.mark.parametrize("block", [1, 7, 20, 1 << 16])
+def test_tally_blocks_agree_with_accf(monkeypatch, block):
+    """Any block size, including ones that split the shifts unevenly, gives the same counts."""
+    monkeypatch.setattr(correlation, "_TALLY_BLOCK", block)
+    rng = random.Random(31)
+    for q, length in ((6, 9), (8, 1), (12, 5)):
+        a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
+        shifts = range(-(length - 1), length)
+        assert profile_accf(a, b).values == tuple(accf(a, b, u) for u in shifts)
+        assert tuple(pccf(a, b, u) for u in range(length)) == tuple(
+            pccf_via_accf(a, b, u) for u in range(length)
+        )
+        am = np.array([rng.random() < 0.6 for _ in range(length)])
+        bm = np.array([rng.random() < 0.6 for _ in range(length)])
+        got = correlation.cyclic_tally(a.array(), b.array(), q, shifts, am, bm)
+        for row, u in zip(got, shifts):
+            want = [0] * q
+            for k in range(length):
+                if am[(k + u) % length] and bm[k]:
+                    want[(a.phases[(k + u) % length] - b.phases[k]) % q] += 1
+            assert list(row) == want
+
+
+def test_long_aperiodic_table_memory_stays_bounded():
+    """All 4095 shifts of a q=8, L=2048 pair; one dense gather would peak near 200 MB."""
+    rng = np.random.default_rng(5)
+    a, b = (PhaseSequence(8, tuple(int(x) for x in rng.integers(0, 8, 2048))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        values = profile_accf(a, b).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for u in (-2047, -1000, 0, 1, 2047):
+        assert values[u + 2047] == accf(a, b, u)
 
 
 def sum_accf(pairs, u, q):
