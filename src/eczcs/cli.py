@@ -269,26 +269,20 @@ def cmd_train(args) -> int:
 
 
 def _matrix_from_config(spec: dict, base_dir: Path):
-    cfg = GSMConfig(int(spec["nt"]), int(spec["na"]))
+    cfg = GSMConfig(spec["nt"], spec["na"])
     kind = spec.get("kind", "family")
     if kind == "family":
-        fam, path = _load_family_arg(str(base_dir / spec["path"]), int(spec.get("q", 2)))
+        fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q", 2))
         return build_training_matrix(fam, cfg, source=spec["path"]), [path]
     if kind == "seed":
         entry = catalog_entry(spec["id"])
         return build_training_matrix(entry.family, cfg, source=spec["id"]), []
     if kind == "random-binary":
-        rng = np.random.default_rng(int(spec.get("rng_seed", 0)))
-        return (
-            baseline_random_binary(cfg, int(spec["blocks"]), int(spec["block_length"]), rng),
-            [],
-        )
+        rng = np.random.default_rng(spec.get("rng_seed", 0))
+        return baseline_random_binary(cfg, spec["blocks"], spec["block_length"], rng), []
     if kind == "zadoff-chu":
         roots = tuple(spec["roots"]) if "roots" in spec else None
-        return (
-            baseline_zadoff_chu(cfg, int(spec["blocks"]), int(spec["block_length"]), roots),
-            [],
-        )
+        return baseline_zadoff_chu(cfg, spec["blocks"], spec["block_length"], roots), []
     raise ValueError(f"unknown training matrix kind {kind!r}")
 
 
@@ -303,13 +297,20 @@ def _read_sim_config(path: Path) -> dict:
     def ok(x, kinds):
         return isinstance(x, kinds) and not isinstance(x, bool)
 
-    for key, kinds, noun in (("ebn0_db", (int, float), "numbers"), ("delay_spreads", int, "integers")):
-        grid = config.get(key, [])
-        if not isinstance(grid, list) or not all(ok(x, kinds) for x in grid):
-            raise ValueError(f"simulate config key {key!r} must be a list of {noun}")
-    for key in ("trials", "seed"):
-        if not ok(config.get(key, 0), int):
-            raise ValueError(f"simulate config key {key!r} must be an integer")
+    matrix = config["matrix"]
+    for table, keys, kinds, listed, noun in (
+        (config, ("ebn0_db",), (int, float), True, "a list of numbers"),
+        (config, ("delay_spreads",), int, True, "a list of integers"),
+        (config, ("trials", "seed"), int, False, "an integer"),
+        (matrix, ("nt", "na", "q", "blocks", "block_length", "rng_seed"), int, False, "an integer"),
+        (matrix, ("roots",), int, True, "a list of integers"),
+        (matrix, ("kind", "path", "id"), str, False, "a string"),
+    ):
+        for key in (k for k in keys if k in table):
+            x = table[key]
+            if not (isinstance(x, list) and all(ok(y, kinds) for y in x) if listed else ok(x, kinds)):
+                where = "'matrix' key" if table is matrix else "key"
+                raise ValueError(f"simulate config {where} {key!r} must be {noun}")
     return config
 
 
@@ -320,8 +321,8 @@ def cmd_simulate(args) -> int:
     sim = SimConfig(
         ebn0_db=tuple(args.ebn0 or config["ebn0_db"]),
         delay_spreads=tuple(args.delay_spread or config["delay_spreads"]),
-        trials=args.trials or int(config["trials"]),
-        seed=args.seed if args.seed is not None else int(config["seed"]),
+        trials=args.trials if args.trials is not None else config["trials"],
+        seed=args.seed if args.seed is not None else config["seed"],
         matrix_id=config.get("matrix_id", config["matrix"].get("kind", "")),
     )
     report = monte_carlo_mse(tm, sim)

@@ -127,18 +127,26 @@ def _pair_table_counts(s0: PhaseSequence, s1: PhaseSequence) -> np.ndarray:
     return cyclic_tally(a, b, q, _aperiodic_shifts(length), live, live)
 
 
-def _sum_pair_tables(pairs, q: int, length: int) -> list[CycloInt]:
-    total = np.zeros((2 * length - 1, q), dtype=np.int64)
-    for s0, s1 in pairs:
-        total += _pair_table_counts(s0, s1)
-    return [CycloInt(q, tuple(int(c) for c in row)) for row in total]
+def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.ndarray:
+    """Count vectors of the set sum over member pairs n <-> (n + rotation) mod N.
+
+    Shape (2L-1, q), row i holding shift u = i - (L-1); rotation 0 gives
+    set_corr_sum and rotation 1 gives cross_channel_sum.
+    """
+    _check_sets(s0, s1)
+    n = s0.size
+    return sum(_pair_table_counts(a, s1.members[(i + rotation) % n]) for i, a in enumerate(s0.members))
+
+
+def _values(q: int, counts: np.ndarray) -> list[CycloInt]:
+    return [CycloInt(q, row) for row in counts]
 
 
 def set_corr_sum(s0: SequenceSet, s1: SequenceSet, u: int) -> CycloInt:
     """Member-wise aperiodic cross-correlation sum of two sequence sets."""
-    table = set_corr_table(s0, s1)
+    counts = set_pair_counts(s0, s1)
     _check_shift(s0.length, u)
-    return table[u + s0.length - 1]
+    return CycloInt(s0.q, counts[u + s0.length - 1])
 
 
 def cross_channel_sum(g0: SequenceSet, g1: SequenceSet, u: int) -> CycloInt:
@@ -148,23 +156,19 @@ def cross_channel_sum(g0: SequenceSet, g1: SequenceSet, u: int) -> CycloInt:
     its arguments, and negating the shift is not equivalent to swapping
     either, so callers must evaluate both signs explicitly.
     """
-    table = cross_channel_table(g0, g1)
+    counts = set_pair_counts(g0, g1, rotation=1)
     _check_shift(g0.length, u)
-    return table[u + g0.length - 1]
+    return CycloInt(g0.q, counts[u + g0.length - 1])
 
 
 def set_corr_table(s0: SequenceSet, s1: SequenceSet) -> list[CycloInt]:
     """set_corr_sum over the full aperiodic shift range -(L-1)..(L-1)."""
-    _check_sets(s0, s1)
-    return _sum_pair_tables(zip(s0.members, s1.members), s0.q, s0.length)
+    return _values(s0.q, set_pair_counts(s0, s1))
 
 
 def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> list[CycloInt]:
     """cross_channel_sum over the full aperiodic shift range."""
-    _check_sets(g0, g1)
-    n = g0.size
-    pairs = [(a, g1.members[(i + 1) % n]) for i, a in enumerate(g0.members)]
-    return _sum_pair_tables(pairs, g0.q, g0.length)
+    return _values(g0.q, set_pair_counts(g0, g1, rotation=1))
 
 
 def _check_sets(s0: SequenceSet, s1: SequenceSet) -> None:
@@ -200,24 +204,23 @@ def _aperiodic_shifts(length: int) -> tuple[int, ...]:
 
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence, label: str = "accf") -> CorrelationProfile:
-    table = _sum_pair_tables([(s0, s1)], s0.q, s0.length)
+    _check_pair(s0, s1)
+    table = _values(s0.q, _pair_table_counts(s0, s1))
     return CorrelationProfile(label, _aperiodic_shifts(s0.length), tuple(table))
 
 
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence, label: str = "pccf") -> CorrelationProfile:
+    _check_pair(s0, s1)
     shifts = tuple(range(s0.length))
-    return CorrelationProfile(label, shifts, tuple(pccf(s0, s1, u) for u in shifts))
+    table = _values(s0.q, cyclic_tally(s0.array(), s1.array(), s0.q, shifts))
+    return CorrelationProfile(label, shifts, tuple(table))
 
 
 def profile_set_corr(fam: Family, m1: int, m2: int) -> CorrelationProfile:
     table = set_corr_table(fam.sets[m1], fam.sets[m2])
-    return CorrelationProfile(
-        f"rho:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table)
-    )
+    return CorrelationProfile(f"rho:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table))
 
 
 def profile_cross_channel(fam: Family, m1: int, m2: int) -> CorrelationProfile:
     table = cross_channel_table(fam.sets[m1], fam.sets[m2])
-    return CorrelationProfile(
-        f"rhohat:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table)
-    )
+    return CorrelationProfile(f"rhohat:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table))

@@ -211,8 +211,8 @@ def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:
     (t, c) is x_p[(t - c) mod width]; the block has delay_spread + 1
     columns.
     """
-    if delay_spread + 1 > tm.width:
-        raise ValueError("delay spread too large for the training length")
+    if not 0 <= delay_spread < tm.width:
+        raise ValueError("delay spread must lie in [0, matrix width)")
     rows = tm.complex_rows()
     cols = [
         np.roll(rows[p], c)

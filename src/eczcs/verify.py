@@ -6,6 +6,12 @@ practical.  Shift windows follow the written set definitions, with one
 corner handled explicitly: when the declared zone width equals the
 sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
+
+The aperiodic classifiers read one (M, M, 2L-1, q) count tensor per
+family and sum kind (rho, or the rotated rho-hat) and its zero mask; the
+periodic checks tally each row pair once.  Either way zeros come from one
+multiply by the reduction matrix, and a CycloInt is built only for a
+reported value.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .correlation import cross_channel_table, cyclic_tally, set_corr_table
+from .correlation import cyclic_tally, set_pair_counts
 from .cyclotomic import CycloInt, reduction_matrix
 from .sequences import Family, SequenceSet, concat
 
@@ -67,30 +73,42 @@ def _tail_window(length: int, width: int) -> range:
     return range(length - width, length)
 
 
+def _window_violations(counts, q: int, centre: int, same, cross, label, peak=None) -> list[Violation]:
+    """Nonzero values of every ordered pair's counts (R, R, shifts, q) on its window.
+
+    Shift u sits at index u + centre.  Row i first checks its in-phase
+    value against the integer ``peak`` unless that is None; then pair
+    (i, j) scans ``same`` when i == j and ``cross`` otherwise, a violation
+    being labelled label(i, j).  Zeros are decided by one multiply with the
+    reduction matrix, and a CycloInt is built only for a peak or a violation.
+    """
+    nonzero = (counts @ reduction_matrix(q)).any(axis=-1)
+    windows = [np.asarray(w, dtype=np.intp) for w in (same, cross)]
+    violations = []
+    for i in range(len(counts)):
+        if peak is not None:
+            val = CycloInt(q, counts[i, i, centre])
+            if val != CycloInt.integer(q, peak):
+                violations.append(Violation("peak", (i, i), 0, val.magnitude()))
+        for j in range(len(counts)):
+            shifts = windows[i != j]
+            for u in shifts[nonzero[i, j, shifts + centre]].tolist():
+                val = CycloInt(q, counts[i, j, u + centre])
+                violations.append(Violation(label(i, j), (i, j), u, val.magnitude()))
+    return violations
+
+
 def periodic_zone_violations(values, masks, q: int, top: int, label, peak=None) -> list[Violation]:
     """Periodic correlations of rows (silent where masks are False, or None) at 0..top.
 
     Each ordered row pair is tallied once; every value must vanish except
     a row's in-phase value, which must equal ``peak`` unless that is None.
-    Zeros are decided by one multiply with the reduction matrix, and a
-    CycloInt is built only for a peak or a violation labelled label(i, j).
     """
     rows = list(zip(values, masks))
     counts = np.array(
         [[cyclic_tally(a, b, q, range(top + 1), am, bm) for b, bm in rows] for a, am in rows]
     )
-    nonzero = (counts @ reduction_matrix(q)).any(axis=-1)
-    violations = []
-    for i in range(len(rows)):
-        if peak is not None:
-            val = CycloInt(q, counts[i, i, 0])
-            if val != CycloInt.integer(q, peak):
-                violations.append(Violation("peak", (i, i), 0, val.magnitude()))
-        nonzero[i, i, 0] = False
-        for j, u in zip(*np.nonzero(nonzero[i])):
-            val = CycloInt(q, counts[i, j, u])
-            violations.append(Violation(label(i, int(j)), (i, int(j)), int(u), val.magnitude()))
-    return violations
+    return _window_violations(counts, q, 0, range(1, top + 1), range(top + 1), label, peak)
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
@@ -118,32 +136,12 @@ def tang_fan_matsufuji_bound(n_seqs: int, length: int, q: int) -> int:
     return eczcs_bound(n_seqs, 1, length, q)
 
 
-def _family_tables(fam: Family, rotated: bool):
-    build = cross_channel_table if rotated else set_corr_table
-    return {
-        (m1, m2): build(fam.sets[m1], fam.sets[m2])
-        for m1 in range(fam.num_sets)
-        for m2 in range(fam.num_sets)
-    }
-
-
-def _window_violations(tables, length: int, same, cross, kinds, peak=None) -> list[Violation]:
-    """Violations of every set pair's table on its shift window.
-
-    Same-set pairs scan ``same`` (labelled kinds[0]) after checking shift 0
-    against ``peak`` when one is given; other pairs scan ``cross`` (kinds[1]).
-    """
-    violations = []
-    for (m1, m2), table in tables.items():
-        if peak is not None and m1 == m2:
-            val = table[length - 1]
-            if val != peak:
-                violations.append(Violation("peak", (m1, m2), 0, val.magnitude()))
-        for u in same if m1 == m2 else cross:
-            val = table[u + length - 1]
-            if not val.is_zero():
-                violations.append(Violation(kinds[m1 != m2], (m1, m2), u, val.magnitude()))
-    return violations
+def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds, peak=None):
+    """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
+    counts = np.array([[set_pair_counts(a, b, rotation) for b in fam.sets] for a in fam.sets])
+    return _window_violations(
+        counts, fam.q, fam.length - 1, same, cross, lambda i, j: kinds[i != j], peak
+    )
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -153,10 +151,8 @@ def check_zccs(fam: Family, width: int) -> Verdict:
     cross-set sums must vanish for |u| < width.
     """
     _check_width(width, fam.length)
-    peak = CycloInt.integer(fam.q, fam.set_size * fam.length)
-    violations = _window_violations(
-        _family_tables(fam, rotated=False), fam.length, range(1, width), range(width),
-        ("same-set", "cross-set"), peak,
+    violations = _set_sum_violations(
+        fam, 0, range(1, width), range(width), ("same-set", "cross-set"), fam.set_size * fam.length
     )
     return Verdict(tuple(violations))
 
@@ -183,8 +179,7 @@ def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
     window = set(_front_window(width)) | set(_tail_window(length, width))
     same = sorted(u for u in window if 1 <= u <= length - 1)
     cross = sorted(u for u in (window | {0}) if 0 <= u <= length - 1)
-    tables = _family_tables(fam, rotated=False)
-    return _window_violations(tables, length, same, cross, ("same-set", "cross-set"))
+    return _set_sum_violations(fam, 0, same, cross, ("same-set", "cross-set"))
 
 
 def check_szccs(fam: Family, width: int) -> Verdict:
@@ -202,12 +197,9 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     swap-and-conjugate symmetry, so both shift signs are evaluated.
     """
     _check_width(width, fam.length)
-    length = fam.length
     violations = _symmetric_zone_violations(fam, width)
-    tail = [u for u_abs in _tail_window(length, width) for u in {u_abs, -u_abs}]
-    violations += _window_violations(
-        _family_tables(fam, rotated=True), length, tail, tail, ("cross-channel",) * 2
-    )
+    tail = [u for u_abs in _tail_window(fam.length, width) for u in {u_abs, -u_abs}]
+    violations += _set_sum_violations(fam, 1, tail, tail, ("cross-channel",) * 2)
     return Verdict(tuple(violations))
 
 

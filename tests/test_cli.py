@@ -204,6 +204,18 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         (dict(good, delay_spreads=[3.5]), "'delay_spreads'"),
         (dict(good, seed=True), "'seed'"),
         (dict(good, ebn0_db=[True]), "'ebn0_db'"),
+        (dict(good, matrix=dict(good["matrix"], nt=[4])), "'nt'"),
+        (dict(good, matrix=dict(good["matrix"], na="2")), "'na'"),
+        (dict(good, matrix=dict(good["matrix"], id=7)), "'id'"),
+        (dict(good, matrix=dict(good["matrix"], kind=["seed"])), "'kind'"),
+        (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": 8, "roots": 5}), "'roots'"),
+        (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": 8.0}), "'block_length'"),
+        (dict(good, matrix={"kind": "random-binary", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": 8, "rng_seed": 1.5}), "'rng_seed'"),
+        (dict(good, matrix={"kind": "family", "path": ["fam.json"], "nt": 4, "na": 2}), "'path'"),
+        (dict(good, matrix={"kind": "family", "path": "fam.txt", "q": True, "nt": 4, "na": 2}), "'q'"),
     ):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
@@ -219,3 +231,19 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
     assert "2 of 2 grid points failed" in err
     assert out_file.read_text().count(",failed,failed,") == 2
     assert (tmp_path / "report.csv.manifest.json").exists()
+
+
+def test_simulate_rejects_negative_lambda_and_zero_trials(tmp_path, capsys):
+    config = {
+        "matrix": {"kind": "seed", "id": "zccs-2-2-12-10", "nt": 4, "na": 2},
+        "ebn0_db": [10.0],
+        "delay_spreads": [3],
+        "trials": 7,
+        "seed": 1,
+    }
+    cfg_file = tmp_path / "sim.json"
+    cfg_file.write_text(json.dumps(config))
+    for flags, named in ((("--lambda", "-1"), "delay spread"), (("--trials", "0"), "trial")):
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_file), *flags)
+        assert code == 2 and out == "", flags
+        assert err.startswith("error:") and named in err and "Traceback" not in err, err

@@ -71,6 +71,13 @@ def test_estimator_reduces_to_matched_filter(psi24):
     assert np.allclose(ls_estimate(X, y), X.conj().T @ y / psi24.energy, atol=1e-12)
 
 
+def test_ls_model_rejects_out_of_range_delay_spread(psi24):
+    for spread in (-3, -1, psi24.width):
+        with pytest.raises(ValueError, match="delay spread"):
+            build_ls_model_matrix(psi24, spread)
+    assert build_ls_model_matrix(psi24, 0).shape == (psi24.width, psi24.num_rows)
+
+
 def test_duplicated_rows_raise(psi24):
     import dataclasses
 

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from eczcs import (
+    CycloInt,
     Family,
     PhaseSequence,
     SequenceSet,
+    accf,
     check_ccc,
     check_eczcs,
     check_mocs,
@@ -190,3 +192,68 @@ def test_zcz_violations_match_per_shift_reference(table4, table5):
                 for v in check_zcz_set(sset, width).violations
             ]
             assert got == expected, (zone, width)
+
+
+def _reference_aperiodic_violations(fam):
+    """check_zccs/szccs/eczcs violation lists per width from explicit accf sums."""
+    length, size, q = fam.length, fam.set_size, fam.q
+    pairs = [(m1, m2) for m1 in range(fam.num_sets) for m2 in range(fam.num_sets)]
+    value = {}
+    for m1, m2 in pairs:
+        for rotation in (0, 1):
+            for u in range(-(length - 1), length):
+                total = CycloInt.zero(q)
+                for n in range(size):
+                    a, b = fam.sets[m1].members[n], fam.sets[m2].members[(n + rotation) % size]
+                    total = total + accf(a, b, u)
+                value[m1, m2, rotation, u] = total
+
+    def scan(label, rotation, same, cross, peak=None):
+        out = []
+        for m1 in range(fam.num_sets):
+            if peak is not None and value[m1, m1, 0, 0] != peak:
+                out.append(("peak", (m1, m1), 0, value[m1, m1, 0, 0].magnitude()))
+            for m2 in range(fam.num_sets):
+                for u in same if m1 == m2 else cross:
+                    val = value[m1, m2, rotation, u]
+                    if not val.is_zero():
+                        out.append((label(m1, m2), (m1, m2), u, val.magnitude()))
+        return out
+
+    def plain(m1, m2):
+        return "same-set" if m1 == m2 else "cross-set"
+
+    expected = {}
+    peak = CycloInt.integer(q, size * length)
+    for width in range(length + 1):
+        zccs = scan(plain, 0, range(1, width), range(width), peak)
+        window = set(range(1, width + 1)) | set(range(length - width, length))
+        same = sorted(u for u in window if 1 <= u < length)
+        cross = sorted(u for u in window | {0} if 0 <= u < length)
+        szccs = scan(plain, 0, same, cross)
+        # both signs of each tail shift, in the iteration order of {u, -u}
+        tail = [u for u_abs in range(length - width, length) for u in {u_abs, -u_abs}]
+        eczcs = szccs + scan(lambda m1, m2: "cross-channel", 1, tail, tail)
+        expected[width] = {"zccs": zccs, "szccs": szccs, "eczcs": eczcs}
+    return expected
+
+
+def test_aperiodic_violations_match_per_shift_reference(table3, table4, table5, nonc2_zccs):
+    """Classifier violations and the measured width equal explicit accf loops, in order."""
+    rng = random.Random(606)
+    families = [table3, table4, table5, nonc2_zccs]
+    for q in (2, 4, 6, 8, 12):
+        for length in (1, 2, 5, 9):
+            for _ in range(2):
+                m, n = rng.randint(1, 3), rng.randint(1, 3)
+                sets = [[[rng.randrange(q) for _ in range(length)] for _ in range(n)] for _ in range(m)]
+                families.append(family_from_lists(q, sets))
+    checks = {"zccs": check_zccs, "szccs": check_szccs, "eczcs": check_eczcs}
+    for fam in families:
+        expected = _reference_aperiodic_violations(fam)
+        for width, lists in expected.items():
+            for kind, check in checks.items():
+                got = [(v.check, v.indices, v.shift, v.magnitude) for v in check(fam, width).violations]
+                assert got == lists[kind], (fam.q, fam.length, width, kind)
+        passing = [w for w, lists in expected.items() if not lists["eczcs"]]
+        assert measure_zcz_width(fam) == max(passing, default=-1)
