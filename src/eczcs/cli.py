@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .sequences import (
     family_from_json,
     family_to_json,
     format_family_text,
+    is_json,
     parse_family_text,
 )
 from .simulate import (
@@ -143,11 +145,10 @@ def cmd_construct(args) -> int:
         else:
             raise ValueError("provide --preset or --spec")
         spec = _partition_from_dict(spec_dict)
-        q = int(spec_dict.get("q", 2))
+        q = spec_dict.get("q", 2)
         eta = spec_dict.get("eta")
         if args.builder == "theorem3":
-            v = int(spec_dict["v"])
-            fam = theorem3_construct(spec, v, q, eta)
+            fam = theorem3_construct(spec, spec_dict["v"], q, eta)
             width = theorem3_zcz_width(spec)
             verdict = check_eczcs(fam, width)
         else:  # lemma2
@@ -170,20 +171,35 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _check_types(table: dict, checks, where: str) -> None:
+    """Name the first present key whose value is not of its (keys, kinds, depth, noun) check."""
+    for keys, kinds, depth, noun in checks:
+        for key in (k for k in keys if k in table):
+            if not is_json(table[key], kinds, depth):
+                raise ValueError(f"{where} {key!r} must be {noun}")
+
+
 def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
     """Read a construction spec; the part orderings may be named parts or pi.
 
     An optional U (the unordered parts) and k are cross-checked when given.
     """
+    if not isinstance(spec_dict, dict):
+        raise ValueError("construction spec must be a JSON object")
+    _check_types(spec_dict, (
+        (("m", "v", "q", "k"), int, 0, "an integer"),
+        (("parts", "pi", "U"), int, 2, "a list of integer lists"),
+        (("eta",), int, 1, "a list of integers"),
+    ), "construction spec key")
     raw = spec_dict.get("parts", spec_dict.get("pi"))
     if raw is None:
         raise ValueError("construction spec needs a 'parts' (or 'pi') list of orderings")
-    parts = tuple(tuple(int(x) for x in part) for part in raw)
-    spec = PartitionSpec(int(spec_dict["m"]), parts)
-    if "k" in spec_dict and int(spec_dict["k"]) != spec.k:
+    parts = tuple(tuple(part) for part in raw)
+    spec = PartitionSpec(spec_dict["m"], parts)
+    if "k" in spec_dict and spec_dict["k"] != spec.k:
         raise ValueError(f"declared k={spec_dict['k']} but {spec.k} parts were given")
     if "U" in spec_dict:
-        declared = [sorted(int(x) for x in u) for u in spec_dict["U"]]
+        declared = [sorted(u) for u in spec_dict["U"]]
         if declared != [sorted(p) for p in parts]:
             raise ValueError("declared U does not match the part orderings")
     return spec
@@ -293,33 +309,29 @@ def _read_sim_config(path: Path) -> dict:
         raise ValueError(f"simulate config {path} must be a JSON object")
     if not isinstance(config.get("matrix"), dict):
         raise ValueError("simulate config key 'matrix' must be an object")
-
-    def ok(x, kinds):
-        return isinstance(x, kinds) and not isinstance(x, bool)
-
-    matrix = config["matrix"]
-    for table, keys, kinds, listed, noun in (
-        (config, ("ebn0_db",), (int, float), True, "a list of numbers"),
-        (config, ("delay_spreads",), int, True, "a list of integers"),
-        (config, ("trials", "seed"), int, False, "an integer"),
-        (matrix, ("nt", "na", "q", "blocks", "block_length", "rng_seed"), int, False, "an integer"),
-        (matrix, ("roots",), int, True, "a list of integers"),
-        (matrix, ("kind", "path", "id"), str, False, "a string"),
-    ):
-        for key in (k for k in keys if k in table):
-            x = table[key]
-            if not (isinstance(x, list) and all(ok(y, kinds) for y in x) if listed else ok(x, kinds)):
-                where = "'matrix' key" if table is matrix else "key"
-                raise ValueError(f"simulate config {where} {key!r} must be {noun}")
+    _check_types(config, (
+        (("ebn0_db",), (int, float), 1, "a list of numbers"),
+        (("delay_spreads",), int, 1, "a list of integers"),
+        (("trials", "seed"), int, 0, "an integer"),
+        (("matrix_id",), str, 0, "a string"),
+    ), "simulate config key")
+    _check_types(config["matrix"], (
+        (("nt", "na", "q", "blocks", "block_length", "rng_seed"), int, 0, "an integer"),
+        (("roots",), int, 1, "a list of integers"),
+        (("kind", "path", "id"), str, 0, "a string"),
+    ), "simulate config 'matrix' key")
     return config
 
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     config = _read_sim_config(config_path)
+    ebn0_db = tuple(args.ebn0 or config["ebn0_db"])
+    if not all(map(math.isfinite, ebn0_db)):
+        raise ValueError(f"Eb/N0 values must be finite, got {ebn0_db}")
     tm, extra_inputs = _matrix_from_config(config["matrix"], config_path.parent)
     sim = SimConfig(
-        ebn0_db=tuple(args.ebn0 or config["ebn0_db"]),
+        ebn0_db=ebn0_db,
         delay_spreads=tuple(args.delay_spread or config["delay_spreads"]),
         trials=args.trials if args.trials is not None else config["trials"],
         seed=args.seed if args.seed is not None else config["seed"],

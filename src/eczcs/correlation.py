@@ -1,11 +1,12 @@
 """Exact aperiodic and periodic correlation functions and set-level sums.
 
 Every function returns a :class:`~eczcs.cyclotomic.CycloInt`, so zero tests
-are exact.  For binary and quaternary alphabets the heavy lifting runs
-through ``numpy.correlate`` on exact unit values (sums of Gaussian
-integers stay integral in double precision); other alphabets, and every
-periodic correlation, go through the integer phase-difference tally
-:func:`cyclic_tally`.
+are exact.  All of them read one kernel, the cyclic tally
+:func:`cyclic_tally`: binary and quaternary values come from one
+``numpy.correlate`` of exact unit values (sums of Gaussian integers stay
+integral in double precision), other alphabets from an integer
+phase-difference count.  Aperiodic set sums are cyclic tallies of
+:func:`set_rows`, where every member is followed by silent entries.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycloInt
-from .sequences import Family, PhaseSequence, SequenceSet, modulate
+from .cyclotomic import CycloInt, root_table
+from .sequences import Family, PhaseSequence, SequenceSet
 
 
 def _check_pair(s0: PhaseSequence, s1: PhaseSequence) -> None:
@@ -60,10 +61,27 @@ def cyclic_tally(a, b, q: int, shifts, a_mask=None, b_mask=None) -> np.ndarray:
     Row r counts how often each phase difference (a[(k+u) mod L] - b[k])
     mod q occurs at shift u = shifts[r], shape (len(shifts), q).  Where a
     mask is given, positions it marks False are silent and not counted.
-    Shifts are taken in blocks of about _TALLY_BLOCK gathered entries, so
-    the temporaries stay bounded however many shifts are asked for.
+    For q in {2, 4} the rows are value-equal instead: one numpy.correlate
+    of the masked unit values over the hull of the shifts gives the real
+    part in column 0, the imaginary part in column 1 and zeros elsewhere.
+    Other alphabets take the shifts in blocks of about _TALLY_BLOCK
+    gathered entries, so the temporaries stay bounded however many shifts
+    are asked for.
     """
-    shifts = np.asarray(shifts, dtype=np.int64) % len(a)
+    length, shifts = len(a), np.asarray(shifts, dtype=np.int64)
+    if q in (2, 4):
+        units = root_table(q).real if q == 2 else root_table(q)
+        x = units[a] if a_mask is None else units[a] * a_mask
+        y = units[b] if b_mask is None else units[b] * b_mask
+        lo = shifts.min()
+        hull = np.take(x, np.arange(lo, length + shifts.max()), mode="wrap")
+        z = np.correlate(hull, y, "valid")[shifts - lo]
+        out = np.zeros((len(shifts), q), dtype=np.int64)
+        out[:, 0] = np.rint(z.real)
+        if q == 4:
+            out[:, 1] = np.rint(z.imag)
+        return out
+    shifts = shifts % length
     if a_mask is not None:
         a = np.where(a_mask, a, 2 * q - 1)
     a2 = np.concatenate((a, a))  # a2[s + k] = a[(s + k) mod L] for s, k < L
@@ -106,25 +124,17 @@ def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     return accf(s1, s0, -u).conjugate() + accf(s0, s1, length + u)
 
 
-_EXACT_COMPLEX_Q = (2, 4)
+def set_rows(sets) -> tuple[np.ndarray, np.ndarray]:
+    """One row per set, its N members each followed by L-1 silent entries, and the shared mask.
 
-
-def _pair_table_counts(s0: PhaseSequence, s1: PhaseSequence) -> np.ndarray:
-    """Count vectors of accf(s0, s1, u) for u = -(L-1)..(L-1), shape (2L-1, q)."""
-    q, length = s0.q, s0.length
-    if q in _EXACT_COMPLEX_Q:
-        # index i of the full correlation holds the shift u = i - (L - 1)
-        z = np.correlate(modulate(s0), modulate(s1), mode="full")
-        counts = np.zeros((2 * length - 1, q), dtype=np.int64)
-        counts[:, 0] = np.rint(z.real)
-        if q == 4:
-            counts[:, 1] = np.rint(z.imag)
-        return counts
-    # aperiodic = cyclic over the pair padded with L-1 silent entries
-    pad = np.zeros(length - 1, dtype=np.int64)
-    live = np.arange(2 * length - 1) < length
-    a, b = np.concatenate((s0.array(), pad)), np.concatenate((s1.array(), pad))
-    return cyclic_tally(a, b, q, _aperiodic_shifts(length), live, live)
+    Member pairs n <-> n + d then meet only within L of shift d(2L-1), so
+    for |u| < L the cyclic tally of two rows is the set sum rho at u and
+    the rotated sum rho-hat at u - (2L-1).
+    """
+    length, width = sets[0].length, 2 * sets[0].length - 1
+    rows = np.zeros((len(sets), sets[0].size, width), dtype=np.int64)
+    rows[:, :, :length] = [[s.array() for s in st.members] for st in sets]
+    return rows.reshape(len(sets), -1), np.arange(sets[0].size * width) % width < length
 
 
 def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.ndarray:
@@ -133,9 +143,11 @@ def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.n
     Shape (2L-1, q), row i holding shift u = i - (L-1); rotation 0 gives
     set_corr_sum and rotation 1 gives cross_channel_sum.
     """
-    _check_sets(s0, s1)
-    n = s0.size
-    return sum(_pair_table_counts(a, s1.members[(i + rotation) % n]) for i, a in enumerate(s0.members))
+    if (s0.q, s0.length, s0.size) != (s1.q, s1.length, s1.size):
+        raise ValueError("sequence sets must share (N, L, q)")
+    (a, b), live = set_rows((s0, s1))
+    shifts = np.arange(1 - s0.length, s0.length) - rotation * (2 * s0.length - 1)
+    return cyclic_tally(a, b, s0.q, shifts, live, live)
 
 
 def _values(q: int, counts: np.ndarray) -> list[CycloInt]:
@@ -171,11 +183,6 @@ def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> list[CycloInt]:
     return _values(g0.q, set_pair_counts(g0, g1, rotation=1))
 
 
-def _check_sets(s0: SequenceSet, s1: SequenceSet) -> None:
-    if (s0.q, s0.length, s0.size) != (s1.q, s1.length, s1.size):
-        raise ValueError("sequence sets must share (N, L, q)")
-
-
 @dataclass(frozen=True)
 class CorrelationProfile:
     """Correlation values tabulated over a contiguous shift range."""
@@ -205,7 +212,7 @@ def _aperiodic_shifts(length: int) -> tuple[int, ...]:
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence, label: str = "accf") -> CorrelationProfile:
     _check_pair(s0, s1)
-    table = _values(s0.q, _pair_table_counts(s0, s1))
+    table = _values(s0.q, set_pair_counts(SequenceSet((s0,)), SequenceSet((s1,))))
     return CorrelationProfile(label, _aperiodic_shifts(s0.length), tuple(table))
 
 

@@ -183,10 +183,24 @@ def family_to_json(fam: Family) -> dict:
     }
 
 
+def is_json(x, kinds, depth: int = 0) -> bool:
+    """Whether x is a JSON value of the given kinds (a bool is no number), inside depth lists."""
+    if depth:
+        return isinstance(x, list) and all(is_json(y, kinds, depth - 1) for y in x)
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def family_from_json(obj: dict) -> Family:
-    fam = family_from_lists(int(obj["q"]), obj["sets"])
+    """Read a family document, naming the first key of the wrong JSON type."""
+    if not isinstance(obj, dict):
+        raise ValueError("a family document must be a JSON object")
+    for key, depth in (("q", 0), ("M", 0), ("N", 0), ("L", 0), ("sets", 3)):
+        if key in obj and not is_json(obj[key], int, depth):
+            noun = "a list of sets of integer lists" if depth else "an integer"
+            raise ValueError(f"family key {key!r} must be {noun}")
+    fam = family_from_lists(obj["q"], obj["sets"])
     for key, got in (("M", fam.num_sets), ("N", fam.set_size), ("L", fam.length)):
-        if key in obj and int(obj[key]) != got:
+        if key in obj and obj[key] != got:
             raise ValueError(f"declared {key}={obj[key]} but sequences give {got}")
     return fam
 

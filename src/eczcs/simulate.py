@@ -89,7 +89,11 @@ def analytic_mse(X: np.ndarray, sigma2: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, trial count, and master seed for one Monte-Carlo run."""
+    """Grid, trial count, and master seed for one Monte-Carlo run.
+
+    Every Eb/N0 must give a finite positive noise variance, except +inf:
+    the noiseless limit, sigma^2 = 0 exactly.
+    """
 
     ebn0_db: tuple[float, ...]
     delay_spreads: tuple[int, ...]
@@ -104,6 +108,13 @@ class SimConfig:
             raise ValueError("both grids must be nonempty")
         object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
         object.__setattr__(self, "delay_spreads", tuple(int(x) for x in self.delay_spreads))
+        for db in self.ebn0_db:
+            try:
+                sigma2 = noise_variance(db)
+            except OverflowError:
+                sigma2 = math.inf
+            if not (0.0 < sigma2 < math.inf or db == math.inf):
+                raise ValueError(f"Eb/N0 {db:g} dB gives no finite positive noise variance")
 
 
 @dataclass(frozen=True)

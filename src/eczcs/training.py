@@ -20,7 +20,7 @@ import numpy as np
 from .correlation import cyclic_tally
 from .cyclotomic import CycloInt, root_table
 from .sequences import Family
-from .verify import Verdict, Violation, periodic_zone_violations
+from .verify import Verdict, Violation, zone_violations
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,8 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     for i, row_energy in enumerate(tm.row_energies()):
         if row_energy != energy:
             violations.append(Violation("row-energy", (i,), 0, float(row_energy)))
-    violations += periodic_zone_violations(
-        vals, mask, tm.q, delay_spread, lambda i, j: _pair_label(tm, i, j), peak=energy
-    )
+    zone, label = range(delay_spread + 1), lambda i, j: _pair_label(tm, i, j)
+    violations += zone_violations(vals, mask, tm.q, zone, 0, zone[1:], zone, label, peak=energy)
     return Verdict(tuple(violations))
 
 

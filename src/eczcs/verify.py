@@ -7,11 +7,12 @@ corner handled explicitly: when the declared zone width equals the
 sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
 
-The aperiodic classifiers read one (M, M, 2L-1, q) count tensor per
-family and sum kind (rho, or the rotated rho-hat) and its zero mask; the
-periodic checks tally each row pair once.  Either way zeros come from one
-multiply by the reduction matrix, and a CycloInt is built only for a
-reported value.
+Every check is one zone scan, :func:`zone_violations`, over rows: the
+sequences or training rows for the periodic checks, the silent-gapped
+set rows of :func:`~eczcs.correlation.set_rows` (where rho and rho-hat
+are cyclic tallies) for the set sums.  Each row pair is tallied once,
+zeros come from one multiply by the reduction matrix, and a CycloInt is
+built only for a reported value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .correlation import cyclic_tally, set_pair_counts
+from .correlation import cyclic_tally, set_rows
 from .cyclotomic import CycloInt, reduction_matrix
 from .sequences import Family, SequenceSet, concat
 
@@ -65,23 +66,21 @@ def _check_width(width: int, length: int) -> None:
         raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
 
 
-def _front_window(width: int) -> range:
-    return range(1, width + 1)
+def zone_violations(
+    values, masks, q: int, shifts, centre: int, same, cross, label, peak=None
+) -> list[Violation]:
+    """Nonzero cyclic correlations of every ordered row pair on its window.
 
-
-def _tail_window(length: int, width: int) -> range:
-    return range(length - width, length)
-
-
-def _window_violations(counts, q: int, centre: int, same, cross, label, peak=None) -> list[Violation]:
-    """Nonzero values of every ordered pair's counts (R, R, shifts, q) on its window.
-
-    Shift u sits at index u + centre.  Row i first checks its in-phase
-    value against the integer ``peak`` unless that is None; then pair
-    (i, j) scans ``same`` when i == j and ``cross`` otherwise, a violation
-    being labelled label(i, j).  Zeros are decided by one multiply with the
-    reduction matrix, and a CycloInt is built only for a peak or a violation.
+    Rows are silent where their masks (or None) are False.  Each pair is
+    tallied once at ``shifts``, window shift u sitting at index u + centre.
+    Row i first checks its in-phase value against the integer ``peak``
+    unless that is None; then pair (i, j) scans ``same`` when i == j and
+    ``cross`` otherwise, a violation being labelled label(i, j).  Zeros are
+    decided by one multiply with the reduction matrix, and a CycloInt is
+    built only for a peak or a violation.
     """
+    rows, shifts = list(zip(values, masks)), np.asarray(shifts)
+    counts = np.array([[cyclic_tally(a, b, q, shifts, am, bm) for b, bm in rows] for a, am in rows])
     nonzero = (counts @ reduction_matrix(q)).any(axis=-1)
     windows = [np.asarray(w, dtype=np.intp) for w in (same, cross)]
     violations = []
@@ -91,24 +90,11 @@ def _window_violations(counts, q: int, centre: int, same, cross, label, peak=Non
             if val != CycloInt.integer(q, peak):
                 violations.append(Violation("peak", (i, i), 0, val.magnitude()))
         for j in range(len(counts)):
-            shifts = windows[i != j]
-            for u in shifts[nonzero[i, j, shifts + centre]].tolist():
+            window = windows[i != j]
+            for u in window[nonzero[i, j, window + centre]].tolist():
                 val = CycloInt(q, counts[i, j, u + centre])
                 violations.append(Violation(label(i, j), (i, j), u, val.magnitude()))
     return violations
-
-
-def periodic_zone_violations(values, masks, q: int, top: int, label, peak=None) -> list[Violation]:
-    """Periodic correlations of rows (silent where masks are False, or None) at 0..top.
-
-    Each ordered row pair is tallied once; every value must vanish except
-    a row's in-phase value, which must equal ``peak`` unless that is None.
-    """
-    rows = list(zip(values, masks))
-    counts = np.array(
-        [[cyclic_tally(a, b, q, range(top + 1), am, bm) for b, bm in rows] for a, am in rows]
-    )
-    return _window_violations(counts, q, 0, range(1, top + 1), range(top + 1), label, peak)
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
@@ -119,9 +105,10 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     symmetry because every ordered pair is checked.
     """
     _check_width(width, sset.length)
-    violations = periodic_zone_violations(
-        [s.array() for s in sset.members], [None] * sset.size, sset.q,
-        min(width, sset.length - 1), lambda i, j: "zcz-auto" if i == j else "zcz-cross",
+    top = min(width, sset.length - 1)
+    violations = zone_violations(
+        [s.array() for s in sset.members], [None] * sset.size, sset.q, range(top + 1), 0,
+        range(1, top + 1), range(top + 1), lambda i, j: "zcz-auto" if i == j else "zcz-cross",
     )
     return Verdict(tuple(violations))
 
@@ -136,24 +123,29 @@ def tang_fan_matsufuji_bound(n_seqs: int, length: int, q: int) -> int:
     return eczcs_bound(n_seqs, 1, length, q)
 
 
-def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds, peak=None):
-    """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
-    counts = np.array([[set_pair_counts(a, b, rotation) for b in fam.sets] for a in fam.sets])
-    return _window_violations(
-        counts, fam.q, fam.length - 1, same, cross, lambda i, j: kinds[i != j], peak
+def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
+    """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair.
+
+    Both are cyclic tallies of the set rows: rho at u = 0..L-1 (its
+    windows are non-negative), rho-hat at u - (2L-1) for |u| < L.
+    """
+    rows, live = set_rows(fam.sets)
+    centre = rotation * (fam.length - 1)
+    shifts = np.arange(-centre, fam.length) - rotation * (2 * fam.length - 1)
+    return zone_violations(
+        rows, [live] * fam.num_sets, fam.q, shifts, centre, same, cross, lambda i, j: kinds[i != j]
     )
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
     """Z-complementary code set test at the given zone width.
 
-    Same-set sums must equal N*L at u=0 and vanish for 0 < |u| < width;
-    cross-set sums must vanish for |u| < width.
+    Same-set sums must vanish for 0 < |u| < width and cross-set sums for
+    |u| < width.  A same-set sum at u=0 is N*L for every unimodular
+    family, so it is not checked.
     """
     _check_width(width, fam.length)
-    violations = _set_sum_violations(
-        fam, 0, range(1, width), range(width), ("same-set", "cross-set"), fam.set_size * fam.length
-    )
+    violations = _set_sum_violations(fam, 0, range(1, width), range(width), ("same-set", "cross-set"))
     return Verdict(tuple(violations))
 
 
@@ -176,7 +168,7 @@ def check_ccc(fam: Family) -> Verdict:
 def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
     """Front- and tail-window zeroness of the plain set correlation sums."""
     length = fam.length
-    window = set(_front_window(width)) | set(_tail_window(length, width))
+    window = set(range(1, width + 1)) | set(range(length - width, length))
     same = sorted(u for u in window if 1 <= u <= length - 1)
     cross = sorted(u for u in (window | {0}) if 0 <= u <= length - 1)
     return _set_sum_violations(fam, 0, same, cross, ("same-set", "cross-set"))
@@ -198,7 +190,7 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     """
     _check_width(width, fam.length)
     violations = _symmetric_zone_violations(fam, width)
-    tail = [u for u_abs in _tail_window(fam.length, width) for u in {u_abs, -u_abs}]
+    tail = [u for u_abs in range(fam.length - width, fam.length) for u in {u_abs, -u_abs}]
     violations += _set_sum_violations(fam, 1, tail, tail, ("cross-channel",) * 2)
     return Verdict(tuple(violations))
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eczcs import __version__, format_family_text, load_family
 from eczcs.cli import main
@@ -216,10 +219,16 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
                             "block_length": 8, "rng_seed": 1.5}), "'rng_seed'"),
         (dict(good, matrix={"kind": "family", "path": ["fam.json"], "nt": 4, "na": 2}), "'path'"),
         (dict(good, matrix={"kind": "family", "path": "fam.txt", "q": True, "nt": 4, "na": 2}), "'q'"),
+        (dict(good, matrix_id={"a": [1]}), "'matrix_id'"),
+        (dict(good, ebn0_db=[-4000]), "noise variance"),
     ):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
         assert code == 2 and named in err, (config, err)
+    cfg_file.write_text(json.dumps(good))
+    for flag in ("1e400", "nan"):
+        code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--ebn0", flag)
+        assert code == 2 and "finite" in err, (flag, err)
     # two identical Zadoff-Chu roots give a singular normal matrix at every grid point
     config = dict(good, ebn0_db=[10.0, 20.0], matrix={
         "kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1, "block_length": 8, "roots": [1, 1],
@@ -247,3 +256,109 @@ def test_simulate_rejects_negative_lambda_and_zero_trials(tmp_path, capsys):
         code, out, err = run(capsys, "simulate", "--config", str(cfg_file), *flags)
         assert code == 2 and out == "", flags
         assert err.startswith("error:") and named in err and "Traceback" not in err, err
+
+
+def test_malformed_family_and_spec_documents_exit_2(tmp_path, capsys):
+    fam_file, spec_file = tmp_path / "fam.json", tmp_path / "spec.json"
+    fam = {"q": 2, "sets": [[[0, 0], [0, 1]]]}
+    for doc, named in (
+        ({"q": 2, "sets": 5}, "'sets'"),
+        ([1, 2], "JSON object"),
+        (dict(fam, N=None), "'N'"),
+        (dict(fam, q=2.9), "'q'"),
+        (dict(fam, M=True), "'M'"),
+        (dict(fam, sets=[[[0, 0.5]]]), "'sets'"),
+        (dict(fam, sets=[[[0, True]]]), "'sets'"),
+        (dict(fam, sets=[["01"]]), "'sets'"),
+    ):
+        fam_file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(fam_file), "--kind", "mocs")
+        assert code == 2 and named in err, (doc, err)
+    spec = {"m": 3, "q": 2, "v": 1, "parts": [[1, 2], [3]], "eta": [0, 0, 0, 0]}
+    for doc, named in (
+        (dict(spec, parts=5), "'parts'"),
+        (dict(spec, v=None), "'v'"),
+        (dict(spec, eta=5), "'eta'"),
+        (dict(spec, U=7), "'U'"),
+        (dict(spec, q=[2]), "'q'"),
+        (dict(spec, q=2.9), "'q'"),
+        (dict(spec, m=3.5), "'m'"),
+        (dict(spec, k="2"), "'k'"),
+        (dict(spec, eta=[0.5, 0, 0, 0]), "'eta'"),
+        (dict(spec, pi=[[1, 2], [True]]), "'pi'"),
+        ([spec], "JSON object"),
+    ):
+        spec_file.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "construct", "theorem3", "--spec", str(spec_file))
+        assert code == 2 and named in err, (doc, err)
+
+
+SMALL_INTS = st.integers(-3, 40)  # no example may ask for a huge matrix, trial count or GBF
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# (command, valid document, key path, JSON kinds of that key, list nesting depth)
+FUZZ_DOCS = {
+    "family": ({"q": 2, "M": 1, "N": 2, "L": 2, "sets": [[[0, 0], [0, 1]]]},
+               {"q": (int, 0), "M": (int, 0), "N": (int, 0), "L": (int, 0), "sets": (int, 3)}),
+    "spec": ({"m": 3, "q": 2, "v": 1, "k": 2, "parts": [[1, 2], [3]], "U": [[1, 2], [3]],
+              "eta": [0, 1, 0, 1]},
+             {"m": (int, 0), "q": (int, 0), "v": (int, 0), "k": (int, 0), "parts": (int, 2),
+              "U": (int, 2), "eta": (int, 1)}),
+    "simulate": ({"matrix": {"kind": "seed", "id": "zccs-2-2-12-10", "nt": 4, "na": 2},
+                  "ebn0_db": [10.0], "delay_spreads": [3], "trials": 3, "seed": 1, "matrix_id": "m"},
+                 {"ebn0_db": ((int, float), 1), "delay_spreads": (int, 1), "trials": (int, 0),
+                  "seed": (int, 0), "matrix_id": (str, 0), "matrix": (dict, 0),
+                  "matrix.kind": (str, 0), "matrix.id": (str, 0), "matrix.nt": (int, 0),
+                  "matrix.na": (int, 0)}),
+}
+FUZZ_KEYS = [(doc, key) for doc, (_, kinds) in FUZZ_DOCS.items() for key in kinds]
+
+
+def typed(x, kinds, depth):
+    if depth:
+        return isinstance(x, list) and all(typed(y, kinds, depth - 1) for y in x)
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def well_typed(kinds, depth):
+    base = SMALL_INTS if kinds is int else st.text(max_size=4) if kinds is str else JSON_VALUES
+    for _ in range(depth):
+        base = st.lists(base, max_size=4)
+    return base
+
+
+@st.composite
+def one_key_replaced(draw):
+    doc, key = draw(st.sampled_from(FUZZ_KEYS))
+    kinds, depth = FUZZ_DOCS[doc][1][key]
+    value = draw(JSON_VALUES | well_typed(kinds, depth))
+    return doc, key, value, typed(value, kinds, depth)
+
+
+@given(one_key_replaced())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exit_codes_under_one_replaced_key(tmp_path_factory, case):
+    """Any JSON value in any one key: nothing escapes main, the code is 0/1/2, a wrong type exits 2."""
+    doc, key, value, ok = case
+    data = json.loads(json.dumps(FUZZ_DOCS[doc][0]))
+    *parents, leaf = key.split(".")
+    target = data
+    for parent in parents:
+        target = target[parent]
+    target[leaf] = value
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{doc}.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "family": ["verify", str(path), "--kind", "mocs"],
+        "spec": ["construct", "theorem3", "--spec", str(path)],
+        "simulate": ["simulate", "--config", str(path)],
+    }[doc]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if not ok:
+        assert code == 2, (doc, key, value)

@@ -232,17 +232,17 @@ def test_periodic_energy_invariant_under_cyclic_shift():
 
 
 def test_general_alphabet_tables_match_accf():
-    """Tables outside q in {2, 4} agree with accf shift by shift, L = 1 included."""
+    """Tables of every alphabet agree with accf shift by shift, L = 1 and N up to 4 included."""
     rng = random.Random(23)
-    for q in (6, 8, 10, 12):
-        for length in (1, 2, 5, 9):
+    for q in (2, 4, 6, 8, 10, 12):
+        for n, length in ((1, 1), (2, 2), (3, 5), (4, 9), (4, 1)):
             a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
             shifts = range(-(length - 1), length)
             assert profile_accf(a, b).values == tuple(accf(a, b, u) for u in shifts)
             for u in shifts:
                 assert pccf(a, b, u) == pccf_via_accf(a, b, u)
-            g0 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(3)))
-            g1 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(3)))
+            g0 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(n)))
+            g1 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(n)))
             table, rot = set_corr_table(g0, g1), cross_channel_table(g0, g1)
             plain = list(zip(g0.members, g1.members))
             rotated = list(zip(g0.members, g1.members[1:] + g1.members[:1]))
@@ -272,6 +272,25 @@ def test_tally_blocks_agree_with_accf(monkeypatch, block):
                 if am[(k + u) % length] and bm[k]:
                     want[(a.phases[(k + u) % length] - b.phases[k]) % q] += 1
             assert list(row) == want
+
+
+def test_unit_value_tally_matches_masked_count():
+    """The q in {2, 4} tally equals an explicit masked count at any shifts, one alone included."""
+    rng = random.Random(37)
+    for q in (2, 4):
+        for length in (1, 2, 7, 12):
+            a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
+            am = np.array([rng.random() < 0.7 for _ in range(length)])
+            bm = np.array([rng.random() < 0.7 for _ in range(length)])
+            many = [rng.randint(-3 * length, 3 * length) for _ in range(6)]
+            for shifts in (many, [-length - 1], [length + 2], [0]):
+                got = correlation.cyclic_tally(a.array(), b.array(), q, shifts, am, bm)
+                for row, u in zip(got, shifts):
+                    want = [0] * q
+                    for k in range(length):
+                        if am[(k + u) % length] and bm[k]:
+                            want[(a.phases[(k + u) % length] - b.phases[k]) % q] += 1
+                    assert CycloInt(q, row) == CycloInt(q, want), (q, length, u)
 
 
 def test_long_aperiodic_table_memory_stays_bounded():

@@ -156,6 +156,11 @@ def test_sim_config_validation():
         SimConfig(ebn0_db=(), delay_spreads=(1,), trials=10, seed=0)
     with pytest.raises(ValueError):
         SimConfig(ebn0_db=(1.0,), delay_spreads=(1,), trials=0, seed=0)
+    # the noise variance must be a finite positive float; +inf is the noiseless limit
+    for ebn0 in (-4000.0, 4000.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise variance"):
+            SimConfig(ebn0_db=(10.0, ebn0), delay_spreads=(1,), trials=1, seed=0)
+    SimConfig(ebn0_db=(math.inf,), delay_spreads=(1,), trials=1, seed=0)
 
 
 def test_zadoff_chu_closed_form():
