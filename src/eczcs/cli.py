@@ -45,6 +45,7 @@ from .sequences import (
     parse_family_text,
 )
 from .simulate import (
+    RNG_SCHEME,
     SimConfig,
     baseline_random_binary,
     baseline_zadoff_chu,
@@ -320,12 +321,21 @@ def _read_sim_config(path: Path) -> dict:
         (("roots",), int, 1, "a list of integers"),
         (("kind", "path", "id"), str, 0, "a string"),
     ), "simulate config 'matrix' key")
+    _check_seed("simulate config key 'seed'", config.get("seed"))
+    _check_seed("simulate config 'matrix' key 'rng_seed'", config["matrix"].get("rng_seed"))
     return config
+
+
+def _check_seed(name: str, seed) -> None:
+    """Seeds key numpy generators, which take only non-negative integers."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
 
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     config = _read_sim_config(config_path)
+    _check_seed("--seed", args.seed)
     ebn0_db = tuple(args.ebn0 or config["ebn0_db"])
     if not all(map(math.isfinite, ebn0_db)):
         raise ValueError(f"Eb/N0 values must be finite, got {ebn0_db}")
@@ -343,6 +353,7 @@ def cmd_simulate(args) -> int:
         "delay_spreads": list(sim.delay_spreads),
         "trials": sim.trials,
         "matrix_id": sim.matrix_id,
+        "rng_scheme": RNG_SCHEME,
     }
     inputs = [config_path, *extra_inputs]
     _write_output(args.out, report.to_csv(), "simulate", params, inputs, seed=sim.seed)

@@ -4,8 +4,8 @@ The noise model maps Eb/N0 in dB to a noise variance sigma^2 =
 10^(-EbN0/10) with unit-energy transmitted symbols; any monotone mapping
 preserves the comparisons the reports are used for, and the chosen one is
 recorded in every CSV header.  All randomness flows from one master seed
-through counter-derived per-trial generators, so reports are reproducible
-bit for bit and trials may be evaluated in any order.
+through one counter-derived generator per TRIAL_BLOCK trials, so reports
+reproduce bit for bit; manifests name this RNG_SCHEME, new in 0.2.0.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .sequences import PhaseSequence, family_from_lists
 from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"
+TRIAL_BLOCK = 32
+RNG_SCHEME = f"pcg64(seed, point, block), {TRIAL_BLOCK} trials per block"
 
 
 class RankDeficientTraining(np.linalg.LinAlgError):
@@ -37,15 +39,17 @@ def mse_floor(sigma2: float, energy: float) -> float:
     return sigma2 / energy
 
 
-def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
+def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
+                   count: int | None = None) -> np.ndarray:
     """Independent complex Gaussian taps, variance 1/(delay_spread+1) each.
 
     Every antenna sees delay_spread + 1 taps whose expected total power is
-    one.
+    one.  With a ``count``, that many channels are drawn at once along a
+    leading axis: all real parts first, then all imaginary parts.
     """
     taps = delay_spread + 1
     scale = math.sqrt(1.0 / (2 * taps))
-    shape = (n_antennas, taps)
+    shape = (n_antennas, taps) if count is None else (count, n_antennas, taps)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -159,48 +163,48 @@ class MSEReport:
 def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
     """Empirical and analytic normalized MSE over the configured grid.
 
-    Each trial draws a fresh channel and noise realization from a
-    generator seeded by (master seed, grid index, trial index); the
-    estimator applies the normal-equation solve factored once per delay
-    spread, which is the same linear map as :func:`ls_estimate`, and the
-    analytic value is :func:`analytic_mse`.  A singular design marks its
-    grid points as failed instead of raising.
+    Grid point ``index`` runs its trials in blocks of TRIAL_BLOCK, the last
+    one partial.  Block b draws from ``default_rng((seed, index, b))`` the
+    taps, ``sample_channel(spread, Nt, rng, count)``, then the real and then
+    the imaginary (count, width) noise.  The estimator, the inverse normal
+    matrix applied to X^H y as in :func:`ls_estimate`, and the analytic
+    value, :func:`analytic_mse`, are factored once per delay spread.  A
+    singular design marks its grid points as failed instead of raising.
     """
     n_antennas = tm.num_rows
     energy = float(tm.energy)
     points = []
-    x_cache: dict[int, tuple] = {}
+    models: dict[int, tuple | None] = {}
     for index, (ebn0, spread) in enumerate(product(cfg.ebn0_db, cfg.delay_spreads)):
         sigma2 = noise_variance(ebn0)
         floor = mse_floor(sigma2, energy)
-        if spread not in x_cache:
+        if spread not in models:
             X = build_ls_model_matrix(tm, spread)
             try:
-                x_cache[spread] = (X, np.linalg.solve(_normal_matrix(X), X.conj().T))
+                inverse = np.linalg.inv(_normal_matrix(X))
+                models[spread] = (X, inverse @ X.conj().T, np.trace(inverse).real)
             except RankDeficientTraining:
-                x_cache[spread] = (X, None)
-        X, solver = x_cache[spread]
-        if solver is None:
+                models[spread] = None
+        if models[spread] is None:
             points.append(
                 MSEPoint(ebn0, spread, None, None, floor, cfg.trials, cfg.matrix_id, failed=True)
             )
             continue
-        dim = X.shape[1]
-        width = X.shape[0]
+        X, solver, inverse_trace = models[spread]
+        width, dim = X.shape
         noise_scale = math.sqrt(sigma2 / 2.0)
         total = 0.0
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng((cfg.seed, index, trial))
-            taps = sample_channel(spread, n_antennas, rng).reshape(-1)
+        for block, start in enumerate(range(0, cfg.trials, TRIAL_BLOCK)):
+            count = min(TRIAL_BLOCK, cfg.trials - start)
+            rng = np.random.default_rng((cfg.seed, index, block))
+            taps = sample_channel(spread, n_antennas, rng, count).reshape(count, dim)
             noise = noise_scale * (
-                rng.standard_normal(width) + 1j * rng.standard_normal(width)
+                rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
             )
-            received = X @ taps + noise
-            estimate = solver @ received
-            error = estimate - taps
-            total += float(np.real(np.vdot(error, error)))
+            error = (taps @ X.T + noise) @ solver.T - taps
+            total += float(np.vdot(error, error).real)
         empirical = total / (cfg.trials * dim)
-        analytic = analytic_mse(X, sigma2)
+        analytic = float(sigma2 * inverse_trace / dim)
         points.append(MSEPoint(ebn0, spread, empirical, analytic, floor, cfg.trials, cfg.matrix_id))
     return MSEReport(tuple(points))
 

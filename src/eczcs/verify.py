@@ -77,22 +77,23 @@ def zone_violations(
     unless that is None; then pair (i, j) scans ``same`` when i == j and
     ``cross`` otherwise, a violation being labelled label(i, j).  Zeros are
     decided by one multiply with the reduction matrix, and a CycloInt is
-    built only for a peak or a violation.
+    built from its already canonical product only for a peak or a violation.
     """
     rows, shifts = list(zip(values, masks)), np.asarray(shifts)
     counts = np.array([[cyclic_tally(a, b, q, shifts, am, bm) for b, bm in rows] for a, am in rows])
-    nonzero = (counts @ reduction_matrix(q)).any(axis=-1)
+    reduced = counts @ reduction_matrix(q)
+    nonzero = reduced.any(axis=-1)
     windows = [np.asarray(w, dtype=np.intp) for w in (same, cross)]
     violations = []
     for i in range(len(counts)):
         if peak is not None:
-            val = CycloInt(q, counts[i, i, centre])
+            val = CycloInt(q, reduced[i, i, centre])
             if val != CycloInt.integer(q, peak):
                 violations.append(Violation("peak", (i, i), 0, val.magnitude()))
         for j in range(len(counts)):
             window = windows[i != j]
             for u in window[nonzero[i, j, window + centre]].tolist():
-                val = CycloInt(q, counts[i, j, u + centre])
+                val = CycloInt(q, reduced[i, j, u + centre])
                 violations.append(Violation(label(i, j), (i, j), u, val.magnitude()))
     return violations
 

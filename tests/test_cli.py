@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eczcs import __version__, format_family_text, load_family
 from eczcs.cli import main
+from eczcs.simulate import RNG_SCHEME
 
 
 def run(capsys, *argv):
@@ -188,6 +189,7 @@ def test_simulate_command_deterministic(tmp_path, capsys):
     assert out_file.read_text() == first
     manifest = json.loads((out_file.parent / "report.csv.manifest.json").read_text())
     assert manifest["seed"] == 3 and str(cfg_file) in manifest["inputs"]
+    assert manifest["version"] == __version__ and manifest["params"]["rng_scheme"] == RNG_SCHEME
 
 
 def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
@@ -221,11 +223,16 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         (dict(good, matrix={"kind": "family", "path": "fam.txt", "q": True, "nt": 4, "na": 2}), "'q'"),
         (dict(good, matrix_id={"a": [1]}), "'matrix_id'"),
         (dict(good, ebn0_db=[-4000]), "noise variance"),
+        (dict(good, seed=-3), "'seed' must be non-negative, got -3"),
+        (dict(good, matrix={"kind": "random-binary", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": 8, "rng_seed": -1}), "'rng_seed' must be non-negative, got -1"),
     ):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
         assert code == 2 and named in err, (config, err)
     cfg_file.write_text(json.dumps(good))
+    code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--seed", "-3")
+    assert code == 2 and "--seed must be non-negative, got -3" in err, err
     for flag in ("1e400", "nan"):
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--ebn0", flag)
         assert code == 2 and "finite" in err, (flag, err)

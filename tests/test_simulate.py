@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ def test_analytic_mse_above_floor_for_random(psi24):
     X = build_ls_model_matrix(random_tm, 9)
     sigma2 = noise_variance(16.0)
     assert analytic_mse(X, sigma2) > mse_floor(sigma2, random_tm.energy) * 1.01
+    # the empirical MSE of a design failing the criterion tracks the analytic
+    # value within 6 standard errors; one trial's squared error has variance tr(C^2)
+    cfg = SimConfig(ebn0_db=(16.0,), delay_spreads=(9,), trials=2000, seed=13)
+    point = monte_carlo_mse(random_tm, cfg).points[0]
+    cov = sigma2 * np.linalg.inv(X.conj().T @ X)
+    stderr = math.sqrt(np.trace(cov @ cov).real / cfg.trials) / X.shape[1]
+    assert point.analytic_mse == analytic_mse(X, sigma2)
+    assert abs(point.empirical_mse - point.analytic_mse) < 6 * stderr
 
 
 def test_analytic_equals_floor_iff_criterion(psi24):
@@ -123,6 +132,47 @@ def test_monte_carlo_determinism_and_accuracy(psi24):
         assert math.isclose(point.analytic_mse, point.floor, rel_tol=1e-12)
         assert abs(point.empirical_mse - point.analytic_mse) / point.analytic_mse < 0.03
         assert point.empirical_mse > 0
+
+
+def test_monte_carlo_block_stream_reference(psi24):
+    # the documented scheme, which defines the streams of every report:
+    # block b of grid point i draws from default_rng((seed, i, b)) the real
+    # then imaginary taps, then the real then imaginary noise, for
+    # min(32, trials left) trials
+    X = build_ls_model_matrix(psi24, 9)
+    solver = np.linalg.inv(X.conj().T @ X) @ X.conj().T
+    width, dim = X.shape
+    for trials in (1, 31, 32, 33, 100):
+        cfg = SimConfig(ebn0_db=(8.0, 16.0), delay_spreads=(9,), trials=trials, seed=41)
+        for index, point in enumerate(monte_carlo_mse(psi24, cfg).points):
+            noise_scale = math.sqrt(noise_variance(point.ebn0_db) / 2.0)
+            total = 0.0
+            for block, start in enumerate(range(0, trials, 32)):
+                count = min(32, trials - start)
+                rng = np.random.default_rng((41, index, block))
+                shape = (count, psi24.num_rows, 10)
+                taps = math.sqrt(1.0 / 20) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                taps = taps.reshape(count, dim)
+                noise = noise_scale * (
+                    rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
+                )
+                error = (taps @ X.T + noise) @ solver.T - taps
+                total += float(np.vdot(error, error).real)
+            assert point.empirical_mse == total / (trials * dim), (trials, index)
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials(table5):
+    tm = build_training_matrix(table5, GSMConfig(8, 3))
+    peaks = {}
+    for trials in (1, 200, 20_000):  # the first run only warms up numpy's lazy set-up
+        cfg = SimConfig(ebn0_db=(12.0,), delay_spreads=(8,), trials=trials, seed=3)
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(tm, cfg)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20_000] <= peaks[200] + 16 * 1024, peaks
 
 
 def test_monte_carlo_zero_noise(psi24):
