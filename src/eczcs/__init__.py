@@ -92,6 +92,7 @@ from .verify import (
     Violation,
     check_ccc,
     check_eczcs,
+    check_kind,
     check_mocs,
     check_szccs,
     check_zccs,

@@ -3,7 +3,11 @@
 Every run that writes an output also writes ``<out>.manifest.json``
 recording the command, its full parameter set, the tool version, the
 master seed, and digests of the input files; re-running a manifest's
-command reproduces the outputs bit for bit.
+command reproduces the outputs bit for bit.  ``simulate`` reads its
+matrix, grid, trial count and seed from the config document alone, so
+the config's digest and the version pin the report.  ``--q`` is the
+alphabet of text family files; an alphabet above 1024 (MAX_ALPHABET) in
+any input, or a Zadoff-Chu block_length above 512, is an input error.
 
 Exit codes: 0 success (verification passed where applicable), 1 a
 requested check failed or a simulated grid point failed (rank-deficient
@@ -37,11 +41,14 @@ from .correlation import (
 )
 from .gbf import PartitionSpec, lemma2_ccc, theorem3_construct, theorem3_zcz_width
 from .sequences import (
+    ALPHABET,
+    MAX_ALPHABET,
+    NON_NEGATIVE,
     Family,
+    check_document,
     family_from_json,
     family_to_json,
     format_family_text,
-    is_json,
     parse_family_text,
 )
 from .simulate import (
@@ -58,15 +65,7 @@ from .training import (
     training_matrix_meta,
     training_matrix_to_csv,
 )
-from .verify import (
-    check_ccc,
-    check_eczcs,
-    check_mocs,
-    check_szccs,
-    check_zccs,
-    check_zcz_set,
-    measure_zcz_width,
-)
+from .verify import check_ccc, check_eczcs, check_kind, measure_zcz_width
 
 THEOREM3_PRESETS = {
     # byte-reproduces the shipped eczcs_4x2x32 fixture
@@ -103,6 +102,8 @@ def _write_output(out, text: str, command: str, params: dict, inputs: list, seed
 
 
 def _load_family_arg(path_str: str, q: int) -> tuple[Family, Path]:
+    if q > MAX_ALPHABET:
+        raise ValueError(f"--q must be at most {MAX_ALPHABET}, got {q}")
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(f"no such family file: {path}")
@@ -126,12 +127,14 @@ def cmd_construct(args) -> int:
             entry = catalog_entry(args.seed)
             seed_fam, width = entry.family, entry.params[3]
             seed_id = args.seed
-        else:
+        elif args.seed_file:
             seed_fam, path = _load_family_arg(args.seed_file, args.q)
             inputs.append(path)
             if args.declared_z is None:
                 raise ValueError("--declared-z is required with --seed-file")
             width = args.declared_z
+        else:
+            raise ValueError("provide --seed or --seed-file")
         fam = theorem2_construct(seed_fam, width, force=args.force)
         width = width - 1  # output zone is one narrower than the seed's
         verdict = check_eczcs(fam, width)
@@ -172,14 +175,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _check_types(table: dict, checks, where: str) -> None:
-    """Name the first present key whose value is not of its (keys, kinds, depth, noun) check."""
-    for keys, kinds, depth, noun in checks:
-        for key in (k for k in keys if k in table):
-            if not is_json(table[key], kinds, depth):
-                raise ValueError(f"{where} {key!r} must be {noun}")
-
-
 def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
     """Read a construction spec; the part orderings may be named parts or pi.
 
@@ -187,8 +182,9 @@ def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
     """
     if not isinstance(spec_dict, dict):
         raise ValueError("construction spec must be a JSON object")
-    _check_types(spec_dict, (
-        (("m", "v", "q", "k"), int, 0, "an integer"),
+    check_document(spec_dict, (
+        (("m", "v", "k"), int, 0, "an integer"),
+        (("q",), int, 0, "an integer", ALPHABET),
         (("parts", "pi", "U"), int, 2, "a list of integer lists"),
         (("eta",), int, 1, "a list of integers"),
     ), "construction spec key")
@@ -206,24 +202,11 @@ def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
     return spec
 
 
-_CHECKERS = {
-    "zccs": lambda fam, z: check_zccs(fam, z),
-    "szccs": lambda fam, z: check_szccs(fam, z),
-    "eczcs": lambda fam, z: check_eczcs(fam, z),
-    "mocs": lambda fam, z: check_mocs(fam),
-    "ccc": lambda fam, z: check_ccc(fam),
-}
-
-
 def cmd_verify(args) -> int:
     fam, path = _load_family_arg(args.family, args.q)
-    if args.kind == "zcz":
-        if fam.num_sets != 1:
-            raise ValueError("the zcz check applies to a single sequence set (M=1 family)")
-        verdict = check_zcz_set(fam.sets[0], _require_z(args))
-    else:
-        z = _require_z(args) if args.kind in ("zccs", "szccs", "eczcs") else 0
-        verdict = _CHECKERS[args.kind](fam, z)
+    if args.Z is None and args.kind in ("zcz", "zccs", "szccs", "eczcs"):
+        raise ValueError(f"--Z is required for the {args.kind} check")
+    verdict = check_kind(args.kind, fam, args.Z or 0)
     payload = verdict.to_json()
     payload["kind"] = args.kind
     payload["Z"] = args.Z
@@ -231,12 +214,6 @@ def cmd_verify(args) -> int:
     text = json.dumps(payload, indent=1) + "\n"
     _write_output(args.out, text, "verify", {"kind": args.kind, "Z": args.Z}, [path])
     return 0 if verdict.passed else 1
-
-
-def _require_z(args) -> int:
-    if args.Z is None:
-        raise ValueError(f"--Z is required for the {args.kind} check")
-    return args.Z
 
 
 def _check_index(i: int, count: int, what: str) -> None:
@@ -298,53 +275,51 @@ def _matrix_from_config(spec: dict, base_dir: Path):
         rng = np.random.default_rng(spec.get("rng_seed", 0))
         return baseline_random_binary(cfg, spec["blocks"], spec["block_length"], rng), []
     if kind == "zadoff-chu":
+        if spec.get("block_length", 0) > MAX_ALPHABET // 2:  # the alphabet of length L is Z_2L
+            raise ValueError(f"simulate config 'matrix' key 'block_length' must be at most "
+                             f"{MAX_ALPHABET // 2} for zadoff-chu, got {spec['block_length']}")
         roots = tuple(spec["roots"]) if "roots" in spec else None
         return baseline_zadoff_chu(cfg, spec["blocks"], spec["block_length"], roots), []
     raise ValueError(f"unknown training matrix kind {kind!r}")
 
 
 def _read_sim_config(path: Path) -> dict:
-    """Load a simulate config, naming the first key of the wrong JSON type."""
+    """Load a simulate config, naming the first key of the wrong JSON type or out of bounds."""
     config = json.loads(path.read_text())
     if not isinstance(config, dict):
         raise ValueError(f"simulate config {path} must be a JSON object")
     if not isinstance(config.get("matrix"), dict):
         raise ValueError("simulate config key 'matrix' must be an object")
-    _check_types(config, (
+    # seeds key numpy generators, which take only non-negative integers
+    check_document(config, (
         (("ebn0_db",), (int, float), 1, "a list of numbers"),
         (("delay_spreads",), int, 1, "a list of integers"),
-        (("trials", "seed"), int, 0, "an integer"),
+        (("trials",), int, 0, "an integer"),
+        (("seed",), int, 0, "an integer", NON_NEGATIVE),
         (("matrix_id",), str, 0, "a string"),
     ), "simulate config key")
-    _check_types(config["matrix"], (
-        (("nt", "na", "q", "blocks", "block_length", "rng_seed"), int, 0, "an integer"),
+    check_document(config["matrix"], (
+        (("nt", "na", "blocks", "block_length"), int, 0, "an integer"),
+        (("q",), int, 0, "an integer", ALPHABET),
+        (("rng_seed",), int, 0, "an integer", NON_NEGATIVE),
         (("roots",), int, 1, "a list of integers"),
         (("kind", "path", "id"), str, 0, "a string"),
     ), "simulate config 'matrix' key")
-    _check_seed("simulate config key 'seed'", config.get("seed"))
-    _check_seed("simulate config 'matrix' key 'rng_seed'", config["matrix"].get("rng_seed"))
     return config
-
-
-def _check_seed(name: str, seed) -> None:
-    """Seeds key numpy generators, which take only non-negative integers."""
-    if seed is not None and seed < 0:
-        raise ValueError(f"{name} must be non-negative, got {seed}")
 
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     config = _read_sim_config(config_path)
-    _check_seed("--seed", args.seed)
-    ebn0_db = tuple(args.ebn0 or config["ebn0_db"])
+    ebn0_db = tuple(config["ebn0_db"])
     if not all(map(math.isfinite, ebn0_db)):
         raise ValueError(f"Eb/N0 values must be finite, got {ebn0_db}")
     tm, extra_inputs = _matrix_from_config(config["matrix"], config_path.parent)
     sim = SimConfig(
         ebn0_db=ebn0_db,
-        delay_spreads=tuple(args.delay_spread or config["delay_spreads"]),
-        trials=args.trials if args.trials is not None else config["trials"],
-        seed=args.seed if args.seed is not None else config["seed"],
+        delay_spreads=tuple(config["delay_spreads"]),
+        trials=config["trials"],
+        seed=config["seed"],
         matrix_id=config.get("matrix_id", config["matrix"].get("kind", "")),
     )
     report = monte_carlo_mse(tm, sim)
@@ -392,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in con_sub.choices.values():
         p.add_argument("--out", help="output family file")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--q", type=int, default=2, help="alphabet of text seed files")
         p.set_defaults(func=cmd_construct)
+    t2.add_argument("--q", type=int, default=2, help="alphabet of text seed files")
 
     ver = sub.add_parser("verify", help="classify a family; exit 0 pass, 1 fail, 2 error")
     ver.add_argument("family")
@@ -422,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte-Carlo channel-estimation MSE report")
     sim.add_argument("--config", required=True, help="JSON simulation configuration")
-    sim.add_argument("--trials", type=int)
-    sim.add_argument("--seed", type=int, help="master seed override")
-    sim.add_argument("--ebn0", type=float, nargs="+")
-    sim.add_argument("--lambda", dest="delay_spread", type=int, nargs="+")
     sim.add_argument("--out")
     sim.set_defaults(func=cmd_simulate)
     return parser

@@ -21,7 +21,7 @@ from .sequences import (
     load_fixture_family,
     negate,
 )
-from .verify import Verdict, check_ccc, check_mocs, check_zccs
+from .verify import Verdict, check_kind, check_zccs
 
 
 class SeedVerificationError(ValueError):
@@ -90,25 +90,14 @@ class SeedLibraryEntry:
     params: tuple[int, int, int, int]  # (M, N, L, Z)
     note: str
 
-    def verify(self) -> Verdict:
-        width = self.params[3]
-        if self.kind == "zccs":
-            return check_zccs(self.family, width)
-        if self.kind == "mocs":
-            return check_mocs(self.family)
-        if self.kind == "ccc":
-            return check_ccc(self.family)
-        raise ValueError(f"unknown seed kind {self.kind!r}")
-
 
 def _entry(id: str, kind: str, family: Family, width: int, note: str) -> SeedLibraryEntry:
-    entry = SeedLibraryEntry(
-        id, kind, family, (family.num_sets, family.set_size, family.length, width), note
-    )
-    verdict = entry.verify()
+    verdict = check_kind(kind, family, width)
     if not verdict.passed:
         raise SeedVerificationError(f"catalog entry {id!r} fails its declared check", verdict)
-    return entry
+    return SeedLibraryEntry(
+        id, kind, family, (family.num_sets, family.set_size, family.length, width), note
+    )
 
 
 @lru_cache(maxsize=1)

@@ -65,20 +65,15 @@ def _normal_matrix(X: np.ndarray, matrix_id: str = "") -> np.ndarray:
     return normal
 
 
-def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "", return_residual: bool = False):
+def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "") -> np.ndarray:
     """Least-squares channel estimate solve(X^H X, X^H y).
 
     Raises :class:`RankDeficientTraining` when the normal matrix is
     singular (for example, two antennas transmitting identical rows).
-    The optional residual ||X^H X h - X^H y|| is returned for audit.
     """
     normal = _normal_matrix(X, matrix_id)
     rhs = X.conj().T @ y
-    estimate = np.linalg.solve(normal, rhs)
-    if return_residual:
-        residual = float(np.linalg.norm(normal @ estimate - rhs))
-        return estimate, residual
-    return estimate
+    return np.linalg.solve(normal, rhs)
 
 
 def analytic_mse(X: np.ndarray, sigma2: float) -> float:

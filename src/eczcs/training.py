@@ -25,17 +25,14 @@ from .verify import Verdict, Violation, zone_violations
 
 @dataclass(frozen=True)
 class GSMConfig:
-    """Antenna configuration: how many antennas exist and how many drive RF chains."""
+    """Antenna configuration: how many antennas exist and how many drive RF chains (BPSK payload)."""
 
     transmit_antennas: int
     active_antennas: int
-    constellation_size: int = 2
 
     def __post_init__(self) -> None:
         if not 1 <= self.active_antennas <= self.transmit_antennas:
             raise ValueError("need 1 <= active antennas <= transmit antennas")
-        if self.constellation_size < 2:
-            raise ValueError("constellation needs at least two points")
 
     @property
     def group_count(self) -> int:
@@ -267,10 +264,8 @@ def map_bits_to_gsm_block(bits, cfg: GSMConfig, table: ActivationTable | None = 
 
     Each symbol consumes the table's index bits to pick an activation
     pattern, then one bit per active antenna ('0' sends +1, '1' sends -1),
-    assigned to the active antennas in ascending order.
+    assigned to the active antennas in ascending order.  BPSK is the only constellation.
     """
-    if cfg.constellation_size != 2:
-        raise ValueError("only BPSK payload mapping is implemented")
     if isinstance(bits, str):
         bit_list = [int(c) for c in bits.strip()]
     else:

@@ -196,6 +196,27 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     return Verdict(tuple(violations))
 
 
+def check_kind(kind: str, fam: Family, width: int) -> Verdict:
+    """The check a class name means: zcz (of an M=1 family), zccs, szccs
+    or eczcs at the zone width, mocs or ccc at every shift.
+    """
+    if kind == "zcz":
+        if fam.num_sets != 1:
+            raise ValueError("the zcz check applies to a single sequence set (M=1 family)")
+        return check_zcz_set(fam.sets[0], width)
+    if kind == "zccs":
+        return check_zccs(fam, width)
+    if kind == "szccs":
+        return check_szccs(fam, width)
+    if kind == "eczcs":
+        return check_eczcs(fam, width)
+    if kind == "mocs":
+        return check_mocs(fam)
+    if kind == "ccc":
+        return check_ccc(fam)
+    raise ValueError(f"unknown class {kind!r}")
+
+
 def measure_zcz_width(fam: Family) -> int:
     """Largest width at which check_eczcs passes; -1 if none does.
 

@@ -1,16 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eczcs import __version__, format_family_text, load_family
-from eczcs.cli import main
+from eczcs import __version__, format_family_text, load_family, load_fixture_family
+from eczcs.cli import build_parser, main
 from eczcs.simulate import RNG_SCHEME
 
 
@@ -48,6 +50,8 @@ def test_construct_theorem2_emits_length24_table(tmp_path, capsys, table4):
     assert out_file.read_text() == format_family_text(table4)
     manifest = json.loads((tmp_path / "fam.txt.manifest.json").read_text())
     assert manifest["command"] == "construct theorem2"
+    code, out, err = run(capsys, "construct", "theorem2", "--out", str(tmp_path / "none.txt"))
+    assert code == 2 and "provide --seed or --seed-file" in err and out == ""
 
 
 def test_construct_theorem3_preset_emits_length32_table(tmp_path, capsys, table5):
@@ -62,8 +66,49 @@ def test_construct_theorem3_preset_emits_length32_table(tmp_path, capsys, table5
 
 
 def test_construct_unknown_preset_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["construct", "theorem3", "--preset", "nope"])
+    for argv in (
+        ["construct", "theorem3", "--preset", "nope"],
+        # --q is the alphabet of text family files, which theorem3 and lemma2 never read
+        ["construct", "theorem3", "--preset", "eczcs-4-2-32-8", "--q", "4"],
+        ["construct", "lemma2", "--preset", "eczcs-4-2-32-8", "--q", "4"],
+        # simulate reads its grid, trials and seed from the config alone
+        *(["simulate", "--config", "sim.json", flag, "3"]
+          for flag in ("--trials", "--seed", "--ebn0", "--lambda")),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+OPTION_CENSUS = {
+    "": ["--version"],
+    "catalog": [],
+    "construct": [],
+    "construct theorem2": ["--seed", "--seed-file", "--declared-z", "--force", "--out", "--format", "--q"],
+    "construct theorem3": ["--preset", "--spec", "--out", "--format"],
+    "construct lemma2": ["--preset", "--spec", "--out", "--format"],
+    "verify": ["family", "--kind", "--Z", "--q", "--measure", "--out"],
+    "profile": ["family", "--pair", "--q", "--out"],
+    "train": ["family", "--nt", "--na", "--lambda", "--q", "--out"],
+    "simulate": ["--config", "--out"],
+}
+
+
+def parser_census(parser, path=""):
+    """Every argument but -h of every command, keyed by the command's words."""
+    census = {path: []}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                census.update(parser_census(sub, f"{path} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            census[path].append(action.option_strings[0] if action.option_strings else action.dest)
+    return census
+
+
+def test_option_census():
+    """Each argument doubles the configurations to cover, so a new one must be added here too."""
+    assert parser_census(build_parser()) == OPTION_CENSUS
 
 
 def test_construct_theorem3_spec_with_unordered_parts(tmp_path, capsys, table5):
@@ -111,6 +156,8 @@ def test_verify_exit_codes(tmp_path, capsys, table4):
 
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.txt"), "--kind", "eczcs", "--Z", "9")
     assert code == 2
+    code, out, err = run(capsys, "verify", str(fam_file), "--kind", "eczcs", "--Z", "9", "--q", "1026")
+    assert code == 2 and "--q must be at most 1024, got 1026" in err and out == ""
     for kind in ("zccs", "eczcs"):
         code, out, err = run(capsys, "verify", str(fam_file), "--kind", kind, "--Z", "-3")
         assert code == 2 and "error" in err and out == ""
@@ -223,6 +270,10 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         (dict(good, matrix={"kind": "family", "path": "fam.txt", "q": True, "nt": 4, "na": 2}), "'q'"),
         (dict(good, matrix_id={"a": [1]}), "'matrix_id'"),
         (dict(good, ebn0_db=[-4000]), "noise variance"),
+        (dict(good, matrix={"kind": "family", "path": "fam.txt", "q": 1026, "nt": 4, "na": 2}),
+         "'q' must be at most 1024, got 1026"),
+        (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": 513}), "'block_length' must be at most 512"),
         (dict(good, seed=-3), "'seed' must be non-negative, got -3"),
         (dict(good, matrix={"kind": "random-binary", "nt": 4, "na": 2, "blocks": 1,
                             "block_length": 8, "rng_seed": -1}), "'rng_seed' must be non-negative, got -1"),
@@ -230,12 +281,10 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
         assert code == 2 and named in err, (config, err)
-    cfg_file.write_text(json.dumps(good))
-    code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--seed", "-3")
-    assert code == 2 and "--seed must be non-negative, got -3" in err, err
-    for flag in ("1e400", "nan"):
-        code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--ebn0", flag)
-        assert code == 2 and "finite" in err, (flag, err)
+    for number in ("1e400", "NaN"):  # JSON numbers that parse to non-finite floats
+        cfg_file.write_text(json.dumps(dict(good, ebn0_db=[0])).replace("[0]", f"[{number}]"))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
+        assert code == 2 and "finite" in err, (number, err)
     # two identical Zadoff-Chu roots give a singular normal matrix at every grid point
     config = dict(good, ebn0_db=[10.0, 20.0], matrix={
         "kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1, "block_length": 8, "roots": [1, 1],
@@ -258,10 +307,10 @@ def test_simulate_rejects_negative_lambda_and_zero_trials(tmp_path, capsys):
         "seed": 1,
     }
     cfg_file = tmp_path / "sim.json"
-    cfg_file.write_text(json.dumps(config))
-    for flags, named in ((("--lambda", "-1"), "delay spread"), (("--trials", "0"), "trial")):
-        code, out, err = run(capsys, "simulate", "--config", str(cfg_file), *flags)
-        assert code == 2 and out == "", flags
+    for change, named in (({"delay_spreads": [-1]}, "delay spread"), ({"trials": 0}, "trial")):
+        cfg_file.write_text(json.dumps(dict(config, **change)))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_file))
+        assert code == 2 and out == "", change
         assert err.startswith("error:") and named in err and "Traceback" not in err, err
 
 
@@ -277,10 +326,13 @@ def test_malformed_family_and_spec_documents_exit_2(tmp_path, capsys):
         (dict(fam, sets=[[[0, 0.5]]]), "'sets'"),
         (dict(fam, sets=[[[0, True]]]), "'sets'"),
         (dict(fam, sets=[["01"]]), "'sets'"),
+        (dict(fam, q=1026), "family key 'q' must be at most 1024, got 1026"),
     ):
         fam_file.write_text(json.dumps(doc))
         code, _, err = run(capsys, "verify", str(fam_file), "--kind", "mocs")
         assert code == 2 and named in err, (doc, err)
+    fam_file.write_text(json.dumps(dict(fam, q=1024)))  # the largest alphabet is read
+    assert run(capsys, "verify", str(fam_file), "--kind", "mocs")[0] in (0, 1)
     spec = {"m": 3, "q": 2, "v": 1, "parts": [[1, 2], [3]], "eta": [0, 0, 0, 0]}
     for doc, named in (
         (dict(spec, parts=5), "'parts'"),
@@ -293,6 +345,7 @@ def test_malformed_family_and_spec_documents_exit_2(tmp_path, capsys):
         (dict(spec, k="2"), "'k'"),
         (dict(spec, eta=[0.5, 0, 0, 0]), "'eta'"),
         (dict(spec, pi=[[1, 2], [True]]), "'pi'"),
+        (dict(spec, q=1026), "construction spec key 'q' must be at most 1024, got 1026"),
         ([spec], "JSON object"),
     ):
         spec_file.write_text(json.dumps(doc))
@@ -369,3 +422,50 @@ def test_cli_exit_codes_under_one_replaced_key(tmp_path_factory, case):
     assert code in (0, 1, 2)
     if not ok:
         assert code == 2, (doc, key, value)
+
+
+README_ARGV = [  # the README's command lines, which read and write the working directory
+    line.split("#")[0].split()[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("eczcs ")
+]
+CENSUS = parser_census(build_parser())
+ARGV_TOKENS = sorted(
+    {token for argv in README_ARGV for token in argv}
+    | {word for command in CENSUS for word in command.split()}
+    | {name for names in CENSUS.values() for name in names if name.startswith("-")}
+)
+
+
+@st.composite
+def one_token_changed(draw):
+    argv = list(draw(st.sampled_from(README_ARGV)))
+    token = draw(st.sampled_from(ARGV_TOKENS) | SMALL_INTS.map(str))
+    edit = draw(st.sampled_from(("replace", "drop", "append")))
+    if edit == "append":
+        return argv + [token]
+    i = draw(st.integers(0, len(argv) - 1))
+    return argv[:i] + [token] * (edit == "replace") + argv[i + 1:]
+
+
+@given(one_token_changed())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exit_codes_under_one_changed_argv_token(argv):
+    """A README command line with one token replaced, dropped or appended exits 0, 1 or 2."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            Path("fam.txt").write_text(format_family_text(load_fixture_family("eczcs_2x2x24")))
+            Path("spec.json").write_text(json.dumps({"m": 3, "q": 2, "parts": [[1, 2, 3]]}))
+            Path("sim.json").write_text(json.dumps({
+                "matrix": {"kind": "seed", "id": "zccs-2-2-24-10-nonc2", "nt": 4, "na": 2},
+                "ebn0_db": [4, 8], "delay_spreads": [9], "trials": 3, "seed": 7,
+            }))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2), argv

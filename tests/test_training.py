@@ -184,8 +184,6 @@ def test_bit_mapping_edge_cases():
     assert map_bits_to_gsm_block("", GSMConfig(4, 2)).shape == (4, 0)
     with pytest.raises(ValueError):
         map_bits_to_gsm_block("010", GSMConfig(4, 2))
-    with pytest.raises(ValueError):
-        map_bits_to_gsm_block("0101", GSMConfig(4, 2, constellation_size=4))
 
 
 def test_csv_and_meta_exports(table4):
