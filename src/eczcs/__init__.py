@@ -19,9 +19,7 @@ from .construct import (
 )
 from .correlation import (
     CorrelationProfile,
-    aacf,
     accf,
-    cross_channel_sum,
     cross_channel_table,
     pccf,
     pccf_via_accf,
@@ -29,7 +27,6 @@ from .correlation import (
     profile_cross_channel,
     profile_pccf,
     profile_set_corr,
-    set_corr_sum,
     set_corr_table,
 )
 from .cyclotomic import CycloInt, cyclotomic_poly
@@ -101,5 +98,4 @@ from .verify import (
     flatten_to_zcz,
     is_optimal,
     measure_zcz_width,
-    tang_fan_matsufuji_bound,
 )

@@ -46,9 +46,9 @@ from .sequences import (
     NON_NEGATIVE,
     Family,
     check_document,
-    family_from_json,
     family_to_json,
     format_family_text,
+    load_family,
     parse_family_text,
 )
 from .simulate import (
@@ -65,7 +65,7 @@ from .training import (
     training_matrix_meta,
     training_matrix_to_csv,
 )
-from .verify import check_ccc, check_eczcs, check_kind, measure_zcz_width
+from .verify import check_kind, measure_zcz_width
 
 THEOREM3_PRESETS = {
     # byte-reproduces the shipped eczcs_4x2x32 fixture
@@ -108,7 +108,7 @@ def _load_family_arg(path_str: str, q: int) -> tuple[Family, Path]:
     if not path.exists():
         raise FileNotFoundError(f"no such family file: {path}")
     if path.suffix == ".json":
-        return family_from_json(json.loads(path.read_text())), path
+        return load_family(path), path
     return parse_family_text(path.read_text(), q), path
 
 
@@ -121,12 +121,12 @@ def cmd_catalog(args) -> int:
 
 def cmd_construct(args) -> int:
     inputs: list[Path] = []
-    seed_id = None
     if args.builder == "theorem2":
         if args.seed:
+            if args.declared_z is not None:
+                raise ValueError("--declared-z goes with --seed-file; a catalog seed has its zone")
             entry = catalog_entry(args.seed)
             seed_fam, width = entry.family, entry.params[3]
-            seed_id = args.seed
         elif args.seed_file:
             seed_fam, path = _load_family_arg(args.seed_file, args.q)
             inputs.append(path)
@@ -137,8 +137,7 @@ def cmd_construct(args) -> int:
             raise ValueError("provide --seed or --seed-file")
         fam = theorem2_construct(seed_fam, width, force=args.force)
         width = width - 1  # output zone is one narrower than the seed's
-        verdict = check_eczcs(fam, width)
-        params = {"builder": "theorem2", "seed": seed_id, "zone": width}
+        params = {"builder": "theorem2", "seed": args.seed, "zone": width}
     else:
         if args.preset:
             spec_dict = THEOREM3_PRESETS[args.preset]
@@ -154,12 +153,11 @@ def cmd_construct(args) -> int:
         if args.builder == "theorem3":
             fam = theorem3_construct(spec, spec_dict["v"], q, eta)
             width = theorem3_zcz_width(spec)
-            verdict = check_eczcs(fam, width)
         else:  # lemma2
             fam = lemma2_ccc(spec, q, eta)
             width = fam.length
-            verdict = check_ccc(fam)
         params = {"builder": args.builder, "spec": spec_dict, "zone": width}
+    verdict = check_kind("ccc" if args.builder == "lemma2" else "eczcs", fam, width)
     text = (format_family_text(fam) if args.format == "text"
             else json.dumps(family_to_json(fam), indent=1) + "\n")
     params["verdict"] = verdict.to_json()
@@ -204,8 +202,9 @@ def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
 
 def cmd_verify(args) -> int:
     fam, path = _load_family_arg(args.family, args.q)
-    if args.Z is None and args.kind in ("zcz", "zccs", "szccs", "eczcs"):
-        raise ValueError(f"--Z is required for the {args.kind} check")
+    zoned = args.kind in ("zcz", "zccs", "szccs", "eczcs")
+    if (args.Z is not None) != zoned:  # mocs and ccc cover every shift
+        raise ValueError(f"--Z is {'required' if zoned else 'not used'} for the {args.kind} check")
     verdict = check_kind(args.kind, fam, args.Z or 0)
     payload = verdict.to_json()
     payload["kind"] = args.kind
@@ -264,7 +263,7 @@ def cmd_train(args) -> int:
 
 def _matrix_from_config(spec: dict, base_dir: Path):
     cfg = GSMConfig(spec["nt"], spec["na"])
-    kind = spec.get("kind", "family")
+    kind = spec["kind"]
     if kind == "family":
         fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q", 2))
         return build_training_matrix(fam, cfg, source=spec["path"]), [path]
@@ -320,7 +319,7 @@ def cmd_simulate(args) -> int:
         delay_spreads=tuple(config["delay_spreads"]),
         trials=config["trials"],
         seed=config["seed"],
-        matrix_id=config.get("matrix_id", config["matrix"].get("kind", "")),
+        matrix_id=config.get("matrix_id", config["matrix"]["kind"]),
     )
     report = monte_carlo_mse(tm, sim)
     params = {
@@ -352,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("construct", help="run a construction and auto-verify its output")
     con_sub = con.add_subparsers(dest="builder", required=True)
     t2 = con_sub.add_parser("theorem2", help="double a code-set seed into an enhanced family")
-    t2.add_argument("--seed", help="catalog seed id")
-    t2.add_argument("--seed-file", help="family file holding the seed")
+    source = t2.add_mutually_exclusive_group()
+    source.add_argument("--seed", help="catalog seed id")
+    source.add_argument("--seed-file", help="family file holding the seed")
     t2.add_argument("--declared-z", type=int, help="seed zone width (required with --seed-file)")
     t2.add_argument("--force", action="store_true", help="skip seed re-verification")
     for builder in ("theorem3", "lemma2"):
@@ -362,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="chained Boolean-function construction"
             + (" (complete code)" if builder == "lemma2" else ""),
         )
-        p.add_argument("--preset", choices=sorted(THEOREM3_PRESETS))
-        p.add_argument("--spec", help="JSON file with m, q, v, parts, eta")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--preset", choices=sorted(THEOREM3_PRESETS))
+        source.add_argument("--spec", help="JSON file with m, q, v, parts, eta")
     for p in con_sub.choices.values():
         p.add_argument("--out", help="output family file")
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="classify a family; exit 0 pass, 1 fail, 2 error")
     ver.add_argument("family")
     ver.add_argument("--kind", required=True, choices=("zcz", "zccs", "szccs", "eczcs", "mocs", "ccc"))
-    ver.add_argument("--Z", type=int)
+    ver.add_argument("--Z", type=int, help="zone width (zcz, zccs, szccs and eczcs only)")
     ver.add_argument("--q", type=int, default=2)
     ver.add_argument("--measure", action="store_true", help="also report the measured zone width")
     ver.add_argument("--out")

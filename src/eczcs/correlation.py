@@ -5,8 +5,9 @@ are exact.  All of them read one kernel, the cyclic tally
 :func:`cyclic_tally`: binary and quaternary values come from one
 ``numpy.correlate`` of exact unit values (sums of Gaussian integers stay
 integral in double precision), other alphabets from an integer
-phase-difference count.  Aperiodic set sums are cyclic tallies of
-:func:`set_rows`, where every member is followed by silent entries.
+phase-difference count.  The aperiodic set sums rho and rho-hat come as
+tables over every shift, cyclic tallies of :func:`set_rows`, where every
+member is followed by silent entries.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
         diff = (a[: length + u] - b[-u:length]) % q
     counts = np.bincount(diff, minlength=q)
     return CycloInt(q, tuple(int(c) for c in counts))
-
-
-def aacf(s: PhaseSequence, u: int) -> CycloInt:
-    """Aperiodic autocorrelation: accf of a sequence with itself."""
-    return accf(s, s, u)
 
 
 _TALLY_BLOCK = 1 << 16
@@ -141,7 +137,7 @@ def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.n
     """Count vectors of the set sum over member pairs n <-> (n + rotation) mod N.
 
     Shape (2L-1, q), row i holding shift u = i - (L-1); rotation 0 gives
-    set_corr_sum and rotation 1 gives cross_channel_sum.
+    the set sum rho and rotation 1 the rotated cross-channel sum rho-hat.
     """
     if (s0.q, s0.length, s0.size) != (s1.q, s1.length, s1.size):
         raise ValueError("sequence sets must share (N, L, q)")
@@ -154,32 +150,18 @@ def _values(q: int, counts: np.ndarray) -> list[CycloInt]:
     return [CycloInt(q, row) for row in counts]
 
 
-def set_corr_sum(s0: SequenceSet, s1: SequenceSet, u: int) -> CycloInt:
-    """Member-wise aperiodic cross-correlation sum of two sequence sets."""
-    counts = set_pair_counts(s0, s1)
-    _check_shift(s0.length, u)
-    return CycloInt(s0.q, counts[u + s0.length - 1])
-
-
-def cross_channel_sum(g0: SequenceSet, g1: SequenceSet, u: int) -> CycloInt:
-    """Cross-correlation sum pairing member n with member (n+1) mod N.
-
-    Unlike :func:`set_corr_sum` this sum is not symmetric under swapping
-    its arguments, and negating the shift is not equivalent to swapping
-    either, so callers must evaluate both signs explicitly.
-    """
-    counts = set_pair_counts(g0, g1, rotation=1)
-    _check_shift(g0.length, u)
-    return CycloInt(g0.q, counts[u + g0.length - 1])
-
-
 def set_corr_table(s0: SequenceSet, s1: SequenceSet) -> list[CycloInt]:
-    """set_corr_sum over the full aperiodic shift range -(L-1)..(L-1)."""
+    """Set sum rho at every shift -(L-1)..(L-1), shift u at index u + L - 1."""
     return _values(s0.q, set_pair_counts(s0, s1))
 
 
 def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> list[CycloInt]:
-    """cross_channel_sum over the full aperiodic shift range."""
+    """Rotated sum rho-hat (member n against n+1 mod N), indexed as set_corr_table.
+
+    Unlike rho this sum is not symmetric under swapping its arguments, and
+    negating the shift is not equivalent to swapping either, so callers
+    must evaluate both signs explicitly.
+    """
     return _values(g0.q, set_pair_counts(g0, g1, rotation=1))
 
 

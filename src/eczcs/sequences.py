@@ -39,12 +39,12 @@ class PhaseSequence:
     def __post_init__(self) -> None:
         if self.q < 2 or self.q % 2:
             raise ValueError(f"alphabet size must be an even integer >= 2, got {self.q}")
-        phases = tuple(int(p) for p in self.phases)
+        phases = tuple(map(int, self.phases))
         if not phases:
             raise ValueError("a sequence must have length >= 1")
-        for p in phases:
-            if not 0 <= p < self.q:
-                raise ValueError(f"phase {p} lies outside Z_{self.q}")
+        if min(phases) < 0 or max(phases) >= self.q:
+            bad = next(p for p in phases if not 0 <= p < self.q)
+            raise ValueError(f"phase {bad} lies outside Z_{self.q}")
         object.__setattr__(self, "phases", phases)
 
     def __len__(self) -> int:

@@ -40,16 +40,16 @@ def mse_floor(sigma2: float, energy: float) -> float:
 
 
 def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
-                   count: int | None = None) -> np.ndarray:
+                   count: int) -> np.ndarray:
     """Independent complex Gaussian taps, variance 1/(delay_spread+1) each.
 
     Every antenna sees delay_spread + 1 taps whose expected total power is
-    one.  With a ``count``, that many channels are drawn at once along a
-    leading axis: all real parts first, then all imaginary parts.
+    one.  ``count`` channels are drawn at once, shape (count, n_antennas,
+    delay_spread + 1): all real parts first, then all imaginary parts.
     """
     taps = delay_spread + 1
     scale = math.sqrt(1.0 / (2 * taps))
-    shape = (n_antennas, taps) if count is None else (count, n_antennas, taps)
+    shape = (count, n_antennas, taps)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
@@ -166,7 +166,6 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
     value, :func:`analytic_mse`, are factored once per delay spread.  A
     singular design marks its grid points as failed instead of raising.
     """
-    n_antennas = tm.num_rows
     energy = float(tm.energy)
     points = []
     models: dict[int, tuple | None] = {}
@@ -192,7 +191,7 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
         for block, start in enumerate(range(0, cfg.trials, TRIAL_BLOCK)):
             count = min(TRIAL_BLOCK, cfg.trials - start)
             rng = np.random.default_rng((cfg.seed, index, block))
-            taps = sample_channel(spread, n_antennas, rng, count).reshape(count, dim)
+            taps = sample_channel(spread, tm.num_rows, rng, count).reshape(count, dim)
             noise = noise_scale * (
                 rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
             )

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -42,14 +43,12 @@ class GSMConfig:
 
 @dataclass(frozen=True)
 class TrainingMatrix:
-    """Nt rows of length N*V*L over Z_q plus a zero marker (None)."""
+    """Nt rows of length N*V*L over Z_q plus a zero marker (None); V and N are derived."""
 
     q: int
     rows: tuple[tuple[int | None, ...], ...]
     active_antennas: int
     block_length: int
-    blocks_per_row: int
-    group_count: int
     source: str = ""
 
     def __post_init__(self) -> None:
@@ -64,6 +63,9 @@ class TrainingMatrix:
                 if entry is not None and not 0 <= entry < self.q:
                     raise ValueError(f"entry {entry} outside Z_{self.q}")
         object.__setattr__(self, "rows", rows)
+        period = self.group_count * self.block_length  # group_count rejects Na outside 1..Nt
+        if self.block_length < 1 or width % period:
+            raise ValueError(f"need L >= 1 and V*L = {period} dividing the width {width}")
 
     @property
     def num_rows(self) -> int:
@@ -72,6 +74,14 @@ class TrainingMatrix:
     @property
     def width(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def group_count(self) -> int:
+        return GSMConfig(self.num_rows, self.active_antennas).group_count
+
+    @property
+    def blocks_per_row(self) -> int:
+        return self.width // (self.group_count * self.block_length)
 
     @property
     def energy(self) -> int:
@@ -99,9 +109,6 @@ class TrainingMatrix:
         vals, mask = self.values_and_mask()
         return root_table(self.q)[vals] * mask
 
-    def group_of(self, row: int) -> int:
-        return row // self.active_antennas
-
 
 def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> TrainingMatrix:
     """Lay a family out as the sparse training matrix for cfg.
@@ -116,8 +123,8 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
             f"family has {fam.num_sets} sets but {na} active antennas need one each"
         )
     v_count = cfg.group_count
-    n_blocks, length = fam.set_size, fam.length
-    width = n_blocks * v_count * length
+    length = fam.length
+    width = fam.set_size * v_count * length
     rows = []
     for k in range(cfg.transmit_antennas):
         group, set_index = divmod(k, na)
@@ -132,8 +139,6 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
         rows=tuple(rows),
         active_antennas=na,
         block_length=length,
-        blocks_per_row=n_blocks,
-        group_count=v_count,
         source=source,
     )
 
@@ -148,7 +153,7 @@ def _pair_label(tm: TrainingMatrix, i: int, j: int) -> str:
     """Which interference mechanism a violating row pair belongs to."""
     if i == j:
         return "isi"
-    gi, gj = tm.group_of(i), tm.group_of(j)
+    gi, gj = i // tm.active_antennas, j // tm.active_antennas
     v_count = tm.group_count
     if gi == gj:
         return "iai-same-group"

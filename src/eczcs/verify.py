@@ -18,13 +18,12 @@ built only for a reported value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .correlation import cyclic_tally, set_rows
 from .cyclotomic import CycloInt, reduction_matrix
-from .sequences import Family, SequenceSet, concat
+from .sequences import Family, PhaseSequence, SequenceSet
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,6 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
         range(1, top + 1), range(top + 1), lambda i, j: "zcz-auto" if i == j else "zcz-cross",
     )
     return Verdict(tuple(violations))
-
-
-def tang_fan_matsufuji_bound(n_seqs: int, length: int, q: int) -> int:
-    """Width bound for an (N, L, Z) zero-correlation-zone sequence set.
-
-    Returns L/N - 1 for q > 2.  The binary value L/(2N) is a conjectured
-    bound, so callers report it but never hard-fail a set exceeding it.
-    It equals :func:`eczcs_bound` for n_seqs sets of one sequence each.
-    """
-    return eczcs_bound(n_seqs, 1, length, q)
 
 
 def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
@@ -233,6 +222,9 @@ def eczcs_bound(num_sets: int, set_size: int, length: int, q: int) -> int:
     """Zone-width upper bound N*L/M - 1, or N*L/(2M) for binary families.
 
     Floor of the exact ratio when the parameters do not divide evenly.
+    With N = 1 it is the Tang-Fan-Matsufuji bound of an (M, L, Z)
+    zero-correlation-zone sequence set.  The binary value is conjectured,
+    so callers report it but never hard-fail a family exceeding it.
     """
     total = set_size * length
     if q == 2:
@@ -246,10 +238,9 @@ def is_optimal(fam: Family, width: int) -> bool:
     Equality is exact (no floor): a family whose parameters do not divide
     evenly is never optimal.
     """
-    if fam.q == 2:
-        meets = 2 * width * fam.num_sets == fam.set_size * fam.length
-    else:
-        meets = (width + 1) * fam.num_sets == fam.set_size * fam.length
+    m, n, length = fam.num_sets, fam.set_size, fam.length
+    divides = n * length % (2 * m if fam.q == 2 else m) == 0
+    meets = divides and width == eczcs_bound(m, n, length, fam.q)
     return meets and check_eczcs(fam, width).passed
 
 
@@ -259,4 +250,5 @@ def flatten_to_zcz(fam: Family) -> SequenceSet:
     A family passing check_eczcs at width Z flattens to an (M, N*L, Z)
     zero-correlation-zone sequence set under the periodic test.
     """
-    return SequenceSet(tuple(reduce(concat, st.members) for st in fam.sets))
+    flat = (tuple(p for s in st.members for p in s.phases) for st in fam.sets)
+    return SequenceSet(tuple(PhaseSequence(fam.q, phases) for phases in flat))

@@ -66,17 +66,16 @@ def test_criterion_1_exact_table_reproduction(table4, table5):
 
 
 def test_criterion_2_correlation_list_reproduction(table4, table5):
-    from eczcs import cross_channel_sum, set_corr_sum
+    from eczcs import cross_channel_table, set_corr_table
+
+    def magnitudes(table, length):  # shifts 0..L-1 of a table over -(L-1)..(L-1)
+        return tuple(int(v.magnitude()) for v in table[length - 1:])
 
     start = time.perf_counter()
-    rho4 = tuple(int(set_corr_sum(table4.sets[0], table4.sets[0], u).magnitude()) for u in range(24))
-    hat4 = tuple(
-        int(cross_channel_sum(table4.sets[0], table4.sets[1], u).magnitude()) for u in range(24)
-    )
-    rho5 = tuple(int(set_corr_sum(table5.sets[0], table5.sets[2], u).magnitude()) for u in range(32))
-    hat5 = tuple(
-        int(cross_channel_sum(table5.sets[0], table5.sets[3], u).magnitude()) for u in range(32)
-    )
+    rho4 = magnitudes(set_corr_table(table4.sets[0], table4.sets[0]), 24)
+    hat4 = magnitudes(cross_channel_table(table4.sets[0], table4.sets[1]), 24)
+    rho5 = magnitudes(set_corr_table(table5.sets[0], table5.sets[2]), 32)
+    hat5 = magnitudes(cross_channel_table(table5.sets[0], table5.sets[3]), 32)
     checks = {
         "rho4": rho4 == RHO_T4_00 and rho4[0] == 48 and rho4[10] == 8,
         "hat4": hat4 == RHOHAT_T4_01,

@@ -469,3 +469,41 @@ def test_cli_exit_codes_under_one_changed_argv_token(argv):
         finally:
             os.chdir(home)
     assert code in (0, 1, 2), argv
+
+
+def test_inputs_that_would_be_ignored_exit_2(tmp_path, capsys, table4):
+    """Two sources for one input, or a value no check reads, is a usage error."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"m": 3, "q": 2, "v": 1, "parts": [[1, 2, 3]]}))
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(format_family_text(load_fixture_family("zccs_2x2x12")))
+    for argv in (
+        ["construct", "theorem3", "--preset", "eczcs-4-2-32-8", "--spec", str(spec_file)],
+        ["construct", "lemma2", "--spec", str(spec_file), "--preset", "eczcs-4-2-32-8"],
+        ["construct", "theorem2", "--seed", "zccs-2-2-12-10", "--seed-file", str(seed_file)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "not allowed with" in capsys.readouterr().err
+    code, out, err = run(capsys, "construct", "theorem2", "--seed", "zccs-2-2-12-10",
+                         "--declared-z", "3")
+    assert code == 2 and "--declared-z" in err and out == ""
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text(format_family_text(table4))
+    for kind in ("mocs", "ccc"):
+        out_file = tmp_path / f"{kind}.json"
+        code, _, err = run(capsys, "verify", str(fam_file), "--kind", kind, "--Z", "5",
+                           "--out", str(out_file))
+        assert code == 2 and "--Z" in err and not out_file.exists()
+        assert run(capsys, "verify", str(fam_file), "--kind", kind)[0] == 1
+
+
+def test_simulate_matrix_kind_is_required(tmp_path, capsys):
+    config = {"matrix": {"id": "zccs-2-2-12-10", "nt": 4, "na": 2},
+              "ebn0_db": [10.0], "delay_spreads": [3], "trials": 3, "seed": 1}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "r.csv"))
+    assert code == 2 and "'kind'" in err and out == ""
+    assert not (tmp_path / "r.csv").exists()

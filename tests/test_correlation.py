@@ -9,9 +9,7 @@ from eczcs import (
     CorrelationProfile,
     PhaseSequence,
     SequenceSet,
-    aacf,
     accf,
-    cross_channel_sum,
     cross_channel_table,
     parse_sequence,
     pccf,
@@ -19,7 +17,6 @@ from eczcs import (
     profile_accf,
     profile_cross_channel,
     profile_set_corr,
-    set_corr_sum,
     set_corr_table,
 )
 from eczcs import correlation
@@ -69,7 +66,7 @@ def test_golay_pair_complementarity():
     a = parse_sequence("+++-")
     b = parse_sequence("++-+")
     for u in (1, 2, 3):
-        total = aacf(a, u) + aacf(b, u)
+        total = accf(a, a, u) + accf(b, b, u)
         oracle = float_accf(a, a, u) + float_accf(b, b, u)
         assert total.is_zero()
         assert abs(oracle) < 1e-12
@@ -93,8 +90,8 @@ def test_aacf_symmetry_and_table_edge(table4):
     rng = random.Random(3)
     s = rand_seq(rng, 4, 8)
     for u in range(8):
-        assert aacf(s, -u) == aacf(s, u).conjugate()
-    edge = aacf(table4.sets[0].members[0], 23)
+        assert accf(s, s, -u) == accf(s, s, u).conjugate()
+    edge = accf(table4.sets[0].members[0], table4.sets[0].members[0], 23)
     assert edge.mag_sq() == 1  # single +-1 product survives at the last shift
 
 
@@ -142,33 +139,34 @@ def test_shift_and_shape_errors():
 
 def test_set_corr_sum_reference_lists(table4, table5):
     g0, g1 = table4.sets
-    got = tuple(int(set_corr_sum(g0, g0, u).magnitude()) for u in range(24))
+    got = tuple(int(v.magnitude()) for v in set_corr_table(g0, g0)[23:])
     assert got == RHO_T4_00
     h0, h2 = table5.sets[0], table5.sets[2]
-    got5 = tuple(int(set_corr_sum(h0, h2, u).magnitude()) for u in range(32))
+    got5 = tuple(int(v.magnitude()) for v in set_corr_table(h0, h2)[31:])
     assert got5 == RHO_T5_02
 
 
 def test_set_corr_sum_single_member_reduces_to_accf():
     rng = random.Random(6)
     a, b = rand_seq(rng, 2, 8), rand_seq(rng, 2, 8)
+    table = set_corr_table(SequenceSet((a,)), SequenceSet((b,)))
     for u in range(-7, 8):
-        assert set_corr_sum(SequenceSet((a,)), SequenceSet((b,)), u) == accf(a, b, u)
+        assert table[u + 7] == accf(a, b, u)
 
 
 def test_cross_channel_sum_reference_lists(table4, table5):
     g0, g1 = table4.sets
-    got = tuple(int(cross_channel_sum(g0, g1, u).magnitude()) for u in range(24))
+    got = tuple(int(v.magnitude()) for v in cross_channel_table(g0, g1)[23:])
     assert got == RHOHAT_T4_01
     assert got[15:] == (0,) * 9
     # the frozen rotated-sum list for the length-32 fixture pairs set 0 with set 3
     h0, h3 = table5.sets[0], table5.sets[3]
-    got5 = tuple(int(cross_channel_sum(h0, h3, u).magnitude()) for u in range(32))
+    got5 = tuple(int(v.magnitude()) for v in cross_channel_table(h0, h3)[31:])
     assert got5 == RHOHAT_T5_LIST
     assert got5[15] == 20
     # the (0, 2) pairing also carries the tail-end zone
     h2 = table5.sets[2]
-    tail = [int(cross_channel_sum(h0, h2, u).magnitude()) for u in range(24, 32)]
+    tail = [int(v.magnitude()) for v in cross_channel_table(h0, h2)[31 + 24:]]
     assert tail == [0] * 8
 
 
@@ -176,8 +174,9 @@ def test_cross_channel_single_member_is_autocorrelation():
     rng = random.Random(7)
     a = rand_seq(rng, 2, 9)
     single = SequenceSet((a,))
+    table = cross_channel_table(single, single)
     for u in range(-8, 9):
-        assert cross_channel_sum(single, single, u) == aacf(a, u)
+        assert table[u + 8] == accf(a, a, u)
 
 
 def test_tables_match_pointwise_sums(table5):
@@ -188,15 +187,15 @@ def test_tables_match_pointwise_sums(table5):
     plain = list(zip(g0.members, g3.members))
     rotated = list(zip(g0.members, g3.members[1:] + g3.members[:1]))
     for u in range(-(length - 1), length):
-        assert table[u + length - 1] == set_corr_sum(g0, g3, u) == sum_accf(plain, u, 2)
-        assert rot[u + length - 1] == cross_channel_sum(g0, g3, u) == sum_accf(rotated, u, 2)
+        assert table[u + length - 1] == sum_accf(plain, u, 2)
+        assert rot[u + length - 1] == sum_accf(rotated, u, 2)
 
 
 def test_set_shape_mismatch_rejected(table3, table4):
     with pytest.raises(ValueError):
-        set_corr_sum(table3.sets[0], table4.sets[0], 0)
+        set_corr_table(table3.sets[0], table4.sets[0])
     with pytest.raises(ValueError):
-        cross_channel_sum(table3.sets[0], table4.sets[0], 0)
+        cross_channel_table(table3.sets[0], table4.sets[0])
 
 
 def test_profiles_regenerate_reference_lists(table4, table5):

@@ -27,17 +27,17 @@ from eczcs.simulate import default_zc_roots
 
 def test_single_tap_channel():
     rng = np.random.default_rng(0)
-    taps = sample_channel(0, 3, rng)
+    taps = sample_channel(0, 3, rng, 1)[0]
     assert taps.shape == (3, 1)
 
 
 def test_tap_variance_statistics():
     rng = np.random.default_rng(1)
     spread = 4
-    draws = sample_channel(spread, 1, rng)
+    draws = sample_channel(spread, 1, rng, 1)[0]
     for _ in range(99):
-        draws = np.concatenate([draws, sample_channel(spread, 1, rng)])
-    samples = np.concatenate([sample_channel(spread, 100, rng) for _ in range(10)])
+        draws = np.concatenate([draws, sample_channel(spread, 1, rng, 1)[0]])
+    samples = np.concatenate([sample_channel(spread, 100, rng, 1)[0] for _ in range(10)])
     var = np.mean(np.abs(samples) ** 2)
     assert abs(var - 1 / (spread + 1)) < 0.02 / (spread + 1) * 5  # within a few percent
     # total per-antenna power is one in expectation
@@ -45,8 +45,8 @@ def test_tap_variance_statistics():
 
 
 def test_channel_determinism():
-    a = sample_channel(3, 2, np.random.default_rng(7))
-    b = sample_channel(3, 2, np.random.default_rng(7))
+    a = sample_channel(3, 2, np.random.default_rng(7), 1)[0]
+    b = sample_channel(3, 2, np.random.default_rng(7), 1)[0]
     assert np.array_equal(a, b)
 
 
@@ -58,7 +58,7 @@ def psi24(table4):
 def test_noiseless_recovery(psi24):
     X = build_ls_model_matrix(psi24, 9)
     rng = np.random.default_rng(3)
-    taps = sample_channel(9, 4, rng).reshape(-1)
+    taps = sample_channel(9, 4, rng, 1)[0].reshape(-1)
     y = X @ taps
     estimate = ls_estimate(X, y)
     assert np.max(np.abs(estimate - taps)) < 1e-10

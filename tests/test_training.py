@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eczcs import (
     GSMConfig,
+    TrainingMatrix,
     activation_table,
     baseline_random_binary,
     baseline_zadoff_chu,
@@ -148,6 +150,50 @@ def test_zone_guarantee_for_training(nt, na, table4, table5):
         for spread in {0, 1, width // 2, width}:
             assert check_design_criterion(tm, spread).passed, (nt, na, spread)
         assert not check_design_criterion(tm, width + 1).passed
+
+
+@st.composite
+def theorem3_trainings(draw):
+    """A Theorem 3 family (q in {2, 4, 6, 8}, m <= 4), its zone, a shape Na <= M,
+    Na <= Nt <= 2 Na and a delay spread up to the zone."""
+    m = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(1, m + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1)))) if m > 1 else []
+    bounds = [0, *cuts, m]
+    spec = PartitionSpec(m, tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])))
+    v = draw(st.integers(1, spec.k))
+    q = draw(st.sampled_from((2, 4, 6, 8)))
+    eta = draw(st.lists(st.integers(0, q - 1), min_size=m + 1, max_size=m + 1))
+    try:
+        fam = theorem3_construct(spec, v, q, eta)
+    except ValueError:  # the chain heads of parts v+1..k are fixed
+        assume(False)
+    zone = theorem3_zcz_width(spec)
+    na = draw(st.integers(1, fam.num_sets))
+    nt = draw(st.integers(na, 2 * na))
+    return fam, zone, GSMConfig(nt, na), draw(st.integers(0, zone))
+
+
+@given(theorem3_trainings())
+@settings(max_examples=200, deadline=None)
+def test_theorem3_family_meets_design_criterion_up_to_its_zone(case):
+    """An E-CZCS at zone Z gives a training matrix optimal at every delay spread up to Z."""
+    fam, zone, cfg, spread = case
+    assert check_eczcs(fam, zone).passed
+    assert check_design_criterion(build_training_matrix(fam, cfg), spread).passed
+
+
+def test_training_width_must_be_a_multiple_of_group_span():
+    """V = ceil(Nt / Na) groups of L slots each divide the width; N is derived from it."""
+    row = (0, 1, None, None)
+    tm = TrainingMatrix(2, (row, row[2:] + row[:2], row), 2, 2)
+    assert (tm.group_count, tm.blocks_per_row, tm.energy) == (2, 1, 2)
+    for rows, na, length in (((row, row, row), 2, 3), (((0, 1, 1),) * 3, 2, 1), ((row,), 1, 0)):
+        with pytest.raises(ValueError, match=r"V\*L = \d+ dividing the width"):
+            TrainingMatrix(2, rows, na, length)
+    for na in (0, 2):  # Na outside 1..Nt
+        with pytest.raises(ValueError, match="active antennas"):
+            TrainingMatrix(2, (row,), na, 2)
 
 
 def test_activation_tables():

@@ -22,7 +22,6 @@ from eczcs import (
     lemma2_ccc,
     measure_zcz_width,
     pccf_via_accf,
-    tang_fan_matsufuji_bound,
     theorem2_construct,
 )
 from eczcs.gbf import PartitionSpec
@@ -56,9 +55,10 @@ def test_identical_members_fail_cross_condition():
 
 
 def test_zcz_width_bound_values():
-    assert tang_fan_matsufuji_bound(2, 48, 2) == 12
-    assert tang_fan_matsufuji_bound(2, 48, 4) == 23
-    assert tang_fan_matsufuji_bound(1, 10, 2) == 5
+    # N = 1: the Tang-Fan-Matsufuji bound of an (M, L, Z) sequence set
+    assert eczcs_bound(2, 1, 48, 2) == 12
+    assert eczcs_bound(2, 1, 48, 4) == 23
+    assert eczcs_bound(1, 1, 10, 2) == 5
 
 
 def test_zccs_classification(table3):
