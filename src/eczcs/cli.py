@@ -123,12 +123,12 @@ def cmd_construct(args) -> int:
     inputs: list[Path] = []
     if args.builder == "theorem2":
         if args.seed:
-            if args.declared_z is not None:
-                raise ValueError("--declared-z goes with --seed-file; a catalog seed has its zone")
+            if args.declared_z is not None or args.q is not None:
+                raise ValueError("--declared-z and --q go with --seed-file; a catalog seed has both")
             entry = catalog_entry(args.seed)
             seed_fam, width = entry.family, entry.params[3]
         elif args.seed_file:
-            seed_fam, path = _load_family_arg(args.seed_file, args.q)
+            seed_fam, path = _load_family_arg(args.seed_file, 2 if args.q is None else args.q)
             inputs.append(path)
             if args.declared_z is None:
                 raise ValueError("--declared-z is required with --seed-file")
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output family file")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.set_defaults(func=cmd_construct)
-    t2.add_argument("--q", type=int, default=2, help="alphabet of text seed files")
+    t2.add_argument("--q", type=int, help="alphabet of text seed files (default 2)")
 
     ver = sub.add_parser("verify", help="classify a family; exit 0 pass, 1 fail, 2 error")
     ver.add_argument("family")

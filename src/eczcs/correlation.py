@@ -1,10 +1,10 @@
 """Exact aperiodic and periodic correlation functions and set-level sums.
 
 Every function returns a :class:`~eczcs.cyclotomic.CycloInt`, so zero tests
-are exact.  All of them read one kernel, the cyclic tally
-:func:`cyclic_tally`: binary and quaternary values come from one
-``numpy.correlate`` of exact unit values (sums of Gaussian integers stay
-integral in double precision), other alphabets from an integer
+are exact.  All of them read one kernel, :func:`cyclic_tally` of every
+row pair of a batch: binary and quaternary values come from per-row FFTs
+of unit values, rounded to integers inside a checked margin, other
+alphabets (and any call outside the margin) from an integer
 phase-difference count.  The aperiodic set sums rho and rho-hat come as
 tables over every shift, cyclic tallies of :func:`set_rows`, where every
 member is followed by silent entries.
@@ -49,50 +49,54 @@ def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
 
 
 _TALLY_BLOCK = 1 << 16
+_MARGIN = 0.25
 
 
-def cyclic_tally(a, b, q: int, shifts, a_mask=None, b_mask=None) -> np.ndarray:
-    """Exact tallies of the cyclic correlation sum_k a[k+u] * conj(b[k]).
+def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
+    """Exact tallies of the cyclic correlations sum_k a[k+u] * conj(b[k]) of every row pair.
 
-    Row r counts how often each phase difference (a[(k+u) mod L] - b[k])
-    mod q occurs at shift u = shifts[r], shape (len(shifts), q).  Where a
-    mask is given, positions it marks False are silent and not counted.
-    For q in {2, 4} the rows are value-equal instead: one numpy.correlate
-    of the masked unit values over the hull of the shifts gives the real
-    part in column 0, the imaginary part in column 1 and zeros elsewhere.
-    Other alphabets take the shifts in blocks of about _TALLY_BLOCK
-    gathered entries, so the temporaries stay bounded however many shifts
-    are asked for.
+    ``values`` holds R rows of width W, live where ``masks`` (broadcast
+    against them; None: everywhere) is True.  Entry [i, j, r] counts each
+    phase difference (a[(k+u) mod W] - b[k]) mod q over live positions of
+    a = values[i], b = values[j] at u = shifts[r].  For q in {2, 4} the
+    counts are value-equal instead (real part, imaginary part): one FFT per
+    row, then per row one inverse FFT of its spectrum times all conjugate
+    spectra (never the (R, R, W) product), rounded and trusted only if
+    every residual is below _MARGIN.  Otherwise, and for other alphabets,
+    each pair is counted exactly.
     """
-    length, shifts = len(a), np.asarray(shifts, dtype=np.int64)
+    values = np.atleast_2d(values)
+    width, shifts = values.shape[1], np.asarray(shifts, dtype=np.int64) % values.shape[1]
+    live = np.broadcast_to(True if masks is None else masks, values.shape)
+    out = np.zeros((len(values), len(values), len(shifts), q), dtype=np.int64)
     if q in (2, 4):
         units = root_table(q).real if q == 2 else root_table(q)
-        x = units[a] if a_mask is None else units[a] * a_mask
-        y = units[b] if b_mask is None else units[b] * b_mask
-        lo = shifts.min()
-        hull = np.take(x, np.arange(lo, length + shifts.max()), mode="wrap")
-        z = np.correlate(hull, y, "valid")[shifts - lo]
-        out = np.zeros((len(shifts), q), dtype=np.int64)
-        out[:, 0] = np.rint(z.real)
-        if q == 4:
-            out[:, 1] = np.rint(z.imag)
-        return out
-    shifts = shifts % length
-    if a_mask is not None:
-        a = np.where(a_mask, a, 2 * q - 1)
-    a2 = np.concatenate((a, a))  # a2[s + k] = a[(s + k) mod L] for s, k < L
-    pos = np.arange(len(b)) if b_mask is None else np.flatnonzero(b_mask)
-    # key a + q - b lies in 1..2q-1 (difference mod q, folded below) for a
-    # live a and in 2q..3q-1 (dropped) for a silent one; rows are 3q apart
-    step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(pos))))
-    base = (q - b[pos]) + 3 * q * np.arange(step)[:, None]
-    out = np.empty((len(shifts), q), dtype=np.int64)
-    for start in range(0, len(shifts), step):
-        block = shifts[start : start + step]
-        key = a2[block[:, None] + pos]
-        key += base[: len(block)]
-        counts = np.bincount(key.ravel(), minlength=3 * q * len(block)).reshape(-1, 3 * q)
-        out[start : start + step] = counts[:, :q] + counts[:, q : 2 * q]
+        fft, ifft = (np.fft.rfft, np.fft.irfft) if q == 2 else (np.fft.fft, np.fft.ifft)
+        spectra = fft(units[values] * live)
+        conj = spectra.conj()
+        for i, spectrum in enumerate(spectra):
+            z = ifft(spectrum * conj, width)[:, shifts]
+            near = np.rint(z)
+            if np.abs(z - near).max(initial=0) >= _MARGIN:
+                break
+            out[i, :, :, 0] = near.real
+            out[i, :, :, 1] = near.imag
+        else:
+            return out
+    # exact count: key a + q - b is 1..2q-1 (difference mod q, folded below)
+    # for a live a, 2q..3q-1 (dropped) for a silent one; shift blocks of about
+    # _TALLY_BLOCK gathered entries, 3q apart, keep the temporaries bounded
+    a2 = np.tile(np.where(live, values, 2 * q - 1), 2)  # a2[i, s + k] = a_i[(s + k) mod W]
+    for j, b in enumerate(values):
+        pos = np.flatnonzero(live[j])
+        step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(pos))))
+        base = (q - b[pos]) + 3 * q * np.arange(step)[:, None]
+        for i in range(len(values)):
+            for start in range(0, len(shifts), step):
+                block = shifts[start : start + step]
+                key = a2[i, block[:, None] + pos] + base[: len(block)]
+                counts = np.bincount(key.ravel(), minlength=3 * q * len(block)).reshape(-1, 3 * q)
+                out[i, j, start : start + step] = counts[:, :q] + counts[:, q : 2 * q]
     return out
 
 
@@ -100,7 +104,7 @@ def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     """Periodic cross-correlation with cyclic indexing, exact."""
     _check_pair(s0, s1)
     _check_shift(s0.length, u)
-    return CycloInt(s0.q, cyclic_tally(s0.array(), s1.array(), s0.q, (u,))[0])
+    return CycloInt(s0.q, cyclic_tally((s0.array(), s1.array()), None, s0.q, (u,))[0, 1, 0])
 
 
 def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
@@ -141,9 +145,9 @@ def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.n
     """
     if (s0.q, s0.length, s0.size) != (s1.q, s1.length, s1.size):
         raise ValueError("sequence sets must share (N, L, q)")
-    (a, b), live = set_rows((s0, s1))
+    rows, live = set_rows((s0, s1))
     shifts = np.arange(1 - s0.length, s0.length) - rotation * (2 * s0.length - 1)
-    return cyclic_tally(a, b, s0.q, shifts, live, live)
+    return cyclic_tally(rows, live, s0.q, shifts)[0, 1]
 
 
 def _values(q: int, counts: np.ndarray) -> list[CycloInt]:
@@ -201,7 +205,7 @@ def profile_accf(s0: PhaseSequence, s1: PhaseSequence, label: str = "accf") -> C
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence, label: str = "pccf") -> CorrelationProfile:
     _check_pair(s0, s1)
     shifts = tuple(range(s0.length))
-    table = _values(s0.q, cyclic_tally(s0.array(), s1.array(), s0.q, shifts))
+    table = _values(s0.q, cyclic_tally((s0.array(), s1.array()), None, s0.q, shifts)[0, 1])
     return CorrelationProfile(label, shifts, tuple(table))
 
 

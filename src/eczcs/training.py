@@ -146,7 +146,7 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
 def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
     """Periodic cross-correlation of two rows over the zero-extended alphabet."""
     vals, mask = tm.values_and_mask()
-    return CycloInt(tm.q, cyclic_tally(vals[i], vals[j], tm.q, (u,), mask[i], mask[j])[0])
+    return CycloInt(tm.q, cyclic_tally(vals[[i, j]], mask[[i, j]], tm.q, (u,))[0, 1, 0])
 
 
 def _pair_label(tm: TrainingMatrix, i: int, j: int) -> str:

@@ -10,9 +10,9 @@ unavoidable in-phase peak is not reported as a violation.
 Every check is one zone scan, :func:`zone_violations`, over rows: the
 sequences or training rows for the periodic checks, the silent-gapped
 set rows of :func:`~eczcs.correlation.set_rows` (where rho and rho-hat
-are cyclic tallies) for the set sums.  Each row pair is tallied once,
-zeros come from one multiply by the reduction matrix, and a CycloInt is
-built only for a reported value.
+are cyclic tallies) for the set sums.  All row pairs come from one
+batched tally, zeros from one multiply by the reduction matrix, and a
+CycloInt is built only for a reported value.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Verdict:
         return not self.violations
 
     def __bool__(self) -> bool:
-        return self.passed
+        raise TypeError("a Verdict has no truth value; read its .passed")
 
     def to_json(self) -> dict:
         return {
@@ -70,26 +70,26 @@ def zone_violations(
 ) -> list[Violation]:
     """Nonzero cyclic correlations of every ordered row pair on its window.
 
-    Rows are silent where their masks (or None) are False.  Each pair is
-    tallied once at ``shifts``, window shift u sitting at index u + centre.
-    Row i first checks its in-phase value against the integer ``peak``
-    unless that is None; then pair (i, j) scans ``same`` when i == j and
-    ``cross`` otherwise, a violation being labelled label(i, j).  Zeros are
-    decided by one multiply with the reduction matrix, and a CycloInt is
-    built from its already canonical product only for a peak or a violation.
+    Rows are silent where their masks (broadcast against the rows; None:
+    all live) are False.  Every pair is tallied at ``shifts`` by one
+    batched :func:`~eczcs.correlation.cyclic_tally` call, window shift u
+    sitting at index u + centre.  Row i first checks its in-phase value
+    against the integer ``peak`` unless that is None; then pair (i, j)
+    scans ``same`` when i == j and ``cross`` otherwise, a violation being
+    labelled label(i, j).  Zeros are decided by one multiply with the
+    reduction matrix, and a CycloInt is built from its already canonical
+    product only for a peak or a violation.
     """
-    rows, shifts = list(zip(values, masks)), np.asarray(shifts)
-    counts = np.array([[cyclic_tally(a, b, q, shifts, am, bm) for b, bm in rows] for a, am in rows])
-    reduced = counts @ reduction_matrix(q)
+    reduced = cyclic_tally(values, masks, q, shifts) @ reduction_matrix(q)
     nonzero = reduced.any(axis=-1)
     windows = [np.asarray(w, dtype=np.intp) for w in (same, cross)]
     violations = []
-    for i in range(len(counts)):
+    for i in range(len(reduced)):
         if peak is not None:
             val = CycloInt(q, reduced[i, i, centre])
             if val != CycloInt.integer(q, peak):
                 violations.append(Violation("peak", (i, i), 0, val.magnitude()))
-        for j in range(len(counts)):
+        for j in range(len(reduced)):
             window = windows[i != j]
             for u in window[nonzero[i, j, window + centre]].tolist():
                 val = CycloInt(q, reduced[i, j, u + centre])
@@ -107,7 +107,7 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     _check_width(width, sset.length)
     top = min(width, sset.length - 1)
     violations = zone_violations(
-        [s.array() for s in sset.members], [None] * sset.size, sset.q, range(top + 1), 0,
+        [s.array() for s in sset.members], None, sset.q, range(top + 1), 0,
         range(1, top + 1), range(top + 1), lambda i, j: "zcz-auto" if i == j else "zcz-cross",
     )
     return Verdict(tuple(violations))
@@ -123,7 +123,7 @@ def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[
     centre = rotation * (fam.length - 1)
     shifts = np.arange(-centre, fam.length) - rotation * (2 * fam.length - 1)
     return zone_violations(
-        rows, [live] * fam.num_sets, fam.q, shifts, centre, same, cross, lambda i, j: kinds[i != j]
+        rows, live, fam.q, shifts, centre, same, cross, lambda i, j: kinds[i != j]
     )
 
 
@@ -193,17 +193,11 @@ def check_kind(kind: str, fam: Family, width: int) -> Verdict:
         if fam.num_sets != 1:
             raise ValueError("the zcz check applies to a single sequence set (M=1 family)")
         return check_zcz_set(fam.sets[0], width)
-    if kind == "zccs":
-        return check_zccs(fam, width)
-    if kind == "szccs":
-        return check_szccs(fam, width)
-    if kind == "eczcs":
-        return check_eczcs(fam, width)
-    if kind == "mocs":
-        return check_mocs(fam)
-    if kind == "ccc":
-        return check_ccc(fam)
-    raise ValueError(f"unknown class {kind!r}")
+    checks = {"zccs": check_zccs, "szccs": check_szccs, "eczcs": check_eczcs,
+              "mocs": lambda f, _: check_mocs(f), "ccc": lambda f, _: check_ccc(f)}
+    if kind not in checks:
+        raise ValueError(f"unknown class {kind!r}")
+    return checks[kind](fam, width)
 
 
 def measure_zcz_width(fam: Family) -> int:

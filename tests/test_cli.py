@@ -52,6 +52,11 @@ def test_construct_theorem2_emits_length24_table(tmp_path, capsys, table4):
     assert manifest["command"] == "construct theorem2"
     code, out, err = run(capsys, "construct", "theorem2", "--out", str(tmp_path / "none.txt"))
     assert code == 2 and "provide --seed or --seed-file" in err and out == ""
+    seed_file, from_file = tmp_path / "seed.txt", tmp_path / "from_file.txt"
+    seed_file.write_text(format_family_text(load_fixture_family("zccs_2x2x12")))
+    code, _, _ = run(capsys, "construct", "theorem2", "--seed-file", str(seed_file),
+                     "--declared-z", "10", "--out", str(from_file), "--format", "text")
+    assert code == 0 and from_file.read_text() == format_family_text(table4)  # text seeds: q = 2
 
 
 def test_construct_theorem3_preset_emits_length32_table(tmp_path, capsys, table5):
@@ -486,9 +491,10 @@ def test_inputs_that_would_be_ignored_exit_2(tmp_path, capsys, table4):
             main(argv)
         assert exc.value.code == 2, argv
         assert "not allowed with" in capsys.readouterr().err
-    code, out, err = run(capsys, "construct", "theorem2", "--seed", "zccs-2-2-12-10",
-                         "--declared-z", "3")
-    assert code == 2 and "--declared-z" in err and out == ""
+    for flag, value in (("--declared-z", "3"), ("--q", "4")):
+        code, out, err = run(capsys, "construct", "theorem2", "--seed", "zccs-2-2-12-10",
+                             flag, value)
+        assert code == 2 and flag in err and out == ""
     fam_file = tmp_path / "fam.txt"
     fam_file.write_text(format_family_text(table4))
     for kind in ("mocs", "ccc"):

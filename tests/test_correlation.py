@@ -264,7 +264,7 @@ def test_tally_blocks_agree_with_accf(monkeypatch, block):
         )
         am = np.array([rng.random() < 0.6 for _ in range(length)])
         bm = np.array([rng.random() < 0.6 for _ in range(length)])
-        got = correlation.cyclic_tally(a.array(), b.array(), q, shifts, am, bm)
+        got = correlation.cyclic_tally((a.array(), b.array()), (am, bm), q, shifts)[0, 1]
         for row, u in zip(got, shifts):
             want = [0] * q
             for k in range(length):
@@ -283,13 +283,60 @@ def test_unit_value_tally_matches_masked_count():
             bm = np.array([rng.random() < 0.7 for _ in range(length)])
             many = [rng.randint(-3 * length, 3 * length) for _ in range(6)]
             for shifts in (many, [-length - 1], [length + 2], [0]):
-                got = correlation.cyclic_tally(a.array(), b.array(), q, shifts, am, bm)
+                got = correlation.cyclic_tally((a.array(), b.array()), (am, bm), q, shifts)[0, 1]
                 for row, u in zip(got, shifts):
                     want = [0] * q
                     for k in range(length):
                         if am[(k + u) % length] and bm[k]:
                             want[(a.phases[(k + u) % length] - b.phases[k]) % q] += 1
                     assert CycloInt(q, row) == CycloInt(q, want), (q, length, u)
+
+
+def masked_count(a, b, a_mask, b_mask, q, u):
+    """Explicit histogram of (a[(k+u) mod W] - b[k]) mod q over the live positions."""
+    width, want = len(a), [0] * q
+    for k in range(width):
+        if a_mask[(k + u) % width] and b_mask[k]:
+            want[(a[(k + u) % width] - b[k]) % q] += 1
+    return want
+
+
+@pytest.mark.parametrize("forced_fallback", [False, True])
+@pytest.mark.parametrize("rows", [1, 2, 16])
+def test_batched_unit_value_tally_matches_references(monkeypatch, rows, forced_fallback):
+    """Every pair of an R-row batch against explicit masked counts, accf and pccf_via_accf.
+
+    q in {2, 4}, L = 1 included, random masks, shifts negative and beyond L.
+    A zero margin rejects every rounding, so the exact count runs instead:
+    it must give the explicit histograms themselves, the FFT path equal values.
+    """
+    if forced_fallback:
+        monkeypatch.setattr(correlation, "_MARGIN", 0.0)
+    rng = random.Random(41 + rows)
+    for q in (2, 4):
+        for length in (1, 2, 7):
+            seqs = [rand_seq(rng, q, length) for _ in range(rows)]
+            values = np.array([s.array() for s in seqs])
+            masks = np.array([[rng.random() < 0.7 for _ in range(length)] for _ in range(rows)])
+            many = [rng.randint(-3 * length, 3 * length) for _ in range(4)]
+            shifts = [-length - 1, length] + many
+            got = correlation.cyclic_tally(values, masks, q, shifts)
+            assert got.shape == (rows, rows, len(shifts), q)
+            periodic = correlation.cyclic_tally(values, None, q, range(length))
+            set_rows = correlation.set_rows([SequenceSet((s,)) for s in seqs])
+            aperiodic = correlation.cyclic_tally(*set_rows, q, range(1 - length, length))
+            for i in range(rows):
+                for j in range(rows):
+                    for row, u in zip(got[i, j], shifts):
+                        want = masked_count(values[i], values[j], masks[i], masks[j], q, u)
+                        if forced_fallback:
+                            assert list(row) == want, (q, length, u)
+                        assert CycloInt(q, row) == CycloInt(q, want), (q, length, u)
+                    for u in range(length):
+                        want = pccf_via_accf(seqs[i], seqs[j], u)
+                        assert CycloInt(q, periodic[i, j, u]) == want
+                    for r, u in enumerate(range(1 - length, length)):
+                        assert CycloInt(q, aperiodic[i, j, r]) == accf(seqs[i], seqs[j], u)
 
 
 def test_long_aperiodic_table_memory_stays_bounded():

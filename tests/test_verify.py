@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -165,6 +166,28 @@ def test_verdict_reports_every_violation(table4):
     assert ("same-set", 10) in shifts
     assert len(verdict.violations) >= 2  # both sets violate at u=10
     assert verdict.to_json()["passed"] is False
+
+
+def test_verdict_has_no_truth_value(table4):
+    """A verdict is read through .passed; `assert check_eczcs(...)` must not pass silently."""
+    for verdict in (check_eczcs(table4, 9), check_eczcs(table4, 12)):
+        with pytest.raises(TypeError, match="passed"):
+            bool(verdict)
+
+
+def test_zone_scan_never_holds_every_pair_product():
+    """One scan over 16 set rows of width 2032 stays below one (R, R, W) complex product."""
+    fam = lemma2_ccc(PartitionSpec(6, ((1, 2), (3, 4), (5,), (6,))), q=4)
+    rows, width = fam.num_sets, fam.set_size * (2 * fam.length - 1)
+    assert (rows, width) == (16, 2032)
+    tracemalloc.start()
+    try:
+        verdict = check_mocs(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert peak < rows * rows * width * 16, peak
 
 
 def test_zcz_violations_match_per_shift_reference(table4, table5):
