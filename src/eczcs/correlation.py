@@ -1,13 +1,14 @@
 """Exact aperiodic and periodic correlation functions and set-level sums.
 
 Every function returns a :class:`~eczcs.cyclotomic.CycloInt`, so zero tests
-are exact.  All of them read one kernel, :func:`cyclic_tally` of every
-row pair of a batch: binary and quaternary values come from per-row FFTs
-of unit values, rounded to integers inside a checked margin, other
-alphabets (and any call outside the margin) from an integer
-phase-difference count.  The aperiodic set sums rho and rho-hat come as
-tables over every shift, cyclic tallies of :func:`set_rows`, where every
-member is followed by silent entries.
+are exact.  All of them read one kernel, :func:`cross_tally` of every
+a-row against every b-row (:func:`cyclic_tally` for every row pair of
+one batch, a pair function for its one pair only): binary and quaternary
+values come from per-row FFTs of unit values, rounded to integers inside
+a checked margin, other alphabets (and any call outside the margin) from
+an integer phase-difference count.  The aperiodic set sums rho and
+rho-hat come as tables over every shift, cyclic tallies of
+:func:`set_rows`, where every member is followed by silent entries.
 """
 
 from __future__ import annotations
@@ -53,27 +54,35 @@ _MARGIN = 0.25
 
 
 def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
-    """Exact tallies of the cyclic correlations sum_k a[k+u] * conj(b[k]) of every row pair.
+    """Exact tallies of every row pair of one batch: :func:`cross_tally` of the batch against itself."""
+    return cross_tally(values, masks, values, masks, q, shifts)
 
-    ``values`` holds R rows of width W, live where ``masks`` (broadcast
-    against them; None: everywhere) is True.  Entry [i, j, r] counts each
-    phase difference (a[(k+u) mod W] - b[k]) mod q over live positions of
-    a = values[i], b = values[j] at u = shifts[r].  For q in {2, 4} the
+
+def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
+    """Exact tallies of the cyclic correlations sum_k x[k+u] * conj(y[k]), x an a-row, y a b-row.
+
+    ``a`` and ``b`` hold rows of one width W, live where their masks
+    (broadcast against them; None: everywhere) are True.  Entry [i, j, r]
+    counts each phase difference (x[(k+u) mod W] - y[k]) mod q over live
+    positions of x = a[i], y = b[j] at u = shifts[r].  For q in {2, 4} the
     counts are value-equal instead (real part, imaginary part): one FFT per
-    row, then per row one inverse FFT of its spectrum times all conjugate
-    spectra (never the (R, R, W) product), rounded and trusted only if
-    every residual is below _MARGIN.  Otherwise, and for other alphabets,
-    each pair is counted exactly.
+    row (taken once when b and its masks are a and its masks), then per
+    a-row one inverse FFT of its spectrum times all conjugate b-spectra
+    (never the (Ra, Rb, W) product), rounded and trusted only if every
+    residual is below _MARGIN.  Otherwise, and for other alphabets, each
+    pair is counted exactly.
     """
-    values = np.atleast_2d(values)
-    width, shifts = values.shape[1], np.asarray(shifts, dtype=np.int64) % values.shape[1]
-    live = np.broadcast_to(True if masks is None else masks, values.shape)
-    out = np.zeros((len(values), len(values), len(shifts), q), dtype=np.int64)
+    same = b is a and b_masks is a_masks
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    width, shifts = a.shape[1], np.asarray(shifts, dtype=np.int64) % a.shape[1]
+    a_live = np.broadcast_to(True if a_masks is None else a_masks, a.shape)
+    b_live = np.broadcast_to(True if b_masks is None else b_masks, b.shape)
+    out = np.zeros((len(a), len(b), len(shifts), q), dtype=np.int64)
     if q in (2, 4):
         units = root_table(q).real if q == 2 else root_table(q)
         fft, ifft = (np.fft.rfft, np.fft.irfft) if q == 2 else (np.fft.fft, np.fft.ifft)
-        spectra = fft(units[values] * live)
-        conj = spectra.conj()
+        spectra = fft(units[a] * a_live)
+        conj = (spectra if same else fft(units[b] * b_live)).conj()
         for i, spectrum in enumerate(spectra):
             z = ifft(spectrum * conj, width)[:, shifts]
             near = np.rint(z)
@@ -83,15 +92,15 @@ def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
             out[i, :, :, 1] = near.imag
         else:
             return out
-    # exact count: key a + q - b is 1..2q-1 (difference mod q, folded below)
-    # for a live a, 2q..3q-1 (dropped) for a silent one; shift blocks of about
+    # exact count: key x + q - y is 1..2q-1 (difference mod q, folded below)
+    # for a live x, 2q..3q-1 (dropped) for a silent one; shift blocks of about
     # _TALLY_BLOCK gathered entries, 3q apart, keep the temporaries bounded
-    a2 = np.tile(np.where(live, values, 2 * q - 1), 2)  # a2[i, s + k] = a_i[(s + k) mod W]
-    for j, b in enumerate(values):
-        pos = np.flatnonzero(live[j])
+    a2 = np.tile(np.where(a_live, a, 2 * q - 1), 2)  # a2[i, s + k] = a_i[(s + k) mod W]
+    for j, y in enumerate(b):
+        pos = np.flatnonzero(b_live[j])
         step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(pos))))
-        base = (q - b[pos]) + 3 * q * np.arange(step)[:, None]
-        for i in range(len(values)):
+        base = (q - y[pos]) + 3 * q * np.arange(step)[:, None]
+        for i in range(len(a)):
             for start in range(0, len(shifts), step):
                 block = shifts[start : start + step]
                 key = a2[i, block[:, None] + pos] + base[: len(block)]
@@ -104,7 +113,7 @@ def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     """Periodic cross-correlation with cyclic indexing, exact."""
     _check_pair(s0, s1)
     _check_shift(s0.length, u)
-    return CycloInt(s0.q, cyclic_tally((s0.array(), s1.array()), None, s0.q, (u,))[0, 1, 0])
+    return CycloInt(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, (u,))[0, 0, 0])
 
 
 def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
@@ -147,7 +156,7 @@ def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.n
         raise ValueError("sequence sets must share (N, L, q)")
     rows, live = set_rows((s0, s1))
     shifts = np.arange(1 - s0.length, s0.length) - rotation * (2 * s0.length - 1)
-    return cyclic_tally(rows, live, s0.q, shifts)[0, 1]
+    return cross_tally(rows[:1], live, rows[1:], live, s0.q, shifts)[0, 0]
 
 
 def _values(q: int, counts: np.ndarray) -> list[CycloInt]:
@@ -205,7 +214,7 @@ def profile_accf(s0: PhaseSequence, s1: PhaseSequence, label: str = "accf") -> C
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence, label: str = "pccf") -> CorrelationProfile:
     _check_pair(s0, s1)
     shifts = tuple(range(s0.length))
-    table = _values(s0.q, cyclic_tally((s0.array(), s1.array()), None, s0.q, shifts)[0, 1])
+    table = _values(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, shifts)[0, 0])
     return CorrelationProfile(label, shifts, tuple(table))
 
 

@@ -187,3 +187,26 @@ class CycloInt:
     def _check(self, other: "CycloInt") -> None:
         if self.q != other.q:
             raise ValueError(f"mixed root orders {self.q} and {other.q}")
+
+
+def magnitudes(q: int, reduced):
+    """CycloInt(q, v).magnitude() of every canonical count vector v along the last axis.
+
+    Equal bit for bit, with the arithmetic of ``mag_sq`` and
+    ``magnitude``: for q in {2, 4} the square root of the exact integer
+    re^2 + im^2; otherwise the complex value summed over ascending roots
+    as in ``to_complex``, then sqrt(hypot(re, im) ** 2) in Python floats
+    (numpy's complex ``abs`` and ``power`` may round differently).
+    """
+    import numpy as np
+
+    reduced = np.asarray(reduced, dtype=np.int64)
+    if q in (2, 4):
+        return np.sqrt((reduced[..., :2] ** 2).sum(axis=-1))
+    table = root_table(q)
+    re, im = np.zeros(reduced.shape[:-1]), np.zeros(reduced.shape[:-1])
+    for j in range(q):
+        re += reduced[..., j] * table[j].real
+        im += reduced[..., j] * table[j].imag
+    hyp = np.hypot(re, im)
+    return np.array([math.sqrt(h**2) for h in hyp.ravel().tolist()]).reshape(hyp.shape)

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .correlation import cyclic_tally
+from .correlation import cross_tally
 from .cyclotomic import CycloInt, root_table
 from .sequences import Family
 from .verify import Verdict, Violation, zone_violations
@@ -89,7 +89,7 @@ class TrainingMatrix:
         return self.blocks_per_row * self.block_length
 
     def row_energies(self) -> tuple[int, ...]:
-        return tuple(sum(e is not None for e in row) for row in self.rows)
+        return tuple(self.values_and_mask()[1].sum(axis=1).tolist())
 
     def values_and_mask(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer phases (0 where silent) and the non-silent mask, cached."""
@@ -146,7 +146,7 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
 def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
     """Periodic cross-correlation of two rows over the zero-extended alphabet."""
     vals, mask = tm.values_and_mask()
-    return CycloInt(tm.q, cyclic_tally(vals[[i, j]], mask[[i, j]], tm.q, (u,))[0, 1, 0])
+    return CycloInt(tm.q, cross_tally(vals[i], mask[i], vals[j], mask[j], tm.q, (u,))[0, 0, 0])
 
 
 def _pair_label(tm: TrainingMatrix, i: int, j: int) -> str:
@@ -215,12 +215,9 @@ def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:
     if not 0 <= delay_spread < tm.width:
         raise ValueError("delay spread must lie in [0, matrix width)")
     rows = tm.complex_rows()
-    cols = [
-        np.roll(rows[p], c)
-        for p in range(tm.num_rows)
-        for c in range(delay_spread + 1)
-    ]
-    return np.array(cols).T
+    delays = (np.arange(tm.width) - np.arange(delay_spread + 1)[:, None]) % tm.width
+    # transposed from C-ordered (P*(d+1), W), the layout whose BLAS sums the outputs pin
+    return np.take(rows, delays, axis=1).reshape(-1, tm.width).T
 
 
 _PATTERN_TABLE_4_2 = ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1))

@@ -11,8 +11,9 @@ Every check is one zone scan, :func:`zone_violations`, over rows: the
 sequences or training rows for the periodic checks, the silent-gapped
 set rows of :func:`~eczcs.correlation.set_rows` (where rho and rho-hat
 are cyclic tallies) for the set sums.  All row pairs come from one
-batched tally, zeros from one multiply by the reduction matrix, and a
-CycloInt is built only for a reported value.
+batched tally, zeros from one multiply by the reduction matrix, and the
+reported magnitudes from one vectorised step over the reduced counts:
+no CycloInt is built anywhere in a scan.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import cyclic_tally, set_rows
-from .cyclotomic import CycloInt, reduction_matrix
+from .cyclotomic import magnitudes, reduction_matrix
 from .sequences import Family, PhaseSequence, SequenceSet
 
 
@@ -75,26 +76,34 @@ def zone_violations(
     batched :func:`~eczcs.correlation.cyclic_tally` call, window shift u
     sitting at index u + centre.  Row i first checks its in-phase value
     against the integer ``peak`` unless that is None; then pair (i, j)
-    scans ``same`` when i == j and ``cross`` otherwise, a violation being
-    labelled label(i, j).  Zeros are decided by one multiply with the
-    reduction matrix, and a CycloInt is built from its already canonical
-    product only for a peak or a violation.
+    scans ``same`` when i == j and ``cross`` otherwise, in the windows'
+    given order, a violation being labelled label(i, j).  Zeros are
+    decided by one multiply with the reduction matrix; the hits of the
+    whole scan are gathered at once and their magnitudes taken from the
+    canonical products by one :func:`~eczcs.cyclotomic.magnitudes` call.
     """
     reduced = cyclic_tally(values, masks, q, shifts) @ reduction_matrix(q)
     nonzero = reduced.any(axis=-1)
-    windows = [np.asarray(w, dtype=np.intp) for w in (same, cross)]
-    violations = []
-    for i in range(len(reduced)):
-        if peak is not None:
-            val = CycloInt(q, reduced[i, i, centre])
-            if val != CycloInt.integer(q, peak):
-                violations.append(Violation("peak", (i, i), 0, val.magnitude()))
-        for j in range(len(reduced)):
-            window = windows[i != j]
-            for u in window[nonzero[i, j, window + centre]].tolist():
-                val = CycloInt(q, reduced[i, j, u + centre])
-                violations.append(Violation(label(i, j), (i, j), u, val.magnitude()))
-    return violations
+    size = len(reduced)
+    diagonal = np.eye(size, dtype=bool)
+    found = []  # (i, j, u, is peak) arrays, each in report order
+    if peak is not None:
+        in_phase = reduced[diagonal][:, centre]  # the canonical form of an integer is (n, 0, ...)
+        (rows,) = np.nonzero((in_phase[:, 0] != peak) | in_phase[:, 1:].any(axis=-1))
+        found.append((rows, rows, np.zeros_like(rows), np.ones(len(rows), dtype=bool)))
+    for window, pairs in ((same, diagonal), (cross, ~diagonal)):
+        window = np.asarray(window, dtype=np.intp)
+        i, j, k = np.nonzero(nonzero[:, :, window + centre] & pairs[:, :, None])
+        found.append((i, j, window[k], np.zeros(len(k), dtype=bool)))
+    i, j, u, is_peak = (np.concatenate(part) for part in zip(*found))
+    # row i reports its peak, then pairs (i, 0), (i, 1), ...
+    order = np.argsort(i * (size + 1) + np.where(is_peak, 0, j + 1), kind="stable")
+    i, j, u, is_peak = i[order], j[order], u[order], is_peak[order]
+    hits = zip(i.tolist(), j.tolist(), u.tolist(), is_peak.tolist())
+    return [
+        Violation("peak" if p else label(a, b), (a, b), s, m)
+        for (a, b, s, p), m in zip(hits, magnitudes(q, reduced[i, j, u + centre]).tolist())
+    ]
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:

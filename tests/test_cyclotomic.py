@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from eczcs.cyclotomic import CycloInt, cyclotomic_poly, root_table
+import numpy as np
+
+from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, root_table
 
 
 def test_known_cyclotomic_polys():
@@ -79,3 +81,16 @@ def test_root_table_axis_points_exact():
         assert table[q // 2] == -1 + 0j
         if q % 4 == 0:
             assert table[q // 4] == 1j
+
+
+def test_magnitudes_match_cyclo_int_bit_for_bit():
+    """The vectorised magnitudes equal CycloInt.magnitude exactly, for negative, zero and large counts."""
+    rng = random.Random(41)
+    for q in (1, 2, 3, 4, 5, 6, 8, 12, 64):
+        vectors = [(0,) * q]
+        for _ in range(300):
+            scale = rng.choice((1, 3, 50, 10**6))
+            raw = [rng.randint(-scale, scale) if rng.random() < 0.7 else 0 for _ in range(q)]
+            vectors.append(CycloInt(q, tuple(raw)).counts)
+        got = magnitudes(q, np.array(vectors)).tolist()
+        assert got == [CycloInt(q, v).magnitude() for v in vectors]

@@ -14,6 +14,7 @@ from eczcs import (
     check_mocs,
     check_szccs,
     check_zccs,
+    check_design_criterion,
     check_zcz_set,
     eczcs_bound,
     family_from_lists,
@@ -21,11 +22,16 @@ from eczcs import (
     golay_pair,
     is_optimal,
     lemma2_ccc,
+    load_fixture_family,
     measure_zcz_width,
+    optimal_theorem3_params,
     pccf_via_accf,
     theorem2_construct,
+    theorem3_construct,
 )
 from eczcs.gbf import PartitionSpec
+from eczcs.simulate import baseline_zadoff_chu
+from eczcs.training import GSMConfig, TrainingMatrix
 
 from conftest import float_pccf
 
@@ -173,6 +179,31 @@ def test_verdict_has_no_truth_value(table4):
     for verdict in (check_eczcs(table4, 9), check_eczcs(table4, 12)):
         with pytest.raises(TypeError, match="passed"):
             bool(verdict)
+
+
+def test_zone_scans_build_no_cyclo_int(monkeypatch):
+    """Failing scans report the same verdicts with CycloInt construction disabled."""
+    table4 = load_fixture_family("eczcs_2x2x24")
+    lifted = family_from_lists(
+        4, [[[2 * p for p in s.phases] for s in st.members] for st in table4.sets]
+    )
+    scans = [lambda w=w: check_eczcs(lifted, w) for w in (10, 17, 24)]
+    for q in (4, 8):
+        fam = theorem3_construct(optimal_theorem3_params(4, 2, 1), 1, q, (1, 2, 3, 0, 1))
+        scans += [lambda w=w, f=fam: check_eczcs(f, w) for w in (fam.length // 2, fam.length)]
+    zc = baseline_zadoff_chu(GSMConfig(4, 2), 1, 32)
+    silent = TrainingMatrix(4, ((0, 1, None, 3, 2, None), (None, 2, 3, 1, None, 0)), 1, 3)
+    scans += [lambda: check_design_criterion(zc, 5), lambda: check_design_criterion(silent, 2)]
+    want = [scan().to_json() for scan in scans]
+    assert zc.q == 64
+    assert not any(v["passed"] for v in want)
+    assert any(x["check"] == "peak" for x in want[-1]["violations"])
+
+    def refuse(self):
+        raise AssertionError("CycloInt built in a zone scan")
+
+    monkeypatch.setattr(CycloInt, "__post_init__", refuse)
+    assert [scan().to_json() for scan in scans] == want
 
 
 def test_zone_scan_never_holds_every_pair_product():
