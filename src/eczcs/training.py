@@ -184,9 +184,11 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
 
     Requires every time slot to carry exactly one symbol per antenna of
     the group serving it (Na for full groups), every row to carry the
-    designed energy, the zero-shift autocorrelation to equal that energy,
-    and the periodic correlations to vanish for shifts 1..delay_spread
-    (same row) and 0..delay_spread (distinct rows).
+    designed energy, and the periodic correlations to vanish for shifts
+    1..delay_spread (same row) and 0..delay_spread (distinct rows).  The
+    row-energy check is the zero-shift autocorrelation condition: a row's
+    in-phase autocorrelation counts its live entries, so each such fault
+    is reported once, as row-energy.
     """
     if not 0 <= delay_spread < tm.width:
         raise ValueError("delay spread must lie in [0, matrix width)")
@@ -196,12 +198,11 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     expected = _column_activity(tm)
     for col in np.nonzero(col_counts != expected)[0]:
         violations.append(Violation("sparsity", (int(col),), 0, float(col_counts[col])))
-    energy = tm.energy
     for i, row_energy in enumerate(tm.row_energies()):
-        if row_energy != energy:
+        if row_energy != tm.energy:
             violations.append(Violation("row-energy", (i,), 0, float(row_energy)))
     zone, label = range(delay_spread + 1), lambda i, j: _pair_label(tm, i, j)
-    violations += zone_violations(vals, mask, tm.q, zone, 0, zone[1:], zone, label, peak=energy)
+    violations += zone_violations(vals, mask, tm.q, zone[1:], zone, label)
     return Verdict(tuple(violations))
 
 

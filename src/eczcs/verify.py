@@ -10,10 +10,12 @@ unavoidable in-phase peak is not reported as a violation.
 Every check is one zone scan, :func:`zone_violations`, over rows: the
 sequences or training rows for the periodic checks, the silent-gapped
 set rows of :func:`~eczcs.correlation.set_rows` (where rho and rho-hat
-are cyclic tallies) for the set sums.  All row pairs come from one
-batched tally, zeros from one multiply by the reduction matrix, and the
-reported magnitudes from one vectorised step over the reduced counts:
-no CycloInt is built anywhere in a scan.
+are cyclic tallies) for the set sums.  A scan takes its windows as shift
+sets, one for a row against itself and one for distinct rows, and
+reports in (row, pair, shift) order, ascending in each.  All row pairs
+come from one batched tally, zeros from one multiply by the reduction
+matrix, and the reported magnitudes from one vectorised step over the
+reduced counts: no CycloInt is built anywhere in a scan.
 """
 
 from __future__ import annotations
@@ -66,43 +68,34 @@ def _check_width(width: int, length: int) -> None:
         raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
 
 
-def zone_violations(
-    values, masks, q: int, shifts, centre: int, same, cross, label, peak=None
-) -> list[Violation]:
+def zone_violations(values, masks, q: int, same, cross, label, offset: int = 0) -> list[Violation]:
     """Nonzero cyclic correlations of every ordered row pair on its window.
 
     Rows are silent where their masks (broadcast against the rows; None:
-    all live) are False.  Every pair is tallied at ``shifts`` by one
-    batched :func:`~eczcs.correlation.cyclic_tally` call, window shift u
-    sitting at index u + centre.  Row i first checks its in-phase value
-    against the integer ``peak`` unless that is None; then pair (i, j)
-    scans ``same`` when i == j and ``cross`` otherwise, in the windows'
-    given order, a violation being labelled label(i, j).  Zeros are
-    decided by one multiply with the reduction matrix; the hits of the
-    whole scan are gathered at once and their magnitudes taken from the
-    canonical products by one :func:`~eczcs.cyclotomic.magnitudes` call.
+    all live) are False.  The windows are shift sets (overlaps and repeats
+    are harmless): pair (i, j) must vanish at every u in ``same`` if
+    i == j, in ``cross`` otherwise, u being tallied at u + offset.  One
+    batched :func:`~eczcs.correlation.cyclic_tally` call covers the
+    windows' hull, one multiply with the reduction matrix decides the
+    zeros, and one ``np.nonzero`` under the window mask gives the hits in
+    (row, pair, shift) order, labelled label(i, j), with their magnitudes
+    from one :func:`~eczcs.cyclotomic.magnitudes` call for the whole scan.
     """
+    same, cross = (np.fromiter(w, dtype=np.int64) for w in (same, cross))
+    both = np.concatenate((same, cross))
+    if not len(both):
+        return []
+    lo = both.min()
+    in_window = np.zeros((2, both.max() - lo + 1), dtype=bool)  # same, cross over the hull
+    in_window[0, same - lo] = in_window[1, cross - lo] = True
+    shifts = lo + offset + np.arange(in_window.shape[1])
     reduced = cyclic_tally(values, masks, q, shifts) @ reduction_matrix(q)
-    nonzero = reduced.any(axis=-1)
-    size = len(reduced)
-    diagonal = np.eye(size, dtype=bool)
-    found = []  # (i, j, u, is peak) arrays, each in report order
-    if peak is not None:
-        in_phase = reduced[diagonal][:, centre]  # the canonical form of an integer is (n, 0, ...)
-        (rows,) = np.nonzero((in_phase[:, 0] != peak) | in_phase[:, 1:].any(axis=-1))
-        found.append((rows, rows, np.zeros_like(rows), np.ones(len(rows), dtype=bool)))
-    for window, pairs in ((same, diagonal), (cross, ~diagonal)):
-        window = np.asarray(window, dtype=np.intp)
-        i, j, k = np.nonzero(nonzero[:, :, window + centre] & pairs[:, :, None])
-        found.append((i, j, window[k], np.zeros(len(k), dtype=bool)))
-    i, j, u, is_peak = (np.concatenate(part) for part in zip(*found))
-    # row i reports its peak, then pairs (i, 0), (i, 1), ...
-    order = np.argsort(i * (size + 1) + np.where(is_peak, 0, j + 1), kind="stable")
-    i, j, u, is_peak = i[order], j[order], u[order], is_peak[order]
-    hits = zip(i.tolist(), j.tolist(), u.tolist(), is_peak.tolist())
+    window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
+    i, j, k = np.nonzero(reduced.any(axis=-1) & window)
+    hits = zip(i.tolist(), j.tolist(), (k + lo).tolist())
     return [
-        Violation("peak" if p else label(a, b), (a, b), s, m)
-        for (a, b, s, p), m in zip(hits, magnitudes(q, reduced[i, j, u + centre]).tolist())
+        Violation(label(a, b), (a, b), u, m)
+        for (a, b, u), m in zip(hits, magnitudes(q, reduced[i, j, k]).tolist())
     ]
 
 
@@ -115,25 +108,21 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     """
     _check_width(width, sset.length)
     top = min(width, sset.length - 1)
-    violations = zone_violations(
-        [s.array() for s in sset.members], None, sset.q, range(top + 1), 0,
-        range(1, top + 1), range(top + 1), lambda i, j: "zcz-auto" if i == j else "zcz-cross",
-    )
+    rows, kinds = [s.array() for s in sset.members], ("zcz-auto", "zcz-cross")
+    violations = zone_violations(rows, None, sset.q, range(1, top + 1), range(top + 1),
+                                 lambda i, j: kinds[i != j])
     return Verdict(tuple(violations))
 
 
 def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
     """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair.
 
-    Both are cyclic tallies of the set rows: rho at u = 0..L-1 (its
-    windows are non-negative), rho-hat at u - (2L-1) for |u| < L.
+    Both are cyclic tallies of the set rows, for |u| < L: rho at u,
+    rho-hat at u - (2L-1).
     """
     rows, live = set_rows(fam.sets)
-    centre = rotation * (fam.length - 1)
-    shifts = np.arange(-centre, fam.length) - rotation * (2 * fam.length - 1)
-    return zone_violations(
-        rows, live, fam.q, shifts, centre, same, cross, lambda i, j: kinds[i != j]
-    )
+    offset = -rotation * (2 * fam.length - 1)
+    return zone_violations(rows, live, fam.q, same, cross, lambda i, j: kinds[i != j], offset)
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -167,10 +156,8 @@ def check_ccc(fam: Family) -> Verdict:
 def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
     """Front- and tail-window zeroness of the plain set correlation sums."""
     length = fam.length
-    window = set(range(1, width + 1)) | set(range(length - width, length))
-    same = sorted(u for u in window if 1 <= u <= length - 1)
-    cross = sorted(u for u in (window | {0}) if 0 <= u <= length - 1)
-    return _set_sum_violations(fam, 0, same, cross, ("same-set", "cross-set"))
+    same = [u for u in (*range(1, width + 1), *range(length - width, length)) if 0 < u < length]
+    return _set_sum_violations(fam, 0, same, [0, *same], ("same-set", "cross-set"))
 
 
 def check_szccs(fam: Family, width: int) -> Verdict:
@@ -189,7 +176,7 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     """
     _check_width(width, fam.length)
     violations = _symmetric_zone_violations(fam, width)
-    tail = [u for u_abs in range(fam.length - width, fam.length) for u in {u_abs, -u_abs}]
+    tail = [u for u in range(1 - fam.length, fam.length) if abs(u) >= fam.length - width]
     violations += _set_sum_violations(fam, 1, tail, tail, ("cross-channel",) * 2)
     return Verdict(tuple(violations))
 

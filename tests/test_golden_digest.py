@@ -40,7 +40,7 @@ from eczcs import (
 )
 from eczcs.gbf import PartitionSpec, optimal_theorem3_params
 
-GOLDEN_SHA256 = "a59e988b899e4e8839842411d72373e7303670067ddc4501eb22c378d7dd2d9f"
+GOLDEN_SHA256 = "c99be5d97d15ee3804f1d2a42c6fa4627336b067985d89c3df99afac4ca16b3c"
 FIXTURES = ("zccs_2x2x12", "zccs_2x2x24_nonc2", "eczcs_2x2x24", "eczcs_4x2x32")
 
 

@@ -16,6 +16,7 @@ from eczcs import (
     check_eczcs,
     family_from_lists,
     map_bits_to_gsm_block,
+    measure_zcz_width,
     theorem3_construct,
     training_matrix_meta,
     training_matrix_to_csv,
@@ -24,6 +25,7 @@ from eczcs import (
 from eczcs.cyclotomic import CycloInt
 from eczcs.gbf import PartitionSpec, theorem3_zcz_width
 from eczcs.training import _pair_label
+from eczcs.verify import Violation
 
 
 def test_config_validation():
@@ -183,6 +185,35 @@ def test_theorem3_family_meets_design_criterion_up_to_its_zone(case):
     assert check_design_criterion(build_training_matrix(fam, cfg), spread).passed
 
 
+@given(theorem3_trainings())
+@settings(max_examples=100, deadline=None)
+def test_eczcs_verdict_implies_design_criterion_up_to_its_width(case):
+    """check_eczcs(fam, Z) passing means the training matrix meets the criterion at every lambda <= Z.
+
+    Windows nest, so every passing Z is at most the measured width, and
+    checking every lambda up to that width covers them all.
+    """
+    fam, _, cfg, _ = case
+    width = measure_zcz_width(fam)
+    assert check_eczcs(fam, width).passed
+    tm = build_training_matrix(fam, cfg)
+    for spread in range(width + 1):
+        assert check_design_criterion(tm, spread).passed, (cfg, spread)
+
+
+def test_silenced_symbol_is_one_row_energy_fault(table4):
+    """The zero-shift autocorrelation of a row is its energy: one fault, reported once."""
+    tm = build_training_matrix(table4, GSMConfig(4, 2))
+    rows = [list(r) for r in tm.rows]
+    rows[2][30] = None
+    faulty = dataclasses.replace(tm, rows=tuple(map(tuple, rows)))
+    for spread in (0, 5, 9):
+        verdict = check_design_criterion(faulty, spread)
+        energy = [v for v in verdict.violations if v.check == "row-energy"]
+        assert energy == [Violation("row-energy", (2,), 0, float(tm.energy - 1))]
+        assert not any(v.check == "peak" for v in verdict.violations)
+
+
 def test_training_width_must_be_a_multiple_of_group_span():
     """V = ceil(Nt / Na) groups of L slots each divide the width; N is derived from it."""
     row = (0, 1, None, None)
@@ -283,9 +314,6 @@ def test_design_criterion_matches_per_shift_reference(table4, table5):
         for spread in range(zone + 2):
             expected = []
             for i in range(tm.num_rows):
-                peak = value[i, i, 0]
-                if peak != CycloInt.integer(q, tm.energy):
-                    expected.append(("peak", (i, i), 0, peak.magnitude()))
                 for j in range(tm.num_rows):
                     for u in range(1 if i == j else 0, spread + 1):
                         if not value[i, j, u].is_zero():

@@ -29,9 +29,11 @@ from eczcs import (
     theorem2_construct,
     theorem3_construct,
 )
+from eczcs.correlation import set_rows
 from eczcs.gbf import PartitionSpec
 from eczcs.simulate import baseline_zadoff_chu
-from eczcs.training import GSMConfig, TrainingMatrix
+from eczcs.training import GSMConfig, TrainingMatrix, build_training_matrix
+from eczcs.verify import zone_violations
 
 from conftest import float_pccf
 
@@ -197,13 +199,67 @@ def test_zone_scans_build_no_cyclo_int(monkeypatch):
     want = [scan().to_json() for scan in scans]
     assert zc.q == 64
     assert not any(v["passed"] for v in want)
-    assert any(x["check"] == "peak" for x in want[-1]["violations"])
+    assert any(x["check"] == "row-energy" for x in want[-1]["violations"])
 
     def refuse(self):
         raise AssertionError("CycloInt built in a zone scan")
 
     monkeypatch.setattr(CycloInt, "__post_init__", refuse)
     assert [scan().to_json() for scan in scans] == want
+
+
+def _in_scan_order(violations) -> bool:
+    """Whether every zone-scan block (a run of one check family) lists (row, pair, shift) ascending."""
+    blocks = {"same-set": 0, "cross-set": 0, "cross-channel": 1, "zcz-auto": 2, "zcz-cross": 2}
+    keys = [(blocks.get(v.check, 3), v.indices, v.shift) for v in violations]
+    return keys == sorted(keys)
+
+
+def test_every_classifier_reports_in_row_pair_shift_order(table4):
+    """Each zone scan lists its violations by row, then pair, then ascending shift."""
+    rng = random.Random(77)
+    families = [table4]
+    for q in (2, 4, 6):
+        sets = [[[rng.randrange(q) for _ in range(9)] for _ in range(2)] for _ in range(3)]
+        families.append(family_from_lists(q, sets))
+    for fam in families:
+        verdicts = [check(fam, w) for w in range(fam.length + 1)
+                    for check in (check_zccs, check_szccs, check_eczcs)]
+        verdicts += [check_mocs(fam), check_ccc(fam)]
+        verdicts += [check_zcz_set(flatten_to_zcz(fam), w) for w in (1, 5, fam.length)]
+        tm = build_training_matrix(fam, GSMConfig(3, 2))
+        criteria = [check_design_criterion(tm, spread) for spread in (4, fam.length)]
+        tail = [v for v in check_eczcs(fam, fam.length).violations if v.check == "cross-channel"]
+        assert len({v.shift for v in tail}) > 2, fam.q
+        for verdict in verdicts:
+            assert _in_scan_order(verdict.violations), fam.q
+        for verdict in criteria:
+            scanned = [v for v in verdict.violations if v.check.startswith(("isi", "iai"))]
+            assert [(v.indices, v.shift) for v in scanned] == sorted(
+                (v.indices, v.shift) for v in scanned
+            )
+        assert scanned, fam.q
+
+
+def test_zone_windows_are_shift_sets():
+    """Shuffled, repeated or overlapping windows give the sorted windows' report."""
+    rng = random.Random(5)
+    for q in (2, 4, 6):
+        sets = [[[rng.randrange(q) for _ in range(7)] for _ in range(2)] for _ in range(3)]
+        rows, live = set_rows(family_from_lists(q, sets).sets)
+        for offset in (0, -13):
+            same, cross = range(-6, 4), range(-2, 7)
+            want = zone_violations(rows, live, q, same, cross, lambda i, j: "v", offset)
+            assert want
+            for _ in range(5):
+                shuffled = [list(same), list(cross)]
+                for w in shuffled:
+                    w += rng.sample(w, 3)  # repeats
+                    rng.shuffle(w)
+                overlapping = [[*range(-6, 0), *range(-3, 4)], {*range(-2, 3), *range(2, 7)}]
+                for windows in (shuffled, overlapping):
+                    got = zone_violations(rows, live, q, *windows, lambda i, j: "v", offset)
+                    assert got == want, (q, offset)
 
 
 def test_zone_scan_never_holds_every_pair_product():
@@ -285,8 +341,8 @@ def _reference_aperiodic_violations(fam):
         same = sorted(u for u in window if 1 <= u < length)
         cross = sorted(u for u in window | {0} if 0 <= u < length)
         szccs = scan(plain, 0, same, cross)
-        # both signs of each tail shift, in the iteration order of {u, -u}
-        tail = [u for u_abs in range(length - width, length) for u in {u_abs, -u_abs}]
+        # both signs of each tail shift, ascending
+        tail = sorted(u for u_abs in range(length - width, length) for u in {u_abs, -u_abs})
         eczcs = szccs + scan(lambda m1, m2: "cross-channel", 1, tail, tail)
         expected[width] = {"zccs": zccs, "szccs": szccs, "eczcs": eczcs}
     return expected
