@@ -27,12 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .construct import (
-    SeedVerificationError,
-    catalog_entry,
-    seed_catalog,
-    theorem2_construct,
-)
+from .construct import catalog_entry, seed_catalog, theorem2_construct
 from .correlation import (
     profile_accf,
     profile_cross_channel,
@@ -408,9 +403,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SeedVerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,25 +16,21 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Divide integer polynomials (coefficients low to high), den monic."""
-    num = list(num)
+
+def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (coefficients low to high), den monic."""
+    rem = list(num)
     dn = len(den) - 1
-    if len(num) - 1 < dn:
-        if any(num):
-            raise ArithmeticError("polynomial division is not exact")
-        return [0]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
+    quot = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
         if c:
-            out[i - dn] = c
+            quot[i - dn] = c
             for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("polynomial division is not exact")
-    return out
+                rem[i - dn + j] -= c * den[j]
+    return quot, rem[:dn]
 
 
 @lru_cache(maxsize=None)
@@ -50,42 +46,24 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
+            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division is not exact")
     return tuple(poly)
 
 
 def _reduce_counts(q: int, counts) -> tuple[int, ...]:
     """Canonical form: remainder modulo cyclotomic_poly(q), padded to length q."""
-    if q == 2:
-        # Phi_2 = x + 1, so xi = -1
-        total = sum(counts[0::2]) - sum(counts[1::2])
-        return (total,) + (0,) * (q - 1)
-    if q == 4:
-        # Phi_4 = x^2 + 1, so xi^2 = -1: value is a Gaussian integer
-        c = list(counts) + [0] * 4
-        re = sum(c[0::4]) - sum(c[2::4])
-        im = sum(c[1::4]) - sum(c[3::4])
-        return (re, im, 0, 0)
-    phi = cyclotomic_poly(q)
-    deg = len(phi) - 1
-    rem = list(counts)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(deg + 1):
-                rem[i - deg + j] -= c * phi[j]
-    rem = rem[:deg]
+    rem = _poly_divmod(counts, cyclotomic_poly(q))[1]
     return tuple(rem) + (0,) * (q - len(rem))
 
 
 @lru_cache(maxsize=None)
 def reduction_matrix(q: int):
-    """Integer R with counts @ R the canonical form: row k reduces the k-th root.
+    """Integer R with counts @ R the canonical form: row k is x^k mod cyclotomic_poly(q).
 
     Reduction is linear, so stacked count vectors are reduced in one multiply.
     """
-    import numpy as np
-
     matrix = np.array([_reduce_counts(q, e) for e in np.eye(q, dtype=int).tolist()], dtype=np.int64)
     matrix.setflags(write=False)
     return matrix
@@ -99,8 +77,6 @@ def root_table(q: int):
     +-1 / +-1j, which keeps binary and quaternary correlation arithmetic
     integral in floating point.
     """
-    import numpy as np
-
     table = np.empty(q, dtype=np.complex128)
     axis = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
     for k in range(q):
@@ -198,8 +174,6 @@ def magnitudes(q: int, reduced):
     as in ``to_complex``, then sqrt(hypot(re, im) ** 2) in Python floats
     (numpy's complex ``abs`` and ``power`` may round differently).
     """
-    import numpy as np
-
     reduced = np.asarray(reduced, dtype=np.int64)
     if q in (2, 4):
         return np.sqrt((reduced[..., :2] ** 2).sum(axis=-1))

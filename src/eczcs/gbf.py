@@ -105,9 +105,6 @@ class PartitionSpec:
     def k(self) -> int:
         return len(self.parts)
 
-    def orders(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
     def require_chain_heads(self, v: int) -> None:
         """The heads of parts v+1..k must be m, m-1, ... in that order."""
         for gamma in range(1, self.k - v + 1):

@@ -131,11 +131,10 @@ class MSEPoint:
 @dataclass(frozen=True)
 class MSEReport:
     points: tuple[MSEPoint, ...]
-    noise_model: str = NOISE_MODEL
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write(f"# noise model: {self.noise_model}\n")
+        out.write(f"# noise model: {NOISE_MODEL}\n")
         writer = csv.writer(out)
         writer.writerow(
             ["EbN0_dB", "lambda", "empirical_mse", "analytic_mse", "floor", "trials", "matrix_id"]

@@ -262,11 +262,11 @@ def activation_table(cfg: GSMConfig) -> ActivationTable:
     return ActivationTable(tuple(patterns))
 
 
-def map_bits_to_gsm_block(bits, cfg: GSMConfig, table: ActivationTable | None = None) -> np.ndarray:
+def map_bits_to_gsm_block(bits, cfg: GSMConfig) -> np.ndarray:
     """Map a bit string to an Nt x T block of BPSK symbols (0 = silent).
 
-    Each symbol consumes the table's index bits to pick an activation
-    pattern, then one bit per active antenna ('0' sends +1, '1' sends -1),
+    Each symbol consumes the index bits of ``activation_table(cfg)`` to
+    pick an activation pattern, then one bit per active antenna ('0' sends +1, '1' sends -1),
     assigned to the active antennas in ascending order.  BPSK is the only constellation.
     """
     if isinstance(bits, str):
@@ -275,8 +275,7 @@ def map_bits_to_gsm_block(bits, cfg: GSMConfig, table: ActivationTable | None = 
         bit_list = [int(b) for b in bits]
     if any(b not in (0, 1) for b in bit_list):
         raise ValueError("bits must be 0 or 1")
-    if table is None:
-        table = activation_table(cfg)
+    table = activation_table(cfg)
     per_symbol = table.index_bits + cfg.active_antennas
     if len(bit_list) % per_symbol:
         raise ValueError(f"bit count must be a multiple of {per_symbol}")

@@ -156,7 +156,7 @@ def check_ccc(fam: Family) -> Verdict:
 def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
     """Front- and tail-window zeroness of the plain set correlation sums."""
     length = fam.length
-    same = [u for u in (*range(1, width + 1), *range(length - width, length)) if 0 < u < length]
+    same = [*range(1, min(width, length - 1) + 1), *range(max(1, length - width), length)]
     return _set_sum_violations(fam, 0, same, [0, *same], ("same-set", "cross-set"))
 
 
@@ -174,9 +174,10 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     itself) must vanish on the tail window.  The rotated sum has no
     swap-and-conjugate symmetry, so both shift signs are evaluated.
     """
-    _check_width(width, fam.length)
+    length = fam.length
+    _check_width(width, length)
     violations = _symmetric_zone_violations(fam, width)
-    tail = [u for u in range(1 - fam.length, fam.length) if abs(u) >= fam.length - width]
+    tail = [*range(1 - length, width - length + 1), *range(length - width, length)]
     violations += _set_sum_violations(fam, 1, tail, tail, ("cross-channel",) * 2)
     return Verdict(tuple(violations))
 

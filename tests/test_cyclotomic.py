@@ -5,7 +5,7 @@ import pytest
 
 import numpy as np
 
-from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, root_table
+from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, reduction_matrix, root_table
 
 
 def test_known_cyclotomic_polys():
@@ -23,6 +23,16 @@ def test_cyclotomic_degree_is_totient():
 
     for n in range(1, 30):
         assert len(cyclotomic_poly(n)) - 1 == totient(n)
+
+
+def test_reduction_matrix_rows_are_powers_mod_cyclotomic():
+    """Row k is x^k mod Phi_q: degree below phi(q), and the same value xi^k."""
+    for q in (2, 3, 4, 5, 6, 8, 12):
+        matrix, deg = reduction_matrix(q), len(cyclotomic_poly(q)) - 1
+        assert matrix.shape == (q, q) and not matrix[:, deg:].any()
+        for k, row in enumerate(matrix.tolist()):
+            value = sum(c * root_table(q)[j] for j, c in enumerate(row))
+            assert abs(value - root_table(q)[k]) < 1e-12, (q, k)
 
 
 def test_sum_of_all_roots_is_zero():
@@ -67,6 +77,13 @@ def test_mag_sq_exact_small_alphabets():
     assert CycloInt(4, (2, 1, 5, 4)).mag_sq() == (2 - 5) ** 2 + (1 - 4) ** 2
     assert isinstance(CycloInt(4, (1, 2, 3, 4)).mag_sq(), int)
     assert CycloInt.integer(2, -7).magnitude() == 7.0
+    # the canonical forms are xi_2 = -1 and xi_4^2 = -1, for count vectors of any length
+    rng = random.Random(3)
+    for _ in range(200):
+        c = [rng.randint(-9, 9) for _ in range(rng.randint(0, 13))]
+        assert CycloInt(2, c).counts == (sum(c[0::2]) - sum(c[1::2]), 0)
+        re, im = sum(c[0::4]) - sum(c[2::4]), sum(c[1::4]) - sum(c[3::4])
+        assert CycloInt(4, c).counts == (re, im, 0, 0)
 
 
 def test_mixed_orders_rejected():

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from functools import cache
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from eczcs import (
     GSMConfig,
     TrainingMatrix,
+    accf,
     activation_table,
     baseline_random_binary,
     baseline_zadoff_chu,
@@ -295,6 +298,42 @@ def test_training_pccf_matches_float_cyclic_sum(table4, table5):
                 ref = shifted[:, i, :] @ np.conj(rows[j])
                 got = [training_pccf(tm, i, j, u).to_complex() for u in range(tm.width)]
                 assert np.max(np.abs(np.array(got) - ref)) < 1e-9, (tm.source, i, j)
+
+
+def test_training_pccf_is_the_training_theorem_at_every_shift(table3, table4, nonc2_zccs):
+    """Row i carries set m_i = i mod Na in group g_i = i div Na.  With V = ceil(Nt/Na)
+    and W = NVL, its periodic correlation with row j at any u is the sum over d of
+    rho_d(m_i, m_j, tau) = sum_n accf(m_i[(n+d) % N], m_j[n], tau), taken over
+    |tau| < L with tau = u - dVL - (g_i - g_j)L (mod W)."""
+    rng = random.Random(15)
+    families = [table3, table4, nonc2_zccs]
+    for _ in range(8):
+        q, n, length = rng.choice((2, 4, 6)), rng.randint(1, 3), rng.randint(1, 5)
+        sets = [[[rng.randrange(q) for _ in range(length)] for _ in range(n)] for _ in range(2)]
+        families.append(family_from_lists(q, sets))
+    for fam in families:
+        n, length = fam.set_size, fam.length
+
+        @cache
+        def rho(a, b, d, tau):
+            members_a, members_b = fam.sets[a].members, fam.sets[b].members
+            terms = (accf(members_a[(k + d) % n], members_b[k], tau) for k in range(n))
+            return sum(terms, CycloInt.zero(fam.q))
+
+        for nt, na in ((4, 2), (3, 2), (3, 1), (1, 1)):
+            v = GSMConfig(nt, na).group_count
+            tm, width = build_training_matrix(fam, GSMConfig(nt, na)), n * v * length
+            assert tm.width == width
+            for i in range(nt):
+                for j in range(nt):
+                    for u in range(width):
+                        expected = CycloInt.zero(fam.q)
+                        for d in range(n):
+                            tau = (u - d * v * length - (i // na - j // na) * length) % width
+                            for t in (tau, tau - width):  # width >= L: no other lies in (-L, L)
+                                if -length < t < length:
+                                    expected += rho(i % na, j % na, d, t)
+                        assert training_pccf(tm, i, j, u) == expected, (fam.length, nt, na, i, j, u)
 
 
 def test_design_criterion_matches_per_shift_reference(table4, table5):
