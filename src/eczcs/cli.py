@@ -6,8 +6,9 @@ master seed, and digests of the input files; re-running a manifest's
 command reproduces the outputs bit for bit.  ``simulate`` reads its
 matrix, grid, trial count and seed from the config document alone, so
 the config's digest and the version pin the report.  ``--q`` is the
-alphabet of text family files; an alphabet above 1024 (MAX_ALPHABET) in
-any input, or a Zadoff-Chu block_length above 512, is an input error.
+alphabet of text family files; a JSON family carries its own q, so an
+alphabet given beside one is an input error, as is an alphabet above
+1024 (MAX_ALPHABET) in any input or a Zadoff-Chu block_length above 512.
 
 Exit codes: 0 success (verification passed where applicable), 1 a
 requested check failed or a simulated grid point failed (rank-deficient
@@ -96,15 +97,18 @@ def _write_output(out, text: str, command: str, params: dict, inputs: list, seed
     Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_family_arg(path_str: str, q: int) -> tuple[Family, Path]:
-    if q > MAX_ALPHABET:
+def _load_family_arg(path_str: str, q: int | None) -> tuple[Family, Path]:
+    """Read a JSON family (which carries its own q) or a text one at alphabet q, default 2."""
+    if q is not None and q > MAX_ALPHABET:
         raise ValueError(f"--q must be at most {MAX_ALPHABET}, got {q}")
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(f"no such family file: {path}")
     if path.suffix == ".json":
+        if q is not None:
+            raise ValueError("--q is the alphabet of text family files; a JSON family carries its own q")
         return load_family(path), path
-    return parse_family_text(path.read_text(), q), path
+    return parse_family_text(path.read_text(), 2 if q is None else q), path
 
 
 def cmd_catalog(args) -> int:
@@ -123,7 +127,7 @@ def cmd_construct(args) -> int:
             entry = catalog_entry(args.seed)
             seed_fam, width = entry.family, entry.params[3]
         elif args.seed_file:
-            seed_fam, path = _load_family_arg(args.seed_file, 2 if args.q is None else args.q)
+            seed_fam, path = _load_family_arg(args.seed_file, args.q)
             inputs.append(path)
             if args.declared_z is None:
                 raise ValueError("--declared-z is required with --seed-file")
@@ -146,6 +150,8 @@ def cmd_construct(args) -> int:
         q = spec_dict.get("q", 2)
         eta = spec_dict.get("eta")
         if args.builder == "theorem3":
+            if "v" not in spec_dict:
+                raise ValueError("construction spec needs 'v' for theorem3")
             fam = theorem3_construct(spec, spec_dict["v"], q, eta)
             width = theorem3_zcz_width(spec)
         else:  # lemma2
@@ -181,6 +187,8 @@ def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
         (("parts", "pi", "U"), int, 2, "a list of integer lists"),
         (("eta",), int, 1, "a list of integers"),
     ), "construction spec key")
+    if "parts" in spec_dict and "pi" in spec_dict:
+        raise ValueError("construction spec takes 'parts' or 'pi', not both")
     raw = spec_dict.get("parts", spec_dict.get("pi"))
     if raw is None:
         raise ValueError("construction spec needs a 'parts' (or 'pi') list of orderings")
@@ -231,7 +239,7 @@ def cmd_profile(args) -> int:
             _check_index(m, fam.num_sets, "set")
             _check_index(n, fam.set_size, "member")
         s0, s1 = fam.sets[m1].members[n1], fam.sets[m2].members[n2]
-        profile = (profile_accf if kind == "accf" else profile_pccf)(s0, s1, label=args.pair)
+        profile = (profile_accf if kind == "accf" else profile_pccf)(s0, s1)
     else:
         raise ValueError(f"unknown pairing kind {kind!r} (use rho/rhohat/accf/pccf)")
     text = profile.to_csv()
@@ -260,7 +268,7 @@ def _matrix_from_config(spec: dict, base_dir: Path):
     cfg = GSMConfig(spec["nt"], spec["na"])
     kind = spec["kind"]
     if kind == "family":
-        fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q", 2))
+        fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q"))
         return build_training_matrix(fam, cfg, source=spec["path"]), [path]
     if kind == "seed":
         entry = catalog_entry(spec["id"])
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("family")
     ver.add_argument("--kind", required=True, choices=("zcz", "zccs", "szccs", "eczcs", "mocs", "ccc"))
     ver.add_argument("--Z", type=int, help="zone width (zcz, zccs, szccs and eczcs only)")
-    ver.add_argument("--q", type=int, default=2)
+    ver.add_argument("--q", type=int, help="alphabet of text family files (default 2)")
     ver.add_argument("--measure", action="store_true", help="also report the measured zone width")
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profile", help="tabulate a correlation profile as CSV")
     prof.add_argument("family")
     prof.add_argument("--pair", required=True, help="rho:m1,m2 | rhohat:m1,m2 | accf:m.n,m.n | pccf:m.n,m.n")
-    prof.add_argument("--q", type=int, default=2)
+    prof.add_argument("--q", type=int, help="alphabet of text family files (default 2)")
     prof.add_argument("--out")
     prof.set_defaults(func=cmd_profile)
 
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--nt", type=int, required=True)
     tr.add_argument("--na", type=int, required=True)
     tr.add_argument("--lambda", dest="delay_spread", type=int, required=True)
-    tr.add_argument("--q", type=int, default=2)
+    tr.add_argument("--q", type=int, help="alphabet of text family files (default 2)")
     tr.add_argument("--out")
     tr.set_defaults(func=cmd_train)
 

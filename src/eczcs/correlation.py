@@ -182,7 +182,6 @@ def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> list[CycloInt]:
 class CorrelationProfile:
     """Correlation values tabulated over a contiguous shift range."""
 
-    label: str
     shifts: tuple[int, ...]
     values: tuple[CycloInt, ...]
 
@@ -205,24 +204,24 @@ def _aperiodic_shifts(length: int) -> tuple[int, ...]:
     return tuple(range(-(length - 1), length))
 
 
-def profile_accf(s0: PhaseSequence, s1: PhaseSequence, label: str = "accf") -> CorrelationProfile:
+def profile_accf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
     _check_pair(s0, s1)
     table = _values(s0.q, set_pair_counts(SequenceSet((s0,)), SequenceSet((s1,))))
-    return CorrelationProfile(label, _aperiodic_shifts(s0.length), tuple(table))
+    return CorrelationProfile(_aperiodic_shifts(s0.length), tuple(table))
 
 
-def profile_pccf(s0: PhaseSequence, s1: PhaseSequence, label: str = "pccf") -> CorrelationProfile:
+def profile_pccf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
     _check_pair(s0, s1)
     shifts = tuple(range(s0.length))
     table = _values(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, shifts)[0, 0])
-    return CorrelationProfile(label, shifts, tuple(table))
+    return CorrelationProfile(shifts, tuple(table))
 
 
 def profile_set_corr(fam: Family, m1: int, m2: int) -> CorrelationProfile:
     table = set_corr_table(fam.sets[m1], fam.sets[m2])
-    return CorrelationProfile(f"rho:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table))
+    return CorrelationProfile(_aperiodic_shifts(fam.length), tuple(table))
 
 
 def profile_cross_channel(fam: Family, m1: int, m2: int) -> CorrelationProfile:
     table = cross_channel_table(fam.sets[m1], fam.sets[m2])
-    return CorrelationProfile(f"rhohat:{m1},{m2}", _aperiodic_shifts(fam.length), tuple(table))
+    return CorrelationProfile(_aperiodic_shifts(fam.length), tuple(table))

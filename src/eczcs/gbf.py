@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Family, PhaseSequence, SequenceSet
+from .sequences import Family, PhaseSequence, family_from_lists
 
 MAX_VARIABLES = 20  # 2^20 sequence entries; anything larger is a config error
 
@@ -160,15 +160,9 @@ def _chained_family(spec: PartitionSpec, q: int, eta, heads: tuple[int, ...]) ->
     """
     base = _phase_vector(build_theorem3_f(spec, q, eta))
     index = _index_vector(spec.m, q)
-    members = _selections(index, heads, q // 2)
-    tails = tuple(part[-1] for part in spec.parts)
-    sets = []
-    for offset in _selections(index, tails, q // 2):
-        row = base + offset
-        sets.append(SequenceSet(tuple(
-            PhaseSequence(q, tuple(((row + o) % q).tolist())) for o in members
-        )))
-    return Family(tuple(sets))
+    head_selections = np.array(_selections(index, heads, q // 2))
+    tail_selections = np.array(_selections(index, tuple(part[-1] for part in spec.parts), q // 2))
+    return family_from_lists(q, ((base + tail_selections[:, None] + head_selections) % q).tolist())
 
 
 def theorem3_construct(spec: PartitionSpec, v: int, q: int = 2, eta=None) -> Family:

@@ -261,6 +261,6 @@ def fixture_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-def load_fixture_family(name: str, q: int = 2) -> Family:
-    path = fixture_dir() / f"{name}.txt"
-    return parse_family_text(path.read_text(), q)
+def load_fixture_family(name: str) -> Family:
+    """A shipped fixture family; every shipped fixture is binary."""
+    return parse_family_text((fixture_dir() / f"{name}.txt").read_text())

@@ -1,10 +1,12 @@
 """Sparse training matrices for generalized spatial modulation.
 
-A training matrix stacks V block-rows of Na antennas each; antenna k in
-block v transmits the members of one constituent set in time slots offset
-by (v-1)L inside every width-VL sub-block, and stays silent elsewhere.
-Zero entries are a distinct marker, never phase 0, so energy accounting
-and the correlation checks treat silence correctly.
+The Nt antennas form V = ceil(Nt/Na) groups of Na; group g owns the L time
+slots at offset g*L of every width-VL sub-block.  Row k transmits the
+members of set (k mod Na), concatenated in order, on the live slots of
+its group k div Na and stays silent elsewhere; one mask, ``_live``, holds
+this layout, and the design criterion's expected per-slot activity is
+its column sums.  Zero entries are a distinct marker, never phase 0, so
+energy accounting and the correlation checks treat silence correctly.
 """
 
 from __future__ import annotations
@@ -110,37 +112,27 @@ class TrainingMatrix:
         return root_table(self.q)[vals] * mask
 
 
+def _live(nt: int, na: int, blocks: int, length: int) -> np.ndarray:
+    """Layout mask, (Nt, N*V*L): row k transmits in slot c iff (c mod V*L) div L = k div Na."""
+    period = GSMConfig(nt, na).group_count * length
+    return np.arange(blocks * period) % period // length == np.arange(nt)[:, None] // na
+
+
 def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> TrainingMatrix:
     """Lay a family out as the sparse training matrix for cfg.
 
-    Row k uses constituent set (k mod Na); its n-th block of L symbols
-    sits at offset (k div Na)*L inside the n-th width-VL sub-block.  When
-    Nt < V*Na only the first Nt rows of the full stack are kept.
+    Row k carries the members of set (k mod Na), concatenated in order, on
+    the live slots of ``_live``: the L slots at offset (k div Na)*L inside
+    each width-VL sub-block.  When Nt < V*Na the last group is short.
     """
     na = cfg.active_antennas
     if fam.num_sets < na:
-        raise ValueError(
-            f"family has {fam.num_sets} sets but {na} active antennas need one each"
-        )
-    v_count = cfg.group_count
-    length = fam.length
-    width = fam.set_size * v_count * length
-    rows = []
-    for k in range(cfg.transmit_antennas):
-        group, set_index = divmod(k, na)
-        offset = group * length
-        row: list[int | None] = [None] * width
-        for n, member in enumerate(fam.sets[set_index].members):
-            start = n * v_count * length + offset
-            row[start : start + length] = member.phases
-        rows.append(tuple(row))
-    return TrainingMatrix(
-        q=fam.q,
-        rows=tuple(rows),
-        active_antennas=na,
-        block_length=length,
-        source=source,
-    )
+        raise ValueError(f"family has {fam.num_sets} sets but {na} active antennas need one each")
+    live = _live(cfg.transmit_antennas, na, fam.set_size, fam.length)
+    sets = np.array([[s.phases for s in st.members] for st in fam.sets[:na]], dtype=object)
+    rows = np.full(live.shape, None, dtype=object)
+    rows[live] = sets[np.arange(cfg.transmit_antennas) % na].ravel()
+    return TrainingMatrix(fam.q, rows.tolist(), na, fam.length, source)
 
 
 def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
@@ -164,21 +156,6 @@ def _pair_label(tm: TrainingMatrix, i: int, j: int) -> str:
     return "iai-separated"
 
 
-def _column_activity(tm: TrainingMatrix) -> np.ndarray:
-    """How many antennas transmit in each time slot.
-
-    Na for every slot of a full antenna group; the final group is smaller
-    when the row count is not a multiple of Na (rows beyond it were
-    dropped), and then all of its antennas are active in its slots.
-    """
-    sizes = [
-        min(tm.active_antennas, tm.num_rows - v * tm.active_antennas)
-        for v in range(tm.group_count)
-    ]
-    per_block = np.repeat(sizes, tm.block_length)
-    return np.tile(per_block, tm.blocks_per_row)
-
-
 def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     """Exact check of the optimal-estimation conditions at one delay spread.
 
@@ -195,7 +172,7 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     violations: list[Violation] = []
     vals, mask = tm.values_and_mask()
     col_counts = mask.sum(axis=0)
-    expected = _column_activity(tm)
+    expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
     for col in np.nonzero(col_counts != expected)[0]:
         violations.append(Violation("sparsity", (int(col),), 0, float(col_counts[col])))
     for i, row_energy in enumerate(tm.row_energies()):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eczcs import __version__, format_family_text, load_family, load_fixture_family
+from eczcs import __version__, family_to_json, format_family_text, load_family, load_fixture_family
 from eczcs.cli import build_parser, main
 from eczcs.simulate import RNG_SCHEME
 
@@ -253,6 +253,7 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         "seed": 1,
     }
     cfg_file = tmp_path / "sim.json"
+    (tmp_path / "fam.json").write_text(json.dumps({"q": 2, "sets": [[[0, 0], [0, 1]]]}))
     for config, named in (
         (dict(good, ebn0_db=5), "'ebn0_db'"),
         ([good], "JSON object"),
@@ -277,6 +278,8 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         (dict(good, ebn0_db=[-4000]), "noise variance"),
         (dict(good, matrix={"kind": "family", "path": "fam.txt", "q": 1026, "nt": 4, "na": 2}),
          "'q' must be at most 1024, got 1026"),
+        (dict(good, matrix={"kind": "family", "path": "fam.json", "q": 8, "nt": 1, "na": 1}),
+         "a JSON family carries its own q"),
         (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1,
                             "block_length": 513}), "'block_length' must be at most 512"),
         (dict(good, seed=-3), "'seed' must be non-negative, got -3"),
@@ -352,10 +355,14 @@ def test_malformed_family_and_spec_documents_exit_2(tmp_path, capsys):
         (dict(spec, pi=[[1, 2], [True]]), "'pi'"),
         (dict(spec, q=1026), "construction spec key 'q' must be at most 1024, got 1026"),
         ([spec], "JSON object"),
+        ({k: x for k, x in spec.items() if k != "v"}, "construction spec needs 'v' for theorem3"),
     ):
         spec_file.write_text(json.dumps(doc))
         code, _, err = run(capsys, "construct", "theorem3", "--spec", str(spec_file))
         assert code == 2 and named in err, (doc, err)
+    spec_file.write_text(json.dumps({"m": 3, "parts": [[1, 2, 3]], "pi": [[3, 2, 1]]}))
+    code, out, err = run(capsys, "construct", "lemma2", "--spec", str(spec_file))
+    assert code == 2 and "'parts'" in err and "'pi'" in err and out == "", err
 
 
 SMALL_INTS = st.integers(-3, 40)  # no example may ask for a huge matrix, trial count or GBF
@@ -503,6 +510,18 @@ def test_inputs_that_would_be_ignored_exit_2(tmp_path, capsys, table4):
                            "--out", str(out_file))
         assert code == 2 and "--Z" in err and not out_file.exists()
         assert run(capsys, "verify", str(fam_file), "--kind", kind)[0] == 1
+    # --q is the alphabet of text family files; a JSON family carries its own
+    json_fam, json_seed = tmp_path / "f.json", tmp_path / "seed.json"
+    json_fam.write_text(json.dumps(family_to_json(table4)))
+    json_seed.write_text(json.dumps(family_to_json(load_fixture_family("zccs_2x2x12"))))
+    for argv in (
+        ["verify", str(json_fam), "--kind", "eczcs", "--Z", "9", "--q", "4"],
+        ["train", str(json_fam), "--nt", "4", "--na", "2", "--lambda", "9", "--q", "8"],
+        ["profile", str(json_fam), "--pair", "rho:0,0", "--q", "4"],
+        ["construct", "theorem2", "--seed-file", str(json_seed), "--declared-z", "4", "--q", "6"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "a JSON family carries its own q" in err and out == "", argv
 
 
 def test_simulate_matrix_kind_is_required(tmp_path, capsys):

@@ -209,7 +209,7 @@ def test_profiles_regenerate_reference_lists(table4, table5):
 
 def test_profile_rejects_empty_range():
     with pytest.raises(ValueError):
-        CorrelationProfile("empty", (), ())
+        CorrelationProfile((), ())
 
 
 def test_profile_csv_shape(table4):

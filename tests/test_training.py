@@ -87,6 +87,40 @@ def test_sparsity_and_energy(table4, table5):
             assert np.all(col_counts == cfg.active_antennas)
 
 
+def test_layout_and_slot_activity_over_many_shapes():
+    """Member n of set k mod Na sits at n*V*L + (k div Na)*L of row k, silence elsewhere;
+    silencing one live entry in group g is one sparsity fault of magnitude min(Na, Nt - g*Na) - 1."""
+    rng = random.Random(16)
+    for nt, na in ((1, 1), (3, 1), (3, 2), (5, 2), (7, 3), (8, 3), (9, 4)):
+        v_count = -(-nt // na)
+        for n_count in (1, 2, 3):
+            for length in (1, 2, 5):
+                q = rng.choice((2, 4))
+                fam = family_from_lists(q, [
+                    [[rng.randrange(q) for _ in range(length)] for _ in range(n_count)]
+                    for _ in range(na)
+                ])
+                tm = build_training_matrix(fam, GSMConfig(nt, na))
+                for k in range(nt):
+                    expect = [None] * (n_count * v_count * length)
+                    for n, member in enumerate(fam.sets[k % na].members):
+                        for t, phase in enumerate(member.phases):
+                            expect[n * v_count * length + (k // na) * length + t] = phase
+                    assert tm.rows[k] == tuple(expect), (nt, na, n_count, length, k)
+                k = rng.randrange(nt)
+                group = k // na
+                col = rng.randrange(n_count) * v_count * length + group * length + rng.randrange(length)
+                rows = [list(r) for r in tm.rows]
+                rows[k][col] = None
+                verdict = check_design_criterion(dataclasses.replace(tm, rows=tuple(map(tuple, rows))), 0)
+                assert [v for v in verdict.violations if v.check == "sparsity"] == [
+                    Violation("sparsity", (col,), 0, float(min(na, nt - group * na) - 1))
+                ]
+                assert [v for v in verdict.violations if v.check == "row-energy"] == [
+                    Violation("row-energy", (k,), 0, float(tm.energy - 1))
+                ]
+
+
 def test_design_criterion_pass_and_fail(table4):
     tm = build_training_matrix(table4, GSMConfig(4, 2))
     assert check_design_criterion(tm, 9).passed
