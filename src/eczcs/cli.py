@@ -218,30 +218,29 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
-def _check_index(i: int, count: int, what: str) -> None:
-    if not 0 <= i < count:
-        raise ValueError(f"{what} index {i} outside 0..{count - 1}")
+_PAIR_FORMS = "rho:m1,m2 | rhohat:m1,m2 | accf:m.n,m.n | pccf:m.n,m.n"
 
 
 def cmd_profile(args) -> int:
     fam, path = _load_family_arg(args.family, args.q)
     kind, _, rest = args.pair.partition(":")
-    if kind in ("rho", "rhohat"):
-        m1, m2 = (int(x) for x in rest.split(","))
-        for m in (m1, m2):
-            _check_index(m, fam.num_sets, "set")
+    try:  # two set indices m, or two set.member indices m.n
+        pair = [[int(x) for x in part.split(".")] for part in rest.split(",")]
+    except ValueError:
+        pair = []
+    arity = {"rho": 1, "rhohat": 1, "accf": 2, "pccf": 2}.get(kind)
+    if [len(index) for index in pair] != [arity, arity]:
+        raise ValueError(f"--pair {args.pair!r} is none of the forms {_PAIR_FORMS}")
+    for index in pair:
+        for i, count, what in zip(index, (fam.num_sets, fam.set_size), ("set", "member")):
+            if not 0 <= i < count:
+                raise ValueError(f"{what} index {i} outside 0..{count - 1}")
+    if arity == 1:
+        (m1,), (m2,) = pair
         profile = (profile_set_corr if kind == "rho" else profile_cross_channel)(fam, m1, m2)
-    elif kind in ("accf", "pccf"):
-        first, second = rest.split(",")
-        m1, n1 = (int(x) for x in first.split("."))
-        m2, n2 = (int(x) for x in second.split("."))
-        for m, n in ((m1, n1), (m2, n2)):
-            _check_index(m, fam.num_sets, "set")
-            _check_index(n, fam.set_size, "member")
-        s0, s1 = fam.sets[m1].members[n1], fam.sets[m2].members[n2]
-        profile = (profile_accf if kind == "accf" else profile_pccf)(s0, s1)
     else:
-        raise ValueError(f"unknown pairing kind {kind!r} (use rho/rhohat/accf/pccf)")
+        s0, s1 = (fam.sets[m].members[n] for m, n in pair)
+        profile = (profile_accf if kind == "accf" else profile_pccf)(s0, s1)
     text = profile.to_csv()
     _write_output(args.out, text, "profile", {"pair": args.pair}, [path])
     return 0
@@ -268,6 +267,9 @@ def _matrix_from_config(spec: dict, base_dir: Path):
     cfg = GSMConfig(spec["nt"], spec["na"])
     kind = spec["kind"]
     if kind == "family":
+        if "q" in spec and spec["path"].endswith(".json"):
+            raise ValueError("simulate config 'matrix' key 'q' is the alphabet of text families; "
+                             "a JSON family carries its own q")
         fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q"))
         return build_training_matrix(fam, cfg, source=spec["path"]), [path]
     if kind == "seed":
@@ -277,7 +279,7 @@ def _matrix_from_config(spec: dict, base_dir: Path):
         rng = np.random.default_rng(spec.get("rng_seed", 0))
         return baseline_random_binary(cfg, spec["blocks"], spec["block_length"], rng), []
     if kind == "zadoff-chu":
-        if spec.get("block_length", 0) > MAX_ALPHABET // 2:  # the alphabet of length L is Z_2L
+        if spec["block_length"] > MAX_ALPHABET // 2:  # the alphabet of length L is Z_2L
             raise ValueError(f"simulate config 'matrix' key 'block_length' must be at most "
                              f"{MAX_ALPHABET // 2} for zadoff-chu, got {spec['block_length']}")
         roots = tuple(spec["roots"]) if "roots" in spec else None
@@ -285,8 +287,17 @@ def _matrix_from_config(spec: dict, base_dir: Path):
     raise ValueError(f"unknown training matrix kind {kind!r}")
 
 
+# keys each matrix kind reads beside kind, nt and na
+_MATRIX_KEYS = {
+    "family": ("path",),
+    "seed": ("id",),
+    "random-binary": ("blocks", "block_length"),
+    "zadoff-chu": ("blocks", "block_length"),
+}
+
+
 def _read_sim_config(path: Path) -> dict:
-    """Load a simulate config, naming the first key of the wrong JSON type or out of bounds."""
+    """Load a simulate config, naming the first key missing, mistyped or out of bounds."""
     config = json.loads(path.read_text())
     if not isinstance(config, dict):
         raise ValueError(f"simulate config {path} must be a JSON object")
@@ -307,6 +318,15 @@ def _read_sim_config(path: Path) -> dict:
         (("roots",), int, 1, "a list of integers"),
         (("kind", "path", "id"), str, 0, "a string"),
     ), "simulate config 'matrix' key")
+    matrix, kind = config["matrix"], config["matrix"].get("kind")
+    for doc, keys, where in (
+        (config, ("ebn0_db", "delay_spreads", "trials", "seed"), ""),
+        (matrix, ("kind",), " 'matrix'"),
+        (matrix, ("nt", "na", *_MATRIX_KEYS.get(kind, ())), f" 'matrix' of kind {kind!r}"),
+    ):
+        missing = [key for key in keys if key not in doc]
+        if missing:
+            raise ValueError(f"simulate config{where} needs key {missing[0]!r}")
     return config
 
 
@@ -385,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser("profile", help="tabulate a correlation profile as CSV")
     prof.add_argument("family")
-    prof.add_argument("--pair", required=True, help="rho:m1,m2 | rhohat:m1,m2 | accf:m.n,m.n | pccf:m.n,m.n")
+    prof.add_argument("--pair", required=True, help=_PAIR_FORMS)
     prof.add_argument("--q", type=int, help="alphabet of text family files (default 2)")
     prof.add_argument("--out")
     prof.set_defaults(func=cmd_profile)

@@ -39,7 +39,11 @@ class PhaseSequence:
     def __post_init__(self) -> None:
         if self.q < 2 or self.q % 2:
             raise ValueError(f"alphabet size must be an even integer >= 2, got {self.q}")
-        phases = tuple(map(int, self.phases))
+        given = tuple(self.phases)
+        phases = tuple(map(int, given))
+        if phases != given:
+            bad = next(g for g, p in zip(given, phases) if g != p)
+            raise ValueError(f"phase {bad} is not an integer")
         if not phases:
             raise ValueError("a sequence must have length >= 1")
         if min(phases) < 0 or max(phases) >= self.q:

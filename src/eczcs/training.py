@@ -5,8 +5,9 @@ slots at offset g*L of every width-VL sub-block.  Row k transmits the
 members of set (k mod Na), concatenated in order, on the live slots of
 its group k div Na and stays silent elsewhere; one mask, ``_live``, holds
 this layout, and the design criterion's expected per-slot activity is
-its column sums.  Zero entries are a distinct marker, never phase 0, so
-energy accounting and the correlation checks treat silence correctly.
+its column sums.  Silence is a distinct marker (None), never phase 0; a
+matrix decodes its rows once into (values, mask) arrays, and every reader
+(criterion, LS model, CSV) uses those arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class GSMConfig:
 
 @dataclass(frozen=True)
 class TrainingMatrix:
-    """Nt rows of length N*V*L over Z_q plus a zero marker (None); V and N are derived."""
+    """Nt rows of length N*V*L of integral phases in Z_q or None (silent); V and N are derived."""
 
     q: int
     rows: tuple[tuple[int | None, ...], ...]
@@ -54,20 +55,28 @@ class TrainingMatrix:
     source: str = ""
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple(map(tuple, self.rows))
         if not rows:
             raise ValueError("a training matrix needs at least one row")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged training matrix")
-            for entry in row:
-                if entry is not None and not 0 <= entry < self.q:
-                    raise ValueError(f"entry {entry} outside Z_{self.q}")
+        grid = np.array(rows, dtype=object)
+        if grid.ndim != 2:
+            raise ValueError("ragged training matrix")
+        mask = grid != None  # elementwise; `is not None` would test the grid itself
+        live = grid[mask]
+        inside = (live >= 0) & (live < self.q)
+        if not inside.all():
+            raise ValueError(f"entry {live[np.argmin(inside)]} outside Z_{self.q}")
+        vals = np.where(mask, grid, 0).astype(np.int64)
+        truncated = vals[mask] != live
+        if truncated.any():
+            raise ValueError(f"entry {live[np.argmax(truncated)]} is not an integer")
+        vals.setflags(write=False)
+        mask.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_vm", (vals, mask))
         period = self.group_count * self.block_length  # group_count rejects Na outside 1..Nt
-        if self.block_length < 1 or width % period:
-            raise ValueError(f"need L >= 1 and V*L = {period} dividing the width {width}")
+        if self.block_length < 1 or self.width % period:
+            raise ValueError(f"need L >= 1 and V*L = {period} dividing the width {self.width}")
 
     @property
     def num_rows(self) -> int:
@@ -94,18 +103,8 @@ class TrainingMatrix:
         return tuple(self.values_and_mask()[1].sum(axis=1).tolist())
 
     def values_and_mask(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer phases (0 where silent) and the non-silent mask, cached."""
-        cached = self.__dict__.get("_vm")
-        if cached is None:
-            vals = np.array(
-                [[0 if e is None else e for e in row] for row in self.rows], dtype=np.int64
-            )
-            mask = np.array([[e is not None for e in row] for row in self.rows])
-            vals.setflags(write=False)
-            mask.setflags(write=False)
-            cached = (vals, mask)
-            object.__setattr__(self, "_vm", cached)
-        return cached
+        """Read-only integer phases (0 where silent) and the non-silent mask."""
+        return self._vm
 
     def complex_rows(self) -> np.ndarray:
         vals, mask = self.values_and_mask()
@@ -169,15 +168,13 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     """
     if not 0 <= delay_spread < tm.width:
         raise ValueError("delay spread must lie in [0, matrix width)")
-    violations: list[Violation] = []
     vals, mask = tm.values_and_mask()
-    col_counts = mask.sum(axis=0)
+    col_counts, energies = mask.sum(axis=0), mask.sum(axis=1)
     expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
-    for col in np.nonzero(col_counts != expected)[0]:
-        violations.append(Violation("sparsity", (int(col),), 0, float(col_counts[col])))
-    for i, row_energy in enumerate(tm.row_energies()):
-        if row_energy != tm.energy:
-            violations.append(Violation("row-energy", (i,), 0, float(row_energy)))
+    violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
+                  for c in np.nonzero(col_counts != expected)[0]]
+    violations += [Violation("row-energy", (int(i),), 0, float(energies[i]))
+                   for i in np.nonzero(energies != tm.energy)[0]]
     zone, label = range(delay_spread + 1), lambda i, j: _pair_label(tm, i, j)
     violations += zone_violations(vals, mask, tm.q, zone[1:], zone, label)
     return Verdict(tuple(violations))
@@ -196,9 +193,6 @@ def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:
     delays = (np.arange(tm.width) - np.arange(delay_spread + 1)[:, None]) % tm.width
     # transposed from C-ordered (P*(d+1), W), the layout whose BLAS sums the outputs pin
     return np.take(rows, delays, axis=1).reshape(-1, tm.width).T
-
-
-_PATTERN_TABLE_4_2 = ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -225,18 +219,11 @@ def activation_table(cfg: GSMConfig) -> ActivationTable:
     """
     nt, na = cfg.transmit_antennas, cfg.active_antennas
     if (nt, na) == (4, 2):
-        return ActivationTable(_PATTERN_TABLE_4_2)
-    total = math.comb(nt, na)
-    keep = 1 << (total.bit_length() - 1)
-    patterns = []
-    for positions in combinations(range(nt), na):
-        row = [0] * nt
-        for p in positions:
-            row[p] = 1
-        patterns.append(tuple(row))
-        if len(patterns) == keep:
-            break
-    return ActivationTable(tuple(patterns))
+        return ActivationTable(((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)))
+    keep = 1 << (math.comb(nt, na).bit_length() - 1)
+    positions = list(islice(combinations(range(nt), na), keep))
+    rows = np.eye(nt, dtype=int)[positions].sum(axis=1)
+    return ActivationTable(tuple(map(tuple, rows.tolist())))
 
 
 def map_bits_to_gsm_block(bits, cfg: GSMConfig) -> np.ndarray:
@@ -246,28 +233,19 @@ def map_bits_to_gsm_block(bits, cfg: GSMConfig) -> np.ndarray:
     pick an activation pattern, then one bit per active antenna ('0' sends +1, '1' sends -1),
     assigned to the active antennas in ascending order.  BPSK is the only constellation.
     """
-    if isinstance(bits, str):
-        bit_list = [int(c) for c in bits.strip()]
-    else:
-        bit_list = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in bit_list):
+    bit_arr = np.fromiter(map(int, bits.strip() if isinstance(bits, str) else bits), np.int64)
+    if ((bit_arr != 0) & (bit_arr != 1)).any():
         raise ValueError("bits must be 0 or 1")
     table = activation_table(cfg)
-    per_symbol = table.index_bits + cfg.active_antennas
-    if len(bit_list) % per_symbol:
+    index_bits = table.index_bits
+    per_symbol = index_bits + cfg.active_antennas
+    if bit_arr.size % per_symbol:
         raise ValueError(f"bit count must be a multiple of {per_symbol}")
-    n_symbols = len(bit_list) // per_symbol
-    block = np.zeros((cfg.transmit_antennas, n_symbols), dtype=np.int8)
-    for t in range(n_symbols):
-        chunk = bit_list[t * per_symbol : (t + 1) * per_symbol]
-        index = 0
-        for b in chunk[: table.index_bits]:
-            index = (index << 1) | b
-        pattern = table.patterns[index]
-        payload = iter(chunk[table.index_bits :])
-        for antenna, active in enumerate(pattern):
-            if active:
-                block[antenna, t] = 1 if next(payload) == 0 else -1
+    symbols = bit_arr.reshape(-1, per_symbol)
+    index = symbols[:, :index_bits] @ (1 << np.arange(index_bits - 1, -1, -1))  # MSB first
+    patterns = np.array(table.patterns, dtype=bool)
+    block = np.zeros((cfg.transmit_antennas, len(symbols)), dtype=np.int8)
+    block.T[patterns[index]] = 1 - 2 * symbols[:, index_bits:].ravel()  # antennas ascending
     return block
 
 
@@ -275,15 +253,12 @@ def training_matrix_to_csv(tm: TrainingMatrix) -> str:
     """Rows as CSV: +1/-1/0 entries for binary alphabets, complex otherwise."""
     out = io.StringIO()
     writer = csv.writer(out)
+    vals, mask = tm.values_and_mask()
     if tm.q == 2:
-        for row in tm.rows:
-            writer.writerow([0 if e is None else (1 if e == 0 else -1) for e in row])
+        writer.writerows(np.where(mask, 1 - 2 * vals, 0).tolist())
     else:
-        table = root_table(tm.q)
-        for row in tm.rows:
-            writer.writerow(
-                ["0" if e is None else f"{table[e].real:.12g}{table[e].imag:+.12g}j" for e in row]
-            )
+        roots = np.array([f"{z.real:.12g}{z.imag:+.12g}j" for z in root_table(tm.q)])
+        writer.writerows(np.where(mask, roots[vals], "0").tolist())
     return out.getvalue()
 
 

@@ -195,6 +195,8 @@ def test_profile_command(tmp_path, capsys, table4):
         ("rho:0,5", "set index 5 outside 0..1"),
         ("accf:0.0,0.9", "member index 9 outside 0..1"),
         ("pccf:-1.0,0.0", "set index -1 outside 0..1"),
+        *((pair, "none of the forms rho:m1,m2 | rhohat:m1,m2 | accf:m.n,m.n | pccf:m.n,m.n")
+          for pair in ("rho:0", "accf:0,1", "pccf:0.0.1,0.0")),
     ):
         code, out, err = run(capsys, "profile", str(fam_file), "--pair", pair)
         assert code == 2 and message in err and out == ""
@@ -254,7 +256,20 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
     }
     cfg_file = tmp_path / "sim.json"
     (tmp_path / "fam.json").write_text(json.dumps({"q": 2, "sets": [[[0, 0], [0, 1]]]}))
+
+    def without(doc, key):
+        return {k: v for k, v in doc.items() if k != key}
+
     for config, named in (
+        (without(good, "ebn0_db"), "simulate config needs key 'ebn0_db'"),
+        (without(good, "seed"), "simulate config needs key 'seed'"),
+        (dict(good, matrix=without(good["matrix"], "kind")), "'matrix' needs key 'kind'"),
+        (dict(good, matrix=without(good["matrix"], "nt")), "'matrix' of kind 'seed' needs key 'nt'"),
+        (dict(good, matrix=without(good["matrix"], "id")), "'matrix' of kind 'seed' needs key 'id'"),
+        (dict(good, matrix={"kind": "family", "nt": 4, "na": 2}),
+         "'matrix' of kind 'family' needs key 'path'"),
+        (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1}),
+         "'matrix' of kind 'zadoff-chu' needs key 'block_length'"),
         (dict(good, ebn0_db=5), "'ebn0_db'"),
         ([good], "JSON object"),
         (dict(good, matrix=[4, 2]), "'matrix'"),
@@ -288,7 +303,7 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
     ):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))
-        assert code == 2 and named in err, (config, err)
+        assert code == 2 and named in err and "--q" not in err, (config, err)  # simulate has no --q
     for number in ("1e400", "NaN"):  # JSON numbers that parse to non-finite floats
         cfg_file.write_text(json.dumps(dict(good, ebn0_db=[0])).replace("[0]", f"[{number}]"))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))

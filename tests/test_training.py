@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eczcs import (
     GSMConfig,
+    PhaseSequence,
     TrainingMatrix,
     accf,
     activation_table,
@@ -262,6 +264,62 @@ def test_training_width_must_be_a_multiple_of_group_span():
     for na in (0, 2):  # Na outside 1..Nt
         with pytest.raises(ValueError, match="active antennas"):
             TrainingMatrix(2, (row,), na, 2)
+
+
+def test_training_matrix_validation():
+    """Rows are rejected when empty, ragged, outside Z_q or non-integral; integral values read as ints."""
+    for rows, message in (
+        ((), "at least one row"),
+        (((0, 1), (1,)), "ragged training matrix"),
+        (((0, None, 1, 0), (None, 3, 7, 0)), "entry 7 outside Z_4"),  # 7 is the first offender
+        (((0, 1), (-1, 9)), "entry -1 outside Z_4"),
+        (((0, 1.5),), r"entry 1\.5 is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TrainingMatrix(4, rows, 1, 2)
+    tm = TrainingMatrix(4, ((np.int64(3), None, 1.0, True),), 1, 2)
+    vals, mask = tm.values_and_mask()
+    assert vals.tolist() == [[3, 0, 1, 1]] and mask.tolist() == [[True, False, True, True]]
+    assert not vals.flags.writeable and not mask.flags.writeable
+    assert training_matrix_to_csv(tm) == training_matrix_to_csv(TrainingMatrix(4, ((3, None, 1, 1),), 1, 2))
+    with pytest.raises(ValueError, match=r"phase 2\.9 is not an integer"):
+        PhaseSequence(4, (0, 2.9))
+    assert PhaseSequence(4, (np.int64(3), 1.0, True)).phases == (3, 1, 1)
+
+
+def _reference_activation_patterns(nt, na):
+    """The pinned (4, 2) table, else the first 2^floor(log2 C(Nt, Na)) Na-subsets as 0/1 rows."""
+    if (nt, na) == (4, 2):
+        return [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)]
+    subsets = list(combinations(range(nt), na))
+    keep = 1
+    while 2 * keep <= len(subsets):
+        keep *= 2
+    return [tuple(1 if a in subset else 0 for a in range(nt)) for subset in subsets[:keep]]
+
+
+@pytest.mark.parametrize("nt,na", [(2, 1), (3, 3), (4, 2), (5, 2), (6, 3), (8, 3)])
+def test_bit_mapping_matches_per_symbol_reference(nt, na):
+    """Each symbol reads its index bits MSB first, picks that pattern, and sends one BPSK bit
+    per active antenna in ascending order; Na = Nt has one pattern and no index bits."""
+    cfg = GSMConfig(nt, na)
+    patterns = _reference_activation_patterns(nt, na)
+    assert activation_table(cfg).patterns == tuple(patterns)
+    index_bits = len(patterns).bit_length() - 1
+    per_symbol = index_bits + na
+    rng = random.Random(17 * nt + na)
+    for n_symbols in (0, 1, 7, 40):
+        bits = "".join(rng.choice("01") for _ in range(n_symbols * per_symbol))
+        expected = np.zeros((nt, n_symbols), dtype=np.int8)
+        for t in range(n_symbols):
+            chunk = bits[t * per_symbol:(t + 1) * per_symbol]
+            pattern = patterns[int(chunk[:index_bits] or "0", 2)]
+            active = [a for a in range(nt) if pattern[a]]
+            for antenna, bit in zip(active, chunk[index_bits:]):
+                expected[antenna, t] = 1 if bit == "0" else -1
+        block = map_bits_to_gsm_block(bits, cfg)
+        assert block.dtype == np.int8 and np.array_equal(block, expected), (nt, na, n_symbols)
+        assert np.array_equal(map_bits_to_gsm_block([int(b) for b in bits], cfg), expected)
 
 
 def test_activation_tables():
