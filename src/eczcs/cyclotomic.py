@@ -166,7 +166,8 @@ class CycloInt:
 
 
 def magnitudes(q: int, reduced):
-    """CycloInt(q, v).magnitude() of every canonical count vector v along the last axis.
+    """CycloInt(q, v).magnitude() of every canonical count vector v along the last axis,
+    which may stop after the phi(q) entries a canonical form can fill.
 
     Equal bit for bit, with the arithmetic of ``mag_sq`` and
     ``magnitude``: for q in {2, 4} the square root of the exact integer
@@ -179,7 +180,7 @@ def magnitudes(q: int, reduced):
         return np.sqrt((reduced[..., :2] ** 2).sum(axis=-1))
     table = root_table(q)
     re, im = np.zeros(reduced.shape[:-1]), np.zeros(reduced.shape[:-1])
-    for j in range(q):
+    for j in range(reduced.shape[-1]):
         re += reduced[..., j] * table[j].real
         im += reduced[..., j] * table[j].imag
     hyp = np.hypot(re, im)

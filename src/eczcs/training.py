@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
+from numbers import Real
 
 import numpy as np
 
@@ -63,7 +64,11 @@ class TrainingMatrix:
             raise ValueError("ragged training matrix")
         mask = grid != None  # elementwise; `is not None` would test the grid itself
         live = grid[mask]
-        inside = (live >= 0) & (live < self.q)
+        try:
+            inside = (live >= 0) & (live < self.q)
+        except TypeError:  # an entry that is no real number, such as a string
+            bad = next(x for x in live if not isinstance(x, Real))
+            raise ValueError(f"entry {bad!r} is not an integer") from None
         if not inside.all():
             raise ValueError(f"entry {live[np.argmin(inside)]} outside Z_{self.q}")
         vals = np.where(mask, grid, 0).astype(np.int64)
@@ -233,9 +238,10 @@ def map_bits_to_gsm_block(bits, cfg: GSMConfig) -> np.ndarray:
     pick an activation pattern, then one bit per active antenna ('0' sends +1, '1' sends -1),
     assigned to the active antennas in ascending order.  BPSK is the only constellation.
     """
-    bit_arr = np.fromiter(map(int, bits.strip() if isinstance(bits, str) else bits), np.int64)
-    if ((bit_arr != 0) & (bit_arr != 1)).any():
+    raw = np.fromiter(map(int, bits.strip()), np.int64) if isinstance(bits, str) else np.asarray(bits)
+    if raw.ndim != 1 or ((raw != 0) & (raw != 1)).any():  # int() would truncate 0.7 to a bit
         raise ValueError("bits must be 0 or 1")
+    bit_arr = raw.astype(np.int64)
     table = activation_table(cfg)
     index_bits = table.index_bits
     per_symbol = index_bits + cfg.active_antennas

@@ -7,15 +7,15 @@ corner handled explicitly: when the declared zone width equals the
 sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
 
-Every check is one zone scan, :func:`zone_violations`, over rows: the
-sequences or training rows for the periodic checks, the silent-gapped
-set rows of :func:`~eczcs.correlation.set_rows` (where rho and rho-hat
-are cyclic tallies) for the set sums.  A scan takes its windows as shift
-sets, one for a row against itself and one for distinct rows, and
-reports in (row, pair, shift) order, ascending in each.  All row pairs
-come from one batched tally, zeros from one multiply by the reduction
-matrix, and the reported magnitudes from one vectorised step over the
-reduced counts: no CycloInt is built anywhere in a scan.
+Every check reads its windows from one reduced tally, :func:`read_windows`.
+A periodic check (sequences or training rows) tallies its windows' hull in
+:func:`zone_violations`.  The set-sum checks read :func:`set_sum_tally`,
+rho at shifts 0..L-1 and rho-hat at every shift of every set pair, cached
+on the family: one tally of :func:`~eczcs.correlation.set_rows` however
+many checks and widths read it.  Windows are shift sets, one for a row
+against itself and one for distinct rows; hits come in (row, pair, shift)
+order, ascending in each, with magnitudes from one vectorised step over the
+reduced counts: no CycloInt is built anywhere in a check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import cyclic_tally, set_rows
-from .cyclotomic import magnitudes, reduction_matrix
+from .cyclotomic import cyclotomic_poly, magnitudes, reduction_matrix
 from .sequences import Family, PhaseSequence, SequenceSet
 
 
@@ -72,31 +72,31 @@ def zone_violations(values, masks, q: int, same, cross, label, offset: int = 0) 
     """Nonzero cyclic correlations of every ordered row pair on its window.
 
     Rows are silent where their masks (broadcast against the rows; None:
-    all live) are False.  The windows are shift sets (overlaps and repeats
-    are harmless): pair (i, j) must vanish at every u in ``same`` if
-    i == j, in ``cross`` otherwise, u being tallied at u + offset.  One
-    batched :func:`~eczcs.correlation.cyclic_tally` call covers the
-    windows' hull, one multiply with the reduction matrix decides the
-    zeros, and one ``np.nonzero`` under the window mask gives the hits in
-    (row, pair, shift) order, labelled label(i, j), with their magnitudes
-    from one :func:`~eczcs.cyclotomic.magnitudes` call for the whole scan.
+    all live) are False.  Pair (i, j) must vanish at every shift u in the
+    set ``same`` if i == j, in ``cross`` otherwise, u being tallied at
+    u + offset: one batched :func:`~eczcs.correlation.cyclic_tally` over
+    the windows' hull, reduced in one multiply and read by :func:`read_windows`.
     """
-    same, cross = (np.fromiter(w, dtype=np.int64) for w in (same, cross))
-    both = np.concatenate((same, cross))
-    if not len(both):
+    hull = [*same, *cross]
+    if not hull:
         return []
-    lo = both.min()
-    in_window = np.zeros((2, both.max() - lo + 1), dtype=bool)  # same, cross over the hull
-    in_window[0, same - lo] = in_window[1, cross - lo] = True
-    shifts = lo + offset + np.arange(in_window.shape[1])
+    lo = min(hull)
+    shifts = np.arange(lo, max(hull) + 1) + offset
     reduced = cyclic_tally(values, masks, q, shifts) @ reduction_matrix(q)
+    return read_windows(reduced, q, same, cross, label, lo)
+
+
+def read_windows(reduced, q: int, same, cross, label, first: int = 0) -> list[Violation]:
+    """The violations on shift windows (as in :func:`zone_violations`) of a reduced tally
+    [row, row, shift - first, vector]: one mask, one ``np.nonzero`` and one
+    :func:`~eczcs.cyclotomic.magnitudes` call give them in (row, pair, shift) order."""
+    in_window = np.zeros((2, reduced.shape[2]), dtype=bool)
+    for side, w in zip(in_window, (same, cross)):
+        side[np.fromiter(w, dtype=np.int64) - first] = True
     window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
     i, j, k = np.nonzero(reduced.any(axis=-1) & window)
-    hits = zip(i.tolist(), j.tolist(), (k + lo).tolist())
-    return [
-        Violation(label(a, b), (a, b), u, m)
-        for (a, b, u), m in zip(hits, magnitudes(q, reduced[i, j, k]).tolist())
-    ]
+    hits = zip(i.tolist(), j.tolist(), (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist())
+    return [Violation(label(a, b), (a, b), u, m) for a, b, u, m in hits]
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
@@ -114,15 +114,25 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     return Verdict(tuple(violations))
 
 
-def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
-    """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair.
-
-    Both are cyclic tallies of the set rows, for |u| < L: rho at u,
-    rho-hat at u - (2L-1).
+def set_sum_tally(fam: Family) -> np.ndarray:
+    """The family's set sums for |u| < L, cached read-only on first use: rho at shift u >= 0
+    in column u, rho-hat at u in column u + 2L-1.  One cyclic tally of the set rows, reduced
+    to the phi(q) = deg(Phi_q) columns a canonical vector fills: shape (M, M, 3L-1, phi(q)).
     """
-    rows, live = set_rows(fam.sets)
-    offset = -rotation * (2 * fam.length - 1)
-    return zone_violations(rows, live, fam.q, same, cross, lambda i, j: kinds[i != j], offset)
+    tally = fam.__dict__.get("_set_sums")
+    if tally is None:
+        length, phi = fam.length, len(cyclotomic_poly(fam.q)) - 1
+        shifts = np.r_[0:length, 2 - 3 * length : 1 - length]
+        tally = cyclic_tally(*set_rows(fam.sets), fam.q, shifts) @ reduction_matrix(fam.q)[:, :phi]
+        tally.setflags(write=False)
+        object.__setattr__(fam, "_set_sums", tally)
+    return tally
+
+
+def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
+    """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
+    first = -rotation * (2 * fam.length - 1)
+    return read_windows(set_sum_tally(fam), fam.q, same, cross, lambda i, j: kinds[i != j], first)
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -144,12 +154,9 @@ def check_mocs(fam: Family) -> Verdict:
 
 def check_ccc(fam: Family) -> Verdict:
     """Complete complementary code: a mutually orthogonal set with M = N."""
-    verdict = check_mocs(fam)
-    if fam.num_sets != fam.set_size:
-        extra = Violation(
-            "ccc-shape", (fam.num_sets, fam.set_size), 0, float(abs(fam.num_sets - fam.set_size))
-        )
-        return Verdict(verdict.violations + (extra,))
+    verdict, m, n = check_mocs(fam), fam.num_sets, fam.set_size
+    if m != n:
+        return Verdict(verdict.violations + (Violation("ccc-shape", (m, n), 0, float(abs(m - n))),))
     return verdict
 
 

@@ -70,6 +70,18 @@ def test_construct_theorem3_preset_emits_length32_table(tmp_path, capsys, table5
     assert out_file.read_text() == format_family_text(table5)
 
 
+def test_unknown_catalog_seed_is_named_unquoted(tmp_path, capsys):
+    """A missing catalog seed is reported as its message, not as a quoted KeyError."""
+    config = {"matrix": {"kind": "seed", "id": "nope", "nt": 4, "na": 2},
+              "ebn0_db": [10.0], "delay_spreads": [3], "trials": 5, "seed": 1}
+    (tmp_path / "sim.json").write_text(json.dumps(config))
+    for argv in (["construct", "theorem2", "--seed", "nope"],
+                 ["simulate", "--config", str(tmp_path / "sim.json")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: no catalog seed 'nope' (known: ") and '"' not in err, err
+
+
 def test_construct_unknown_preset_is_usage_error(tmp_path, capsys):
     for argv in (
         ["construct", "theorem3", "--preset", "nope"],

@@ -274,6 +274,8 @@ def test_training_matrix_validation():
         (((0, None, 1, 0), (None, 3, 7, 0)), "entry 7 outside Z_4"),  # 7 is the first offender
         (((0, 1), (-1, 9)), "entry -1 outside Z_4"),
         (((0, 1.5),), r"entry 1\.5 is not an integer"),
+        (((None, "1"),), r"entry '1' is not an integer"),
+        (((0, 1j),), r"entry 1j is not an integer"),
     ):
         with pytest.raises(ValueError, match=message):
             TrainingMatrix(4, rows, 1, 2)
@@ -356,6 +358,13 @@ def test_bit_mapping_edge_cases():
     assert map_bits_to_gsm_block("", GSMConfig(4, 2)).shape == (4, 0)
     with pytest.raises(ValueError):
         map_bits_to_gsm_block("010", GSMConfig(4, 2))
+    # int() would truncate 0.7 and 1.9 into bits, and read '1' as one
+    for bits in ([0.7, 1, 0, 1.9], [0, 1, 0, 2], [0, 1, 0, "1"], [0, None, 0, 1], "0102"):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            map_bits_to_gsm_block(bits, GSMConfig(4, 2))
+    want = map_bits_to_gsm_block("0101", GSMConfig(4, 2))
+    for bits in ([0, 1, 0, 1], [0, 1.0, 0, True], np.array([0, 1, 0, 1])):
+        assert np.array_equal(map_bits_to_gsm_block(bits, GSMConfig(4, 2)), want)
 
 
 def test_csv_and_meta_exports(table4):

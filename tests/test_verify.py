@@ -29,11 +29,13 @@ from eczcs import (
     theorem2_construct,
     theorem3_construct,
 )
+from eczcs import verify
 from eczcs.correlation import set_rows
+from eczcs.cyclotomic import cyclotomic_poly
 from eczcs.gbf import PartitionSpec
 from eczcs.simulate import baseline_zadoff_chu
 from eczcs.training import GSMConfig, TrainingMatrix, build_training_matrix
-from eczcs.verify import zone_violations
+from eczcs.verify import set_sum_tally, zone_violations
 
 from conftest import float_pccf
 
@@ -359,11 +361,47 @@ def test_aperiodic_violations_match_per_shift_reference(table3, table4, table5, 
                 sets = [[[rng.randrange(q) for _ in range(length)] for _ in range(n)] for _ in range(m)]
                 families.append(family_from_lists(q, sets))
     checks = {"zccs": check_zccs, "szccs": check_szccs, "eczcs": check_eczcs}
-    for fam in families:
+    for n, fam in enumerate(families):
+        fam = Family(fam.sets)  # a new object, so its first read of the set sums happens here
         expected = _reference_aperiodic_violations(fam)
-        for width, lists in expected.items():
+        # every width ascending and descending on the same object, starting either way
+        widths = list(expected)
+        for width in [*widths, *widths[::-1]] if n % 2 else [*widths[::-1], *widths]:
             for kind, check in checks.items():
                 got = [(v.check, v.indices, v.shift, v.magnitude) for v in check(fam, width).violations]
-                assert got == lists[kind], (fam.q, fam.length, width, kind)
+                assert got == expected[width][kind], (fam.q, fam.length, width, kind)
         passing = [w for w, lists in expected.items() if not lists["eczcs"]]
         assert measure_zcz_width(fam) == max(passing, default=-1)
+
+
+def test_one_set_sum_tally_per_family(monkeypatch):
+    """Every set-sum check, the width scan and is_optimal read one cached tally per family object."""
+    calls = []
+    tally = verify.cyclic_tally
+    monkeypatch.setattr(verify, "cyclic_tally", lambda *args: calls.append(args) or tally(*args))
+    checks = {"zccs": check_zccs, "szccs": check_szccs, "eczcs": check_eczcs}
+    builders = (
+        lambda: load_fixture_family("eczcs_2x2x24"),
+        lambda: theorem3_construct(optimal_theorem3_params(4, 2, 1), 1, 8, (1, 2, 3, 0, 1)),
+    )
+    rng = random.Random(18)
+    for build in builders:
+        runs = []
+        for fam in (build(), build()):  # the second is freshly built and equal to the first
+            widths = list(range(fam.length + 1))
+            rng.shuffle(widths)
+            calls.clear()
+            verdicts = {(kind, w): check(fam, w).to_json() for w in widths for kind, check in checks.items()}
+            width = measure_zcz_width(fam)
+            runs.append((verdicts, check_mocs(fam).to_json(), width, is_optimal(fam, width)))
+            assert len(calls) == 1, fam.q
+            cached = set_sum_tally(fam)
+            phi = len(cyclotomic_poly(fam.q)) - 1
+            assert cached.shape == (fam.num_sets, fam.num_sets, 3 * fam.length - 1, phi)
+            assert cached is set_sum_tally(fam) and not cached.flags.writeable
+            assert len(calls) == 1
+        assert runs[0] == runs[1]
+        assert runs[0][2] >= 1 and not all(v["passed"] for v in runs[0][0].values())
+    first, second = load_fixture_family("eczcs_2x2x24"), load_fixture_family("eczcs_2x2x24")
+    assert first == second and hash(first) == hash(second)
+    assert set_sum_tally(first) is not set_sum_tally(second)
