@@ -92,20 +92,20 @@ def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
             out[i, :, :, 1] = near.imag
         else:
             return out
-    # exact count: key x + q - y is 1..2q-1 (difference mod q, folded below)
-    # for a live x, 2q..3q-1 (dropped) for a silent one; shift blocks of about
-    # _TALLY_BLOCK gathered entries, 3q apart, keep the temporaries bounded
+    # exact count: key x + q - y is 1..2q-1 (difference mod q, folded below) for a live
+    # x, 2q..3q-1 (dropped) for a silent one; all a-rows against one b-row per shift
+    # block, each (a-row, shift) 3q keys apart, about _TALLY_BLOCK keys and counts each
     a2 = np.tile(np.where(a_live, a, 2 * q - 1), 2)  # a2[i, s + k] = a_i[(s + k) mod W]
     for j, y in enumerate(b):
         pos = np.flatnonzero(b_live[j])
-        step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(pos))))
-        base = (q - y[pos]) + 3 * q * np.arange(step)[:, None]
-        for i in range(len(a)):
-            for start in range(0, len(shifts), step):
-                block = shifts[start : start + step]
-                key = a2[i, block[:, None] + pos] + base[: len(block)]
-                counts = np.bincount(key.ravel(), minlength=3 * q * len(block)).reshape(-1, 3 * q)
-                out[i, j, start : start + step] = counts[:, :q] + counts[:, q : 2 * q]
+        step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(a) * max(len(pos), 3 * q))))
+        for start in range(0, len(shifts), step):
+            block = shifts[start : start + step]
+            spans = 3 * q * np.arange(len(a) * len(block)).reshape(len(a), len(block), 1)
+            key = a2[:, block[:, None] + pos] + (q - y[pos]) + spans
+            counts = np.bincount(key.ravel(), minlength=3 * q * spans.size)
+            counts = counts.reshape(len(a), len(block), 3 * q)
+            out[:, j, start : start + step] = counts[..., :q] + counts[..., q : 2 * q]
     return out
 
 

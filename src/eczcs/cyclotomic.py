@@ -146,9 +146,7 @@ class CycloInt:
 
     def mag_sq(self):
         """Squared magnitude: an exact integer for q in {2, 4}, float otherwise."""
-        if self.q == 2:
-            return self.counts[0] ** 2
-        if self.q == 4:
+        if self.q in (2, 4):  # a canonical q = 2 vector is (c0, 0)
             return self.counts[0] ** 2 + self.counts[1] ** 2
         return abs(self.to_complex()) ** 2
 

@@ -47,6 +47,9 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
     one.  ``count`` channels are drawn at once, shape (count, n_antennas,
     delay_spread + 1): all real parts first, then all imaginary parts.
     """
+    for name, value in (("delay_spread", delay_spread), ("count", count)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     taps = delay_spread + 1
     scale = math.sqrt(1.0 / (2 * taps))
     shape = (count, n_antennas, taps)

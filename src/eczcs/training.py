@@ -145,19 +145,17 @@ def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
     return CycloInt(tm.q, cross_tally(vals[i], mask[i], vals[j], mask[j], tm.q, (u,))[0, 0, 0])
 
 
-def _pair_label(tm: TrainingMatrix, i: int, j: int) -> str:
-    """Which interference mechanism a violating row pair belongs to."""
-    if i == j:
-        return "isi"
-    gi, gj = i // tm.active_antennas, j // tm.active_antennas
-    v_count = tm.group_count
-    if gi == gj:
-        return "iai-same-group"
-    if (gi, gj) == (0, v_count - 1) and v_count >= 2:
-        return "iai-wrap"  # tail of the cycle; cancelled by the rotated sums
-    if gi == gj + 1:
-        return "iai-adjacent-group"
-    return "iai-separated"
+def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
+    """The interference mechanism of every row pair (i, j), an (Nt, Nt) table of check names.
+
+    The first matching rule wins.  A wrap pair (group 0 against the last) is the tail of
+    the cycle, cancelled by the rotated sums; with V = 1 it is a same-group pair.
+    """
+    group = np.arange(tm.num_rows) // tm.active_antennas
+    gi, gj, last = group[:, None], group, tm.group_count - 1
+    rules = [np.eye(tm.num_rows, dtype=bool), gi == gj, (gi == 0) & (gj == last), gi == gj + 1]
+    names = ["isi", "iai-same-group", "iai-wrap", "iai-adjacent-group"]
+    return np.select(rules, names, "iai-separated")
 
 
 def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
@@ -180,8 +178,7 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
                   for c in np.nonzero(col_counts != expected)[0]]
     violations += [Violation("row-energy", (int(i),), 0, float(energies[i]))
                    for i in np.nonzero(energies != tm.energy)[0]]
-    zone, label = range(delay_spread + 1), lambda i, j: _pair_label(tm, i, j)
-    violations += zone_violations(vals, mask, tm.q, zone[1:], zone, label)
+    violations += zone_violations(vals, mask, tm.q, delay_spread, _pair_labels(tm))
     return Verdict(tuple(violations))
 
 

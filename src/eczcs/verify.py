@@ -8,19 +8,21 @@ sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
 
 Every check reads its windows from one reduced tally, :func:`read_windows`.
-A periodic check (sequences or training rows) tallies its windows' hull in
+A periodic check (sequences or training rows) tallies shifts 0..width in
 :func:`zone_violations`.  The set-sum checks read :func:`set_sum_tally`,
 rho at shifts 0..L-1 and rho-hat at every shift of every set pair, cached
 on the family: one tally of :func:`~eczcs.correlation.set_rows` however
 many checks and widths read it.  Windows are shift sets, one for a row
 against itself and one for distinct rows; hits come in (row, pair, shift)
-order, ascending in each, with magnitudes from one vectorised step over the
-reduced counts: no CycloInt is built anywhere in a check.
+order, ascending in each, labelled from a table of check names per row
+pair, with magnitudes from one vectorised step over the reduced counts: no
+CycloInt is built anywhere in a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +31,7 @@ from .cyclotomic import cyclotomic_poly, magnitudes, reduction_matrix
 from .sequences import Family, PhaseSequence, SequenceSet
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     check: str
     indices: tuple[int, ...]
     shift: int
@@ -51,15 +52,7 @@ class Verdict:
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "violations": [
-                {
-                    "check": v.check,
-                    "indices": list(v.indices),
-                    "shift": v.shift,
-                    "magnitude": v.magnitude,
-                }
-                for v in self.violations
-            ],
+            "violations": [{**v._asdict(), "indices": list(v.indices)} for v in self.violations],
         }
 
 
@@ -68,35 +61,31 @@ def _check_width(width: int, length: int) -> None:
         raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
 
 
-def zone_violations(values, masks, q: int, same, cross, label, offset: int = 0) -> list[Violation]:
-    """Nonzero cyclic correlations of every ordered row pair on its window.
+def zone_violations(values, masks, q: int, width: int, labels) -> list[Violation]:
+    """Nonzero cyclic correlations of every ordered row pair in the periodic zone.
 
-    Rows are silent where their masks (broadcast against the rows; None:
-    all live) are False.  Pair (i, j) must vanish at every shift u in the
-    set ``same`` if i == j, in ``cross`` otherwise, u being tallied at
-    u + offset: one batched :func:`~eczcs.correlation.cyclic_tally` over
-    the windows' hull, reduced in one multiply and read by :func:`read_windows`.
+    Rows are silent where their masks (broadcast against the rows; None: all live) are
+    False.  Pair (i, j) must vanish at shifts 1..width if i == j, 0..width otherwise, its
+    hits labelled ``labels[i, j]``: one batched :func:`~eczcs.correlation.cyclic_tally` of
+    shifts 0..width, reduced in one multiply and read by :func:`read_windows`.
     """
-    hull = [*same, *cross]
-    if not hull:
-        return []
-    lo = min(hull)
-    shifts = np.arange(lo, max(hull) + 1) + offset
-    reduced = cyclic_tally(values, masks, q, shifts) @ reduction_matrix(q)
-    return read_windows(reduced, q, same, cross, label, lo)
+    reduced = cyclic_tally(values, masks, q, np.arange(width + 1)) @ reduction_matrix(q)
+    return read_windows(reduced, q, range(1, width + 1), range(width + 1), labels)
 
 
-def read_windows(reduced, q: int, same, cross, label, first: int = 0) -> list[Violation]:
-    """The violations on shift windows (as in :func:`zone_violations`) of a reduced tally
-    [row, row, shift - first, vector]: one mask, one ``np.nonzero`` and one
-    :func:`~eczcs.cyclotomic.magnitudes` call give them in (row, pair, shift) order."""
+def read_windows(reduced, q: int, same, cross, labels, first: int = 0) -> list[Violation]:
+    """The violations of a reduced tally [row, row, shift - first, vector]: pair (i, j) must
+    vanish on the shift set ``same`` if i == j, on ``cross`` otherwise.  One mask, one
+    ``np.nonzero``, one gather of check names ``labels[i, j]`` (as objects: hits share the
+    table's strings) and one :func:`~eczcs.cyclotomic.magnitudes` call give them in (row,
+    pair, shift) order."""
     in_window = np.zeros((2, reduced.shape[2]), dtype=bool)
     for side, w in zip(in_window, (same, cross)):
         side[np.fromiter(w, dtype=np.int64) - first] = True
     window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
     i, j, k = np.nonzero(reduced.any(axis=-1) & window)
-    hits = zip(i.tolist(), j.tolist(), (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist())
-    return [Violation(label(a, b), (a, b), u, m) for a, b, u, m in hits]
+    return list(map(Violation, labels.astype(object)[i, j].tolist(), zip(i.tolist(), j.tolist()),
+                    (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist()))
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
@@ -107,11 +96,9 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     symmetry because every ordered pair is checked.
     """
     _check_width(width, sset.length)
-    top = min(width, sset.length - 1)
-    rows, kinds = [s.array() for s in sset.members], ("zcz-auto", "zcz-cross")
-    violations = zone_violations(rows, None, sset.q, range(1, top + 1), range(top + 1),
-                                 lambda i, j: kinds[i != j])
-    return Verdict(tuple(violations))
+    rows = [s.array() for s in sset.members]
+    labels = np.where(np.eye(len(rows), dtype=bool), "zcz-auto", "zcz-cross")
+    return Verdict(tuple(zone_violations(rows, None, sset.q, min(width, sset.length - 1), labels)))
 
 
 def set_sum_tally(fam: Family) -> np.ndarray:
@@ -132,7 +119,8 @@ def set_sum_tally(fam: Family) -> np.ndarray:
 def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
     """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
     first = -rotation * (2 * fam.length - 1)
-    return read_windows(set_sum_tally(fam), fam.q, same, cross, lambda i, j: kinds[i != j], first)
+    labels = np.where(np.eye(fam.num_sets, dtype=bool), *kinds)
+    return read_windows(set_sum_tally(fam), fam.q, same, cross, labels, first)
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -224,6 +212,8 @@ def eczcs_bound(num_sets: int, set_size: int, length: int, q: int) -> int:
     zero-correlation-zone sequence set.  The binary value is conjectured,
     so callers report it but never hard-fail a family exceeding it.
     """
+    if min(num_sets, set_size, length) < 1:
+        raise ValueError(f"need M, N, L >= 1, got ({num_sets}, {set_size}, {length})")
     total = set_size * length
     if q == 2:
         return total // (2 * num_sets)

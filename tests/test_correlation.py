@@ -250,7 +250,7 @@ def test_general_alphabet_tables_match_accf():
                 assert rot[u + length - 1] == sum_accf(rotated, u, q)
 
 
-@pytest.mark.parametrize("block", [1, 7, 20, 1 << 16])
+@pytest.mark.parametrize("block", [1, 7, 20, 200, 1 << 16])
 def test_tally_blocks_agree_with_accf(monkeypatch, block):
     """Any block size, including ones that split the shifts unevenly, gives the same counts."""
     monkeypatch.setattr(correlation, "_TALLY_BLOCK", block)

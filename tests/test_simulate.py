@@ -44,6 +44,14 @@ def test_tap_variance_statistics():
     assert abs(np.mean(np.sum(np.abs(samples) ** 2, axis=1)) - 1.0) < 0.05
 
 
+def test_sample_channel_rejects_negative_spread_and_count():
+    rng = np.random.default_rng(0)
+    for spread, count, name in ((-1, 1, "delay_spread"), (-2, 1, "delay_spread"), (0, -1, "count")):
+        with pytest.raises(ValueError, match=name):
+            sample_channel(spread, 2, rng, count)
+    assert sample_channel(0, 2, rng, 0).shape == (0, 2, 1)
+
+
 def test_channel_determinism():
     a = sample_channel(3, 2, np.random.default_rng(7), 1)[0]
     b = sample_channel(3, 2, np.random.default_rng(7), 1)[0]

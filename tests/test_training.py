@@ -29,7 +29,6 @@ from eczcs import (
 )
 from eczcs.cyclotomic import CycloInt
 from eczcs.gbf import PartitionSpec, theorem3_zcz_width
-from eczcs.training import _pair_label
 from eczcs.verify import Violation
 
 
@@ -381,7 +380,7 @@ def _reference_matrices(table4, table5):
     """Training matrices for both antenna shapes, with their zone widths."""
     rng = np.random.default_rng(31)
     out = []
-    for cfg in (GSMConfig(4, 2), GSMConfig(8, 3)):
+    for cfg in (GSMConfig(2, 2), GSMConfig(4, 2), GSMConfig(8, 3)):
         if cfg.active_antennas == 2:
             out.append((build_training_matrix(table4, cfg), 9))
         out.append((build_training_matrix(table5, cfg), 8))
@@ -437,6 +436,21 @@ def test_training_pccf_is_the_training_theorem_at_every_shift(table3, table4, no
                         assert training_pccf(tm, i, j, u) == expected, (fam.length, nt, na, i, j, u)
 
 
+def reference_label(tm, i, j):
+    """Which interference mechanism a violating row pair belongs to, rule by rule."""
+    if i == j:
+        return "isi"
+    gi, gj = i // tm.active_antennas, j // tm.active_antennas
+    v_count = tm.group_count
+    if gi == gj:
+        return "iai-same-group"
+    if (gi, gj) == (0, v_count - 1) and v_count >= 2:
+        return "iai-wrap"
+    if gi == gj + 1:
+        return "iai-adjacent-group"
+    return "iai-separated"
+
+
 def test_design_criterion_matches_per_shift_reference(table4, table5):
     """Correlation violations equal an explicit per-shift loop, in report order."""
     for tm, zone in _reference_matrices(table4, table5):
@@ -457,7 +471,7 @@ def test_design_criterion_matches_per_shift_reference(table4, table5):
                 for j in range(tm.num_rows):
                     for u in range(1 if i == j else 0, spread + 1):
                         if not value[i, j, u].is_zero():
-                            label = _pair_label(tm, i, j)
+                            label = reference_label(tm, i, j)
                             expected.append((label, (i, j), u, value[i, j, u].magnitude()))
             got = [
                 (v.check, v.indices, v.shift, v.magnitude)

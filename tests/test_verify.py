@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from eczcs import (
@@ -30,12 +31,12 @@ from eczcs import (
     theorem3_construct,
 )
 from eczcs import verify
-from eczcs.correlation import set_rows
-from eczcs.cyclotomic import cyclotomic_poly
+from eczcs.correlation import cyclic_tally, set_rows
+from eczcs.cyclotomic import cyclotomic_poly, reduction_matrix
 from eczcs.gbf import PartitionSpec
 from eczcs.simulate import baseline_zadoff_chu
 from eczcs.training import GSMConfig, TrainingMatrix, build_training_matrix
-from eczcs.verify import set_sum_tally, zone_violations
+from eczcs.verify import read_windows, set_sum_tally
 
 from conftest import float_pccf
 
@@ -138,6 +139,10 @@ def test_eczcs_bound_values():
     assert eczcs_bound(4, 2, 32, 2) == 8
     assert eczcs_bound(2, 2, 24, 4) == 23
     assert eczcs_bound(3, 2, 10, 4) == 5  # floor of 20/3 - 1
+    for params in ((0, 2, 24), (-1, 2, 24), (2, 0, 24), (2, 2, 0)):
+        for q in (2, 4):
+            with pytest.raises(ValueError, match="M, N, L >= 1"):
+                eczcs_bound(*params, q)
 
 
 def test_optimality(table3, table4, table5):
@@ -244,14 +249,18 @@ def test_every_classifier_reports_in_row_pair_shift_order(table4):
 
 
 def test_zone_windows_are_shift_sets():
-    """Shuffled, repeated or overlapping windows give the sorted windows' report."""
+    """Shuffled, repeated or overlapping windows give the sorted windows' report,
+    whichever shift the reduced tally starts at."""
     rng = random.Random(5)
     for q in (2, 4, 6):
         sets = [[[rng.randrange(q) for _ in range(7)] for _ in range(2)] for _ in range(3)]
         rows, live = set_rows(family_from_lists(q, sets).sets)
-        for offset in (0, -13):
-            same, cross = range(-6, 4), range(-2, 7)
-            want = zone_violations(rows, live, q, same, cross, lambda i, j: "v", offset)
+        labels = np.full((len(rows), len(rows)), "v")
+        same, cross = range(-6, 4), range(-2, 7)
+        reduced, reports = cyclic_tally(rows, live, q, np.arange(-13, 7)) @ reduction_matrix(q), []
+        for first in (-6, -13):
+            tally = reduced[:, :, first + 13 :]  # column c holds shift c + first
+            want = read_windows(tally, q, same, cross, labels, first)
             assert want
             for _ in range(5):
                 shuffled = [list(same), list(cross)]
@@ -260,8 +269,10 @@ def test_zone_windows_are_shift_sets():
                     rng.shuffle(w)
                 overlapping = [[*range(-6, 0), *range(-3, 4)], {*range(-2, 3), *range(2, 7)}]
                 for windows in (shuffled, overlapping):
-                    got = zone_violations(rows, live, q, *windows, lambda i, j: "v", offset)
-                    assert got == want, (q, offset)
+                    got = read_windows(tally, q, *windows, labels, first)
+                    assert got == want, (q, first)
+            reports.append(want)
+        assert reports[0] == reports[1], q
 
 
 def test_zone_scan_never_holds_every_pair_product():
