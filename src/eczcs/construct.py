@@ -12,15 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .gbf import PartitionSpec, lemma2_ccc
-from .sequences import (
-    Family,
-    PhaseSequence,
-    SequenceSet,
-    concat,
-    load_fixture_family,
-    negate,
-)
+from .sequences import Family, SequenceSet, load_fixture_family
 from .verify import Verdict, check_kind, check_zccs
 
 
@@ -58,26 +53,19 @@ def theorem2_construct(seed: Family, declared_width: int, *, force: bool = False
                 f"({len(verdict.violations)} violations); pass force=True to override",
                 verdict,
             )
-    half = seed.set_size // 2
-    sets = []
-    for st in seed.sets:
-        members = [concat(st.members[2 * n], st.members[2 * n + 1]) for n in range(half)]
-        members += [
-            concat(st.members[2 * n], negate(st.members[2 * n + 1])) for n in range(half)
-        ]
-        sets.append(SequenceSet(tuple(members)))
-    return Family(tuple(sets))
+    even, odd = seed.array()[:, 0::2], seed.array()[:, 1::2]
+    # member n joins members 2n and 2n+1; member n + N/2 joins 2n and the negated 2n+1
+    return Family.from_array(seed.q, np.block([[even, odd], [even, (odd + seed.q // 2) % seed.q]]))
 
 
 def golay_pair(length: int) -> SequenceSet:
     """A binary complementary pair of the given power-of-two length."""
     if length < 1 or length & (length - 1):
         raise ValueError(f"pair length must be a power of two, got {length}")
-    a = PhaseSequence(2, (0,))
-    b = PhaseSequence(2, (0,))
-    while a.length < length:
-        a, b = concat(a, b), concat(a, negate(b))
-    return SequenceSet((a, b))
+    a = b = np.zeros(1, dtype=np.int64)
+    while len(a) < length:
+        a, b = np.r_[a, b], np.r_[a, 1 - b]
+    return SequenceSet.from_array(2, np.stack((a, b)))
 
 
 @dataclass(frozen=True)
@@ -103,60 +91,21 @@ def _entry(id: str, kind: str, family: Family, width: int, note: str) -> SeedLib
 @lru_cache(maxsize=1)
 def seed_catalog() -> tuple[SeedLibraryEntry, ...]:
     """Built-in seeds, each re-verified against its declared class on load."""
-    entries = [
-        _entry(
-            "zccs-2-2-12-10",
-            "zccs",
-            load_fixture_family("zccs_2x2x12"),
-            10,
-            "reference binary (2,2,12,10) seed; doubling it gives the "
-            "(2,2,24,9) enhanced family",
-        ),
-        _entry(
-            "zccs-2-2-24-10-nonc2",
-            "zccs",
-            load_fixture_family("zccs_2x2x24_nonc2"),
-            10,
-            "width-10 code set whose rotated cross-channel sums are nonzero "
-            "in the tail zone; simulation baseline only",
-        ),
-        _entry(
-            "ccc-2-4",
-            "ccc",
-            lemma2_ccc(PartitionSpec(2, ((1, 2),)), q=2),
-            4,
-            "smallest chained-function complete code (2 sets of 2, length 4)",
-        ),
-        _entry(
-            "ccc-2-8",
-            "ccc",
-            lemma2_ccc(PartitionSpec(3, ((1, 2, 3),)), q=2),
-            8,
-            "chained-function complete code, length 8",
-        ),
-        _entry(
-            "ccc-4-16",
-            "ccc",
-            lemma2_ccc(PartitionSpec(4, ((1, 2), (3, 4))), q=2),
-            16,
-            "two-chain complete code with 4 sets of 4, length 16",
-        ),
-        _entry(
-            "gcp-4",
-            "mocs",
-            Family((golay_pair(4),)),
-            4,
-            "single binary complementary pair, length 4",
-        ),
-        _entry(
-            "gcp-8",
-            "mocs",
-            Family((golay_pair(8),)),
-            8,
-            "single binary complementary pair, length 8",
-        ),
-    ]
-    return tuple(entries)
+    return tuple(_entry(*row) for row in (
+        ("zccs-2-2-12-10", "zccs", load_fixture_family("zccs_2x2x12"), 10,
+         "reference binary (2,2,12,10) seed; doubling it gives the (2,2,24,9) enhanced family"),
+        ("zccs-2-2-24-10-nonc2", "zccs", load_fixture_family("zccs_2x2x24_nonc2"), 10,
+         "width-10 code set whose rotated cross-channel sums are nonzero in the tail zone; "
+         "simulation baseline only"),
+        ("ccc-2-4", "ccc", lemma2_ccc(PartitionSpec(2, ((1, 2),)), q=2), 4,
+         "smallest chained-function complete code (2 sets of 2, length 4)"),
+        ("ccc-2-8", "ccc", lemma2_ccc(PartitionSpec(3, ((1, 2, 3),)), q=2), 8,
+         "chained-function complete code, length 8"),
+        ("ccc-4-16", "ccc", lemma2_ccc(PartitionSpec(4, ((1, 2), (3, 4))), q=2), 16,
+         "two-chain complete code with 4 sets of 4, length 16"),
+        ("gcp-4", "mocs", Family((golay_pair(4),)), 4, "single binary complementary pair, length 4"),
+        ("gcp-8", "mocs", Family((golay_pair(8),)), 8, "single binary complementary pair, length 8"),
+    ))
 
 
 def catalog_entry(entry_id: str) -> SeedLibraryEntry:

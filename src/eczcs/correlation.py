@@ -134,16 +134,18 @@ def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
 
 
 def set_rows(sets) -> tuple[np.ndarray, np.ndarray]:
-    """One row per set, its N members each followed by L-1 silent entries, and the shared mask.
+    """One row per set of a family (or a sequence of sets), its N members each followed by L-1
+    silent entries, and the shared mask: a pad and a reshape of the (M, N, L) phase array.
 
     Member pairs n <-> n + d then meet only within L of shift d(2L-1), so
     for |u| < L the cyclic tally of two rows is the set sum rho at u and
     the rotated sum rho-hat at u - (2L-1).
     """
-    length, width = sets[0].length, 2 * sets[0].length - 1
-    rows = np.zeros((len(sets), sets[0].size, width), dtype=np.int64)
-    rows[:, :, :length] = [[s.array() for s in st.members] for st in sets]
-    return rows.reshape(len(sets), -1), np.arange(sets[0].size * width) % width < length
+    phases = sets.array() if isinstance(sets, Family) else np.stack([st.array() for st in sets])
+    m, n, length = phases.shape
+    rows = np.zeros((m, n, 2 * length - 1), dtype=phases.dtype)
+    rows[..., :length] = phases
+    return rows.reshape(m, -1), np.arange(n * (2 * length - 1)) % (2 * length - 1) < length
 
 
 def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.ndarray:

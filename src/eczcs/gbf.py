@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import Family, PhaseSequence, family_from_lists
+from .sequences import Family, PhaseSequence
 
 MAX_VARIABLES = 20  # 2^20 sequence entries; anything larger is a config error
 
@@ -62,7 +62,7 @@ class GBF:
         return total % self.q
 
     def sequence(self) -> PhaseSequence:
-        return PhaseSequence(self.q, tuple(_phase_vector(self).tolist()))
+        return PhaseSequence.from_array(self.q, _phase_vector(self))
 
 
 def _index_vector(m: int, q: int) -> np.ndarray:
@@ -162,7 +162,7 @@ def _chained_family(spec: PartitionSpec, q: int, eta, heads: tuple[int, ...]) ->
     index = _index_vector(spec.m, q)
     head_selections = np.array(_selections(index, heads, q // 2))
     tail_selections = np.array(_selections(index, tuple(part[-1] for part in spec.parts), q // 2))
-    return family_from_lists(q, ((base + tail_selections[:, None] + head_selections) % q).tolist())
+    return Family.from_array(q, (base + tail_selections[:, None] + head_selections) % q)
 
 
 def theorem3_construct(spec: PartitionSpec, v: int, q: int = 2, eta=None) -> Family:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+import re
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,109 +30,147 @@ NON_NEGATIVE = (0, math.inf, "non-negative")
 ALPHABET = (-math.inf, MAX_ALPHABET, f"at most {MAX_ALPHABET}")
 
 
-@dataclass(frozen=True)
-class PhaseSequence:
-    """A unimodular sequence stored as exponents of the q-th root of unity."""
+_EMPTY = ("a family must contain at least one set",
+          "a sequence set must have at least one member",
+          "a sequence must have length >= 1")
 
-    q: int
-    phases: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.q < 2 or self.q % 2:
-            raise ValueError(f"alphabet size must be an even integer >= 2, got {self.q}")
-        given = tuple(self.phases)
-        phases = tuple(map(int, given))
-        if phases != given:
-            bad = next(g for g, p in zip(given, phases) if g != p)
-            raise ValueError(f"phase {bad} is not an integer")
-        if not phases:
-            raise ValueError("a sequence must have length >= 1")
-        if min(phases) < 0 or max(phases) >= self.q:
-            bad = next(p for p in phases if not 0 <= p < self.q)
-            raise ValueError(f"phase {bad} lies outside Z_{self.q}")
-        object.__setattr__(self, "phases", phases)
+def as_ints(values, noun: str) -> tuple[int, ...]:
+    """values as Python ints, naming the first x with int(x) != x (numpy ints and True pass)."""
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if ints != given:
+        bad = next(g for g, p in zip(given, ints) if g != p)
+        raise ValueError(f"{noun} {bad} is not an integer")
+    return ints
 
-    def __len__(self) -> int:
-        return len(self.phases)
 
-    @property
-    def length(self) -> int:
-        return len(self.phases)
+def _checked(q, phases, rank: int) -> np.ndarray:
+    """A read-only copy of an array-like of phases of the given rank, checked once: even
+    q >= 2, no empty axis and every entry an integer of Z_q (a flat sequence of Python
+    numbers by :func:`as_ints`).  It holds int64 whenever Z_q fits, Python ints otherwise."""
+    if q < 2 or q % 2:
+        raise ValueError(f"alphabet size must be an even integer >= 2, got {q}")
+    flat = rank == 1 and not isinstance(phases, np.ndarray)
+    arr = np.asarray(as_ints(phases, "phase") if flat else phases)
+    if arr.ndim != rank:
+        raise ValueError(f"need a {rank}-axis phase array, got shape {arr.shape}")
+    for size, message in zip(arr.shape, _EMPTY[-rank:]):
+        if not size:
+            raise ValueError(message)
+    outside = ~((arr >= 0) & (arr < q))
+    if outside.any():
+        raise ValueError(f"phase {arr[outside][0]} lies outside Z_{q}")
+    stored = arr.astype(np.int64 if q <= 1 << 63 else object)
+    wrong = stored != arr
+    if wrong.any():
+        raise ValueError(f"phase {arr[wrong][0]} is not an integer")
+    stored.setflags(write=False)
+    return stored
+
+
+class _PhaseArray:
+    """An alphabet size q and one read-only phase array, its last axis along a sequence.
+
+    A sequence is rank 1, a set (N, L) and a family (M, N, L).  The rows of a set or a
+    family are objects of the level below that view the array, and a sequence's phases
+    are its entries as Python ints; both are built on first access and cached.  A set or
+    family made from its rows stacks them once.  Objects of one class are equal when q and
+    the arrays are, and immutable; every instance is made by :meth:`_of`.
+    """
+
+    _RANK, _ROW, _MIXED = 0, None, ""
+
+    def __new__(cls, rows):
+        rows = tuple(rows)
+        if not rows:
+            raise ValueError(_EMPTY[-cls._RANK])
+        if not all(isinstance(r, cls._ROW) for r in rows):
+            raise TypeError(f"the rows of a {cls.__name__} must be {cls._ROW.__name__} objects")
+        if any((r.q, r._a.shape) != (rows[0].q, rows[0]._a.shape) for r in rows):
+            raise ValueError(cls._MIXED)
+        stacked = np.stack([r._a for r in rows])
+        stacked.setflags(write=False)
+        return cls._of(rows[0].q, stacked, rows)
+
+    @classmethod
+    def _of(cls, q, phases: np.ndarray, rows: tuple | None = None):
+        """An instance over an already checked read-only array, with its rows if known."""
+        obj = object.__new__(cls)
+        vars(obj).update(q=q, _a=phases)
+        if rows is not None:
+            vars(obj)["_rows"] = rows
+        return obj
+
+    @classmethod
+    def from_array(cls, q, phases):
+        """The object holding a phase array of this level's rank, checked once with numpy."""
+        return cls._of(q, _checked(q, phases, cls._RANK))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        if self._ROW is None:
+            return tuple(self._a.tolist())
+        return tuple(self._ROW._of(self.q, row) for row in self._a)
 
     def array(self) -> np.ndarray:
-        """Phases as a read-only integer vector (cached on first use)."""
-        arr = self.__dict__.get("_arr")
-        if arr is None:
-            arr = np.array(self.phases, dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_arr", arr)
-        return arr
+        """The read-only phase array."""
+        return self._a
+
+    @property
+    def length(self) -> int:
+        return self._a.shape[-1]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self._a, other._a)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self._a.shape, tuple(self._a.ravel().tolist())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_array({self.q!r}, {self._a.tolist()!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self).from_array, (self.q, self._a)
 
 
-@dataclass(frozen=True)
-class SequenceSet:
+class PhaseSequence(_PhaseArray):
+    """A unimodular sequence stored as exponents of the q-th root of unity."""
+
+    _RANK = 1
+    phases = property(lambda self: self._rows)
+
+    def __new__(cls, q, phases):
+        return cls.from_array(q, phases)
+
+    def __len__(self) -> int:
+        return self.length
+
+
+class SequenceSet(_PhaseArray):
     """N sequences sharing one length and one alphabet."""
 
-    members: tuple[PhaseSequence, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("a sequence set must have at least one member")
-        q, length = members[0].q, members[0].length
-        for s in members:
-            if s.q != q or s.length != length:
-                raise ValueError("set members must share alphabet size and length")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def length(self) -> int:
-        return self.members[0].length
-
-    @property
-    def q(self) -> int:
-        return self.members[0].q
+    _RANK, _ROW, _MIXED = 2, PhaseSequence, "set members must share alphabet size and length"
+    members = property(lambda self: self._rows)
+    size = property(lambda self: len(self._a))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_PhaseArray):
     """M sequence sets sharing one (N, L, q) shape."""
 
-    sets: tuple[SequenceSet, ...]
-
-    def __post_init__(self) -> None:
-        sets = tuple(self.sets)
-        if not sets:
-            raise ValueError("a family must contain at least one set")
-        shape = (sets[0].size, sets[0].length, sets[0].q)
-        for st in sets:
-            if (st.size, st.length, st.q) != shape:
-                raise ValueError("family sets must share (N, L, q)")
-        object.__setattr__(self, "sets", sets)
-
-    @property
-    def num_sets(self) -> int:
-        return len(self.sets)
-
-    @property
-    def set_size(self) -> int:
-        return self.sets[0].size
-
-    @property
-    def length(self) -> int:
-        return self.sets[0].length
-
-    @property
-    def q(self) -> int:
-        return self.sets[0].q
+    _RANK, _ROW, _MIXED = 3, SequenceSet, "family sets must share (N, L, q)"
+    sets = property(lambda self: self._rows)
+    num_sets = property(lambda self: len(self._a))
+    set_size = property(lambda self: self._a.shape[1])
 
 
 def modulate(seq: PhaseSequence) -> np.ndarray:
-    """Complex image of a sequence: entry t equals exp(2*pi*1j*p_t/q)."""
+    """Complex image of a sequence (or set, or family): entry t equals exp(2*pi*1j*p_t/q)."""
     return root_table(seq.q)[seq.array()]
 
 
@@ -177,12 +216,7 @@ def format_sequence(seq: PhaseSequence) -> str:
 
 
 def family_from_lists(q: int, sets) -> Family:
-    return Family(
-        tuple(
-            SequenceSet(tuple(PhaseSequence(q, tuple(seq)) for seq in members))
-            for members in sets
-        )
-    )
+    return Family(SequenceSet(PhaseSequence(q, seq) for seq in members) for members in sets)
 
 
 def family_to_json(fam: Family) -> dict:
@@ -191,7 +225,7 @@ def family_to_json(fam: Family) -> dict:
         "M": fam.num_sets,
         "N": fam.set_size,
         "L": fam.length,
-        "sets": [[list(s.phases) for s in st.members] for st in fam.sets],
+        "sets": fam.array().tolist(),
     }
 
 
@@ -237,19 +271,12 @@ def load_family(path) -> Family:
 
 def parse_family_text(text: str, q: int = 2) -> Family:
     """Parse a fixture file: one sequence per line, blank line between sets."""
-    sets: list[list[PhaseSequence]] = [[]]
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if sets[-1]:
-                sets.append([])
-            continue
-        sets[-1].append(parse_sequence(line, q))
-    if not sets[-1]:
-        sets.pop()
+    lines = "\n".join(raw.split("#", 1)[0].strip() for raw in text.splitlines())  # comments blank
+    sets = [[parse_sequence(line, q) for line in block.split("\n")]
+            for block in re.split(r"\n\n+", lines.strip("\n")) if block]
     if not sets:
         raise ValueError("fixture text contains no sequences")
-    return Family(tuple(SequenceSet(tuple(members)) for members in sets))
+    return Family(map(SequenceSet, sets))
 
 
 def format_family_text(fam: Family) -> str:

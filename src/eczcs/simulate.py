@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .sequences import PhaseSequence, family_from_lists
+from .sequences import Family, PhaseSequence, as_ints
 from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"
@@ -51,9 +51,17 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     taps = delay_spread + 1
-    scale = math.sqrt(1.0 / (2 * taps))
-    shape = (count, n_antennas, taps)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return _complex_normal(rng, math.sqrt(1.0 / (2 * taps)), (count, n_antennas, taps))
+
+
+def _complex_normal(rng: np.random.Generator, scale: float, shape) -> np.ndarray:
+    """scale * (re + 1j * im) from one standard_normal draw of shape (2, *shape), all real
+    parts first, each half scaled straight into the float view of its part of the result."""
+    out = np.empty(shape, dtype=complex)
+    re, im = rng.standard_normal((2, *shape))
+    np.multiply(scale, re, out=out.real)
+    np.multiply(scale, im, out=out.imag)
+    return out
 
 
 def _normal_matrix(X: np.ndarray, matrix_id: str = "") -> np.ndarray:
@@ -104,12 +112,17 @@ class SimConfig:
     matrix_id: str = ""
 
     def __post_init__(self) -> None:
+        as_ints((self.trials,), "trial count")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not self.ebn0_db or not self.delay_spreads:
             raise ValueError("both grids must be nonempty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
-        object.__setattr__(self, "delay_spreads", tuple(int(x) for x in self.delay_spreads))
+        object.__setattr__(self, "delay_spreads", as_ints(self.delay_spreads, "delay spread"))
+        if min(self.delay_spreads) < 0:  # worded as the LS model's width check words it
+            raise ValueError("delay spread must lie in [0, matrix width)")
         for db in self.ebn0_db:
             try:
                 sigma2 = noise_variance(db)
@@ -194,9 +207,7 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
             count = min(TRIAL_BLOCK, cfg.trials - start)
             rng = np.random.default_rng((cfg.seed, index, block))
             taps = sample_channel(spread, tm.num_rows, rng, count).reshape(count, dim)
-            noise = noise_scale * (
-                rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
-            )
+            noise = _complex_normal(rng, noise_scale, (count, width))
             error = (taps @ X.T + noise) @ solver.T - taps
             total += float(np.vdot(error, error).real)
         empirical = total / (cfg.trials * dim)
@@ -217,28 +228,19 @@ def zadoff_chu(length: int, root: int) -> PhaseSequence:
 
 
 def default_zc_roots(length: int, count: int) -> tuple[int, ...]:
-    """The smallest `count` roots coprime to the length."""
-    roots = []
-    candidate = 1
-    while len(roots) < count:
-        if candidate >= length and length > 1:
-            raise ValueError(f"cannot find {count} distinct roots below length {length}")
-        if math.gcd(candidate, length) == 1:
-            roots.append(candidate)
-        candidate += 1
-    return tuple(roots)
+    """The smallest `count` roots coprime to the length, all below it unless it is 1."""
+    roots = [r for r in range(1, length if length > 1 else count + 1) if math.gcd(r, length) == 1]
+    if len(roots) < count:
+        raise ValueError(f"cannot find {count} distinct roots below length {length}")
+    return tuple(roots[:count])
 
 
 def baseline_random_binary(
     cfg: GSMConfig, blocks: int, block_length: int, rng: np.random.Generator
 ) -> TrainingMatrix:
     """Random +-1 sequences dropped into the standard sparse layout."""
-    sets = [
-        [list(rng.integers(0, 2, block_length)) for _ in range(blocks)]
-        for _ in range(cfg.active_antennas)
-    ]
-    fam = family_from_lists(2, sets)
-    return build_training_matrix(fam, cfg, source="random-binary")
+    draws = [[rng.integers(0, 2, block_length) for _ in range(blocks)] for _ in range(cfg.active_antennas)]
+    return build_training_matrix(Family.from_array(2, np.array(draws)), cfg, source="random-binary")
 
 
 def baseline_zadoff_chu(
@@ -250,7 +252,5 @@ def baseline_zadoff_chu(
         roots = default_zc_roots(block_length, needed)
     if len(roots) != needed:
         raise ValueError(f"need {needed} roots, got {len(roots)}")
-    phases = [zadoff_chu(block_length, r).phases for r in roots]
-    sets = [phases[m * blocks : (m + 1) * blocks] for m in range(cfg.active_antennas)]
-    fam = family_from_lists(2 * block_length, sets)
-    return build_training_matrix(fam, cfg, source="zadoff-chu")
+    phases = np.reshape([zadoff_chu(block_length, r).array() for r in roots], (-1, blocks, block_length))
+    return build_training_matrix(Family.from_array(2 * block_length, phases), cfg, source="zadoff-chu")

@@ -133,9 +133,8 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
     if fam.num_sets < na:
         raise ValueError(f"family has {fam.num_sets} sets but {na} active antennas need one each")
     live = _live(cfg.transmit_antennas, na, fam.set_size, fam.length)
-    sets = np.array([[s.phases for s in st.members] for st in fam.sets[:na]], dtype=object)
     rows = np.full(live.shape, None, dtype=object)
-    rows[live] = sets[np.arange(cfg.transmit_antennas) % na].ravel()
+    rows[live] = fam.array()[np.arange(cfg.transmit_antennas) % na].ravel().tolist()
     return TrainingMatrix(fam.q, rows.tolist(), na, fam.length, source)
 
 

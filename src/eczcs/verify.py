@@ -22,13 +22,14 @@ CycloInt is built anywhere in a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import cyclic_tally, set_rows
 from .cyclotomic import cyclotomic_poly, magnitudes, reduction_matrix
-from .sequences import Family, PhaseSequence, SequenceSet
+from .sequences import Family, SequenceSet
 
 
 class Violation(NamedTuple):
@@ -76,16 +77,27 @@ def zone_violations(values, masks, q: int, width: int, labels) -> list[Violation
 def read_windows(reduced, q: int, same, cross, labels, first: int = 0) -> list[Violation]:
     """The violations of a reduced tally [row, row, shift - first, vector]: pair (i, j) must
     vanish on the shift set ``same`` if i == j, on ``cross`` otherwise.  One mask, one
-    ``np.nonzero``, one gather of check names ``labels[i, j]`` (as objects: hits share the
-    table's strings) and one :func:`~eczcs.cyclotomic.magnitudes` call give them in (row,
-    pair, shift) order."""
+    ``np.nonzero``, then (when anything is hit) one gather of check names ``labels[i, j]``
+    (as objects: hits share the table's strings) and one
+    :func:`~eczcs.cyclotomic.magnitudes` call give them in (row, pair, shift) order."""
     in_window = np.zeros((2, reduced.shape[2]), dtype=bool)
     for side, w in zip(in_window, (same, cross)):
         side[np.fromiter(w, dtype=np.int64) - first] = True
     window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
     i, j, k = np.nonzero(reduced.any(axis=-1) & window)
-    return list(map(Violation, labels.astype(object)[i, j].tolist(), zip(i.tolist(), j.tolist()),
-                    (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist()))
+    if not len(i):
+        return []
+    return list(map(Violation, np.asarray(labels, dtype=object)[i, j].tolist(),
+                    zip(i.tolist(), j.tolist()), (k + first).tolist(),
+                    magnitudes(q, reduced[i, j, k]).tolist()))
+
+
+@lru_cache(maxsize=None)
+def _pair_table(rows: int, same: str, cross: str) -> np.ndarray:
+    """The (rows, rows) check names, same on the diagonal and cross off it, built once."""
+    table = np.where(np.eye(rows, dtype=bool), same, cross).astype(object)
+    table.setflags(write=False)
+    return table
 
 
 def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
@@ -96,9 +108,8 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     symmetry because every ordered pair is checked.
     """
     _check_width(width, sset.length)
-    rows = [s.array() for s in sset.members]
-    labels = np.where(np.eye(len(rows), dtype=bool), "zcz-auto", "zcz-cross")
-    return Verdict(tuple(zone_violations(rows, None, sset.q, min(width, sset.length - 1), labels)))
+    labels = _pair_table(sset.size, "zcz-auto", "zcz-cross")
+    return Verdict(tuple(zone_violations(sset.array(), None, sset.q, min(width, sset.length - 1), labels)))
 
 
 def set_sum_tally(fam: Family) -> np.ndarray:
@@ -110,7 +121,7 @@ def set_sum_tally(fam: Family) -> np.ndarray:
     if tally is None:
         length, phi = fam.length, len(cyclotomic_poly(fam.q)) - 1
         shifts = np.r_[0:length, 2 - 3 * length : 1 - length]
-        tally = cyclic_tally(*set_rows(fam.sets), fam.q, shifts) @ reduction_matrix(fam.q)[:, :phi]
+        tally = cyclic_tally(*set_rows(fam), fam.q, shifts) @ reduction_matrix(fam.q)[:, :phi]
         tally.setflags(write=False)
         object.__setattr__(fam, "_set_sums", tally)
     return tally
@@ -119,8 +130,7 @@ def set_sum_tally(fam: Family) -> np.ndarray:
 def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
     """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
     first = -rotation * (2 * fam.length - 1)
-    labels = np.where(np.eye(fam.num_sets, dtype=bool), *kinds)
-    return read_windows(set_sum_tally(fam), fam.q, same, cross, labels, first)
+    return read_windows(set_sum_tally(fam), fam.q, same, cross, _pair_table(fam.num_sets, *kinds), first)
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -238,5 +248,4 @@ def flatten_to_zcz(fam: Family) -> SequenceSet:
     A family passing check_eczcs at width Z flattens to an (M, N*L, Z)
     zero-correlation-zone sequence set under the periodic test.
     """
-    flat = (tuple(p for s in st.members for p in s.phases) for st in fam.sets)
-    return SequenceSet(tuple(PhaseSequence(fam.q, phases) for phases in flat))
+    return SequenceSet.from_array(fam.q, fam.array().reshape(fam.num_sets, -1))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,19 @@ def test_sim_config_validation():
         with pytest.raises(ValueError, match="noise variance"):
             SimConfig(ebn0_db=(10.0, ebn0), delay_spreads=(1,), trials=1, seed=0)
     SimConfig(ebn0_db=(math.inf,), delay_spreads=(1,), trials=1, seed=0)
+    # no truncation and no mid-run failure: each field is named when it is rejected
+    base = dict(ebn0_db=(1.0,), delay_spreads=(1,), trials=10, seed=0)
+    for change, named in (
+        ({"trials": 10.5}, "trial count 10.5 is not an integer"),
+        ({"delay_spreads": (1, 2.7)}, "delay spread 2.7 is not an integer"),
+        ({"delay_spreads": (3, -1)}, "delay spread must lie in"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SimConfig(**{**base, **change})
+    # numpy ints and True read as integers, the rule PhaseSequence applies to phases
+    cfg = SimConfig(ebn0_db=(1.0,), delay_spreads=(np.int64(2), True, 4.0), trials=np.int64(3), seed=0)
+    assert cfg.delay_spreads == (2, 1, 4) and all(type(d) is int for d in cfg.delay_spreads)
 
 
 def test_zadoff_chu_closed_form():
@@ -235,8 +249,10 @@ def test_zadoff_chu_closed_form():
 
 def test_default_roots():
     assert default_zc_roots(24, 4) == (1, 5, 7, 11)
-    with pytest.raises(ValueError):
-        default_zc_roots(4, 3)
+    assert default_zc_roots(1, 3) == (1, 2, 3)
+    for length in (4, 0):  # nothing is coprime to 0 but 1
+        with pytest.raises(ValueError):
+            default_zc_roots(length, 3)
 
 
 def test_baseline_layouts(table3):
