@@ -7,7 +7,7 @@ training-matrix design for generalized spatial modulation, and a
 least-squares channel-estimation simulator.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .construct import (
     SeedLibraryEntry,

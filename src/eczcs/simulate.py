@@ -47,11 +47,15 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
     one.  ``count`` channels are drawn at once, shape (count, n_antennas,
     delay_spread + 1): all real parts first, then all imaginary parts.
     """
-    for name, value in (("delay_spread", delay_spread), ("count", count)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    _at_least(0, delay_spread=delay_spread, count=count)
     taps = delay_spread + 1
     return _complex_normal(rng, math.sqrt(1.0 / (2 * taps)), (count, n_antennas, taps))
+
+
+def _at_least(low: int, **sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _complex_normal(rng: np.random.Generator, scale: float, shape) -> np.ndarray:
@@ -239,6 +243,7 @@ def baseline_random_binary(
     cfg: GSMConfig, blocks: int, block_length: int, rng: np.random.Generator
 ) -> TrainingMatrix:
     """Random +-1 sequences dropped into the standard sparse layout."""
+    _at_least(1, blocks=blocks, block_length=block_length)
     draws = [[rng.integers(0, 2, block_length) for _ in range(blocks)] for _ in range(cfg.active_antennas)]
     return build_training_matrix(Family.from_array(2, np.array(draws)), cfg, source="random-binary")
 
@@ -247,6 +252,7 @@ def baseline_zadoff_chu(
     cfg: GSMConfig, blocks: int, block_length: int, roots: tuple[int, ...] | None = None
 ) -> TrainingMatrix:
     """Distinct constant-amplitude sequences in the standard sparse layout."""
+    _at_least(1, blocks=blocks, block_length=block_length)
     needed = cfg.active_antennas * blocks
     if roots is None:
         roots = default_zc_roots(block_length, needed)

@@ -5,9 +5,9 @@ slots at offset g*L of every width-VL sub-block.  Row k transmits the
 members of set (k mod Na), concatenated in order, on the live slots of
 its group k div Na and stays silent elsewhere; one mask, ``_live``, holds
 this layout, and the design criterion's expected per-slot activity is
-its column sums.  Silence is a distinct marker (None), never phase 0; a
-matrix decodes its rows once into (values, mask) arrays, and every reader
-(criterion, LS model, CSV) uses those arrays.
+its column sums.  A matrix is that layout as two read-only arrays: the
+int64 phases (0 where silent) and the live mask, so silence is never
+phase 0.  Every reader (criterion, LS model, CSV) uses those arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from numbers import Real
 
 import numpy as np
 
@@ -45,51 +44,55 @@ class GSMConfig:
         return -(-self.transmit_antennas // self.active_antennas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingMatrix:
-    """Nt rows of length N*V*L of integral phases in Z_q or None (silent); V and N are derived."""
+    """Nt rows of length N*V*L as read-only copies of int64 phases in Z_q (0 where silent) and
+    the live mask, checked once; V and N are derived."""
 
     q: int
-    rows: tuple[tuple[int | None, ...], ...]
+    values: np.ndarray
+    mask: np.ndarray
     active_antennas: int
     block_length: int
     source: str = ""
 
     def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        if not rows:
-            raise ValueError("a training matrix needs at least one row")
-        grid = np.array(rows, dtype=object)
-        if grid.ndim != 2:
-            raise ValueError("ragged training matrix")
-        mask = grid != None  # elementwise; `is not None` would test the grid itself
-        live = grid[mask]
-        try:
-            inside = (live >= 0) & (live < self.q)
-        except TypeError:  # an entry that is no real number, such as a string
-            bad = next(x for x in live if not isinstance(x, Real))
-            raise ValueError(f"entry {bad!r} is not an integer") from None
+        mask, raw = np.array(self.mask), np.asarray(self.values)
+        if mask.dtype != bool or mask.ndim != 2:
+            raise ValueError(f"the training mask must be a boolean 2-axis array, got {mask.dtype} {mask.shape}")
+        if not mask.size:
+            raise ValueError("a training matrix needs at least one row and one slot")
+        if raw.shape != mask.shape:
+            raise ValueError(f"values of shape {raw.shape} do not match the mask's {mask.shape}")
+        if raw.dtype.kind not in "biufc":
+            raise ValueError(f"training values must be numbers, got dtype {raw.dtype}")
+        live = raw[mask]
+        inside = (live >= 0) & (live < self.q)
         if not inside.all():
             raise ValueError(f"entry {live[np.argmin(inside)]} outside Z_{self.q}")
-        vals = np.where(mask, grid, 0).astype(np.int64)
-        truncated = vals[mask] != live
+        vals = np.where(mask, raw.real, 0).astype(np.int64)
+        truncated = vals[mask] != live  # a fraction, or an imaginary part
         if truncated.any():
             raise ValueError(f"entry {live[np.argmax(truncated)]} is not an integer")
-        vals.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_vm", (vals, mask))
+        for name, array in (("values", vals), ("mask", mask)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         period = self.group_count * self.block_length  # group_count rejects Na outside 1..Nt
         if self.block_length < 1 or self.width % period:
             raise ValueError(f"need L >= 1 and V*L = {period} dividing the width {self.width}")
 
+    @cached_property
+    def rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """The rows as phase tuples with None where silent, built on first read."""
+        return tuple(map(tuple, np.where(self.mask, self.values, None).tolist()))
+
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.mask.shape[0]
 
     @property
     def width(self) -> int:
-        return len(self.rows[0])
+        return self.mask.shape[1]
 
     @cached_property
     def group_count(self) -> int:
@@ -104,16 +107,8 @@ class TrainingMatrix:
         """Designed per-row energy N*L (actual rows are checked against it)."""
         return self.blocks_per_row * self.block_length
 
-    def row_energies(self) -> tuple[int, ...]:
-        return tuple(self.values_and_mask()[1].sum(axis=1).tolist())
-
-    def values_and_mask(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only integer phases (0 where silent) and the non-silent mask."""
-        return self._vm
-
     def complex_rows(self) -> np.ndarray:
-        vals, mask = self.values_and_mask()
-        return root_table(self.q)[vals] * mask
+        return root_table(self.q)[self.values] * self.mask
 
 
 def _live(nt: int, na: int, blocks: int, length: int) -> np.ndarray:
@@ -133,15 +128,17 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
     if fam.num_sets < na:
         raise ValueError(f"family has {fam.num_sets} sets but {na} active antennas need one each")
     live = _live(cfg.transmit_antennas, na, fam.set_size, fam.length)
-    rows = np.full(live.shape, None, dtype=object)
-    rows[live] = fam.array()[np.arange(cfg.transmit_antennas) % na].ravel().tolist()
-    return TrainingMatrix(fam.q, rows.tolist(), na, fam.length, source)
+    values = np.zeros(live.shape, dtype=np.int64)
+    values[live] = fam.array()[np.arange(cfg.transmit_antennas) % na].ravel()
+    return TrainingMatrix(fam.q, values, live, na, fam.length, source)
 
 
 def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
-    """Periodic cross-correlation of two rows over the zero-extended alphabet."""
-    vals, mask = tm.values_and_mask()
-    return CycloInt(tm.q, cross_tally(vals[i], mask[i], vals[j], mask[j], tm.q, (u,))[0, 0, 0])
+    """Periodic cross-correlation of rows i and j (each in 0..Nt-1) at cyclic shift u."""
+    if not (0 <= i < tm.num_rows and 0 <= j < tm.num_rows):
+        raise ValueError(f"row indices ({i}, {j}) must lie in 0..{tm.num_rows - 1}")
+    tally = cross_tally(tm.values[i], tm.mask[i], tm.values[j], tm.mask[j], tm.q, (u,))
+    return CycloInt(tm.q, tally[0, 0, 0])
 
 
 def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
@@ -170,14 +167,13 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     """
     if not 0 <= delay_spread < tm.width:
         raise ValueError("delay spread must lie in [0, matrix width)")
-    vals, mask = tm.values_and_mask()
-    col_counts, energies = mask.sum(axis=0), mask.sum(axis=1)
+    col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
     expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
     violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
                   for c in np.nonzero(col_counts != expected)[0]]
     violations += [Violation("row-energy", (int(i),), 0, float(energies[i]))
                    for i in np.nonzero(energies != tm.energy)[0]]
-    violations += zone_violations(vals, mask, tm.q, delay_spread, _pair_labels(tm))
+    violations += zone_violations(tm.values, tm.mask, tm.q, delay_spread, _pair_labels(tm))
     return Verdict(tuple(violations))
 
 
@@ -234,16 +230,15 @@ def map_bits_to_gsm_block(bits, cfg: GSMConfig) -> np.ndarray:
     pick an activation pattern, then one bit per active antenna ('0' sends +1, '1' sends -1),
     assigned to the active antennas in ascending order.  BPSK is the only constellation.
     """
-    raw = np.fromiter(map(int, bits.strip()), np.int64) if isinstance(bits, str) else np.asarray(bits)
-    if raw.ndim != 1 or ((raw != 0) & (raw != 1)).any():  # int() would truncate 0.7 to a bit
+    raw = np.frombuffer(bits.strip().encode(), np.uint8) - ord("0") if isinstance(bits, str) else np.asarray(bits)
+    if raw.ndim != 1 or ((raw != 0) & (raw != 1)).any():  # int() would truncate 0.7 and reject 'a' itself
         raise ValueError("bits must be 0 or 1")
-    bit_arr = raw.astype(np.int64)
     table = activation_table(cfg)
     index_bits = table.index_bits
     per_symbol = index_bits + cfg.active_antennas
-    if bit_arr.size % per_symbol:
+    if raw.size % per_symbol:
         raise ValueError(f"bit count must be a multiple of {per_symbol}")
-    symbols = bit_arr.reshape(-1, per_symbol)
+    symbols = raw.astype(np.int64).reshape(-1, per_symbol)
     index = symbols[:, :index_bits] @ (1 << np.arange(index_bits - 1, -1, -1))  # MSB first
     patterns = np.array(table.patterns, dtype=bool)
     block = np.zeros((cfg.transmit_antennas, len(symbols)), dtype=np.int8)
@@ -255,12 +250,11 @@ def training_matrix_to_csv(tm: TrainingMatrix) -> str:
     """Rows as CSV: +1/-1/0 entries for binary alphabets, complex otherwise."""
     out = io.StringIO()
     writer = csv.writer(out)
-    vals, mask = tm.values_and_mask()
     if tm.q == 2:
-        writer.writerows(np.where(mask, 1 - 2 * vals, 0).tolist())
+        writer.writerows(np.where(tm.mask, 1 - 2 * tm.values, 0).tolist())
     else:
         roots = np.array([f"{z.real:.12g}{z.imag:+.12g}j" for z in root_table(tm.q)])
-        writer.writerows(np.where(mask, roots[vals], "0").tolist())
+        writer.writerows(np.where(tm.mask, roots[tm.values], "0").tolist())
     return out.getvalue()
 
 

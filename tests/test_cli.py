@@ -312,6 +312,14 @@ def test_simulate_config_errors_and_failed_points(tmp_path, capsys):
         (dict(good, seed=-3), "'seed' must be non-negative, got -3"),
         (dict(good, matrix={"kind": "random-binary", "nt": 4, "na": 2, "blocks": 1,
                             "block_length": 8, "rng_seed": -1}), "'rng_seed' must be non-negative, got -1"),
+        (dict(good, matrix={"kind": "random-binary", "nt": 4, "na": 2, "blocks": 0,
+                            "block_length": 8}), "blocks must be >= 1, got 0"),
+        (dict(good, matrix={"kind": "random-binary", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": -3}), "block_length must be >= 1, got -3"),
+        (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 0,
+                            "block_length": 8}), "blocks must be >= 1, got 0"),
+        (dict(good, matrix={"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1,
+                            "block_length": 0}), "block_length must be >= 1, got 0"),
     ):
         cfg_file.write_text(json.dumps(config))
         code, _, err = run(capsys, "simulate", "--config", str(cfg_file))

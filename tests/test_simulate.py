@@ -93,7 +93,8 @@ def test_ls_model_rejects_out_of_range_delay_spread(psi24):
 def test_duplicated_rows_raise(psi24):
     import dataclasses
 
-    bad = dataclasses.replace(psi24, rows=(psi24.rows[0],) * 2 + psi24.rows[2:])
+    rows = [0, 0, *range(2, psi24.num_rows)]
+    bad = dataclasses.replace(psi24, values=psi24.values[rows], mask=psi24.mask[rows])
     X = build_ls_model_matrix(bad, 5)
     with pytest.raises(RankDeficientTraining, match="duplicate-rows"):
         ls_estimate(X, np.zeros(96, dtype=complex), matrix_id="duplicate-rows")
@@ -196,7 +197,8 @@ def test_monte_carlo_zero_noise(psi24):
 def test_monte_carlo_marks_singular_points(psi24):
     import dataclasses
 
-    bad = dataclasses.replace(psi24, rows=(psi24.rows[0],) * 2 + psi24.rows[2:])
+    rows = [0, 0, *range(2, psi24.num_rows)]
+    bad = dataclasses.replace(psi24, values=psi24.values[rows], mask=psi24.mask[rows])
     cfg = SimConfig(ebn0_db=(10.0,), delay_spreads=(2,), trials=10, seed=1, matrix_id="dup")
     report = monte_carlo_mse(bad, cfg)
     assert report.points[0].failed
@@ -259,13 +261,12 @@ def test_baseline_layouts(table3):
     cfg = GSMConfig(4, 2)
     rng = np.random.default_rng(11)
     rnd = baseline_random_binary(cfg, 2, 24, rng)
-    _, mask = rnd.values_and_mask()
-    assert np.all(mask.sum(axis=0) == 2)
+    assert np.all(rnd.mask.sum(axis=0) == 2)
     assert rnd.source == "random-binary"
 
     zc = baseline_zadoff_chu(cfg, 2, 24)
     assert zc.q == 48 and zc.width == 96
-    assert set(zc.row_energies()) == {48}
+    assert set(zc.mask.sum(axis=1).tolist()) == {48}
 
     zccs_tm = build_training_matrix(table3, cfg, source="zccs")
     zeros = (None,) * 12

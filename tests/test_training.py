@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from eczcs import (
     GSMConfig,
     PhaseSequence,
+    SimConfig,
     TrainingMatrix,
     accf,
     activation_table,
@@ -22,6 +23,7 @@ from eczcs import (
     family_from_lists,
     map_bits_to_gsm_block,
     measure_zcz_width,
+    monte_carlo_mse,
     theorem3_construct,
     training_matrix_meta,
     training_matrix_to_csv,
@@ -79,9 +81,8 @@ def test_too_few_sets_rejected(table4):
 def test_sparsity_and_energy(table4, table5):
     for fam, cfg in ((table4, GSMConfig(4, 2)), (table5, GSMConfig(8, 3))):
         tm = build_training_matrix(fam, cfg)
-        assert set(tm.row_energies()) == {fam.set_size * fam.length}
-        _, mask = tm.values_and_mask()
-        col_counts = mask.sum(axis=0)
+        assert set(tm.mask.sum(axis=1).tolist()) == {fam.set_size * fam.length}
+        col_counts = tm.mask.sum(axis=0)
         assert col_counts.max() == cfg.active_antennas
         full_groups = cfg.transmit_antennas // cfg.active_antennas
         if full_groups == cfg.group_count:
@@ -111,9 +112,9 @@ def test_layout_and_slot_activity_over_many_shapes():
                 k = rng.randrange(nt)
                 group = k // na
                 col = rng.randrange(n_count) * v_count * length + group * length + rng.randrange(length)
-                rows = [list(r) for r in tm.rows]
-                rows[k][col] = None
-                verdict = check_design_criterion(dataclasses.replace(tm, rows=tuple(map(tuple, rows))), 0)
+                mask = tm.mask.copy()
+                mask[k, col] = False
+                verdict = check_design_criterion(dataclasses.replace(tm, mask=mask), 0)
                 assert [v for v in verdict.violations if v.check == "sparsity"] == [
                     Violation("sparsity", (col,), 0, float(min(na, nt - group * na) - 1))
                 ]
@@ -134,10 +135,9 @@ def test_design_criterion_pass_and_fail(table4):
 
 def test_design_criterion_flags_zero_column(table4):
     tm = build_training_matrix(table4, GSMConfig(4, 2))
-    rows = [list(r) for r in tm.rows]
-    for r in rows:
-        r[0] = None
-    broken = dataclasses.replace(tm, rows=tuple(tuple(r) for r in rows))
+    mask = tm.mask.copy()
+    mask[:, 0] = False
+    broken = dataclasses.replace(tm, mask=mask)
     verdict = check_design_criterion(broken, 0)
     assert any(v.check == "sparsity" and v.indices == (0,) for v in verdict.violations)
     assert any(v.check == "row-energy" for v in verdict.violations)
@@ -147,6 +147,35 @@ def test_training_pccf_peak(table4):
     tm = build_training_matrix(table4, GSMConfig(4, 2))
     assert training_pccf(tm, 0, 0, 0) == CycloInt.integer(2, 48)
     assert training_pccf(tm, 0, 2, 0).is_zero()  # disjoint supports
+
+
+def test_training_pccf_rejects_rows_outside_the_matrix(table4):
+    """Row indices lie in 0..Nt-1; the shift is cyclic."""
+    tm = build_training_matrix(table4, GSMConfig(4, 2))
+    for i, j in ((-1, 0), (4, 0), (0, -1), (0, 4)):
+        with pytest.raises(ValueError, match=r"row indices .* must lie in 0\.\.3"):
+            training_pccf(tm, i, j, 0)
+    assert training_pccf(tm, 0, 1, -1) == training_pccf(tm, 0, 1, tm.width - 1)
+    assert training_pccf(tm, 3, 3, tm.width) == CycloInt.integer(2, 48)
+
+
+def test_arrays_are_the_one_representation(table4):
+    """The readers use the arrays and never build the None rows; the matrix owns read-only copies."""
+    tm = build_training_matrix(table4, GSMConfig(4, 2))
+    check_design_criterion(tm, 9)
+    build_ls_model_matrix(tm, 9)
+    training_matrix_to_csv(tm)
+    monte_carlo_mse(tm, SimConfig(ebn0_db=(10.0,), delay_spreads=(9,), trials=4, seed=1))
+    assert "rows" not in vars(tm)
+    assert tm.values.dtype == np.int64 and tm.mask.dtype == bool
+    assert not tm.values.flags.writeable and not tm.mask.flags.writeable
+    values, mask = tm.values.copy(), tm.mask.copy()
+    own = TrainingMatrix(tm.q, values, mask, tm.active_antennas, tm.block_length)
+    assert values.flags.writeable and mask.flags.writeable
+    values[:] = 1
+    mask[:] = False
+    assert np.array_equal(own.values, tm.values) and np.array_equal(own.mask, tm.mask)
+    assert own.rows == tm.rows and "rows" in vars(tm)
 
 
 def test_ls_model_matrix_structure(table4):
@@ -242,9 +271,9 @@ def test_eczcs_verdict_implies_design_criterion_up_to_its_width(case):
 def test_silenced_symbol_is_one_row_energy_fault(table4):
     """The zero-shift autocorrelation of a row is its energy: one fault, reported once."""
     tm = build_training_matrix(table4, GSMConfig(4, 2))
-    rows = [list(r) for r in tm.rows]
-    rows[2][30] = None
-    faulty = dataclasses.replace(tm, rows=tuple(map(tuple, rows)))
+    mask = tm.mask.copy()
+    mask[2, 30] = False
+    faulty = dataclasses.replace(tm, mask=mask)
     for spread in (0, 5, 9):
         verdict = check_design_criterion(faulty, spread)
         energy = [v for v in verdict.violations if v.check == "row-energy"]
@@ -254,35 +283,44 @@ def test_silenced_symbol_is_one_row_energy_fault(table4):
 
 def test_training_width_must_be_a_multiple_of_group_span():
     """V = ceil(Nt / Na) groups of L slots each divide the width; N is derived from it."""
-    row = (0, 1, None, None)
-    tm = TrainingMatrix(2, (row, row[2:] + row[:2], row), 2, 2)
+    row, live = [0, 1, 0, 0], [True, True, False, False]
+    tm = TrainingMatrix(2, [row, row[2:] + row[:2], row], [live, live[2:] + live[:2], live], 2, 2)
     assert (tm.group_count, tm.blocks_per_row, tm.energy) == (2, 1, 2)
-    for rows, na, length in (((row, row, row), 2, 3), (((0, 1, 1),) * 3, 2, 1), ((row,), 1, 0)):
+    for values, mask, na, length in (
+        ([row] * 3, [live] * 3, 2, 3),
+        ([[0, 1, 1]] * 3, np.ones((3, 3), bool), 2, 1),
+        ([row], [live], 1, 0),
+    ):
         with pytest.raises(ValueError, match=r"V\*L = \d+ dividing the width"):
-            TrainingMatrix(2, rows, na, length)
+            TrainingMatrix(2, values, mask, na, length)
     for na in (0, 2):  # Na outside 1..Nt
         with pytest.raises(ValueError, match="active antennas"):
-            TrainingMatrix(2, (row,), na, 2)
+            TrainingMatrix(2, [row], [live], na, 2)
 
 
 def test_training_matrix_validation():
-    """Rows are rejected when empty, ragged, outside Z_q or non-integral; integral values read as ints."""
-    for rows, message in (
-        ((), "at least one row"),
-        (((0, 1), (1,)), "ragged training matrix"),
-        (((0, None, 1, 0), (None, 3, 7, 0)), "entry 7 outside Z_4"),  # 7 is the first offender
-        (((0, 1), (-1, 9)), "entry -1 outside Z_4"),
-        (((0, 1.5),), r"entry 1\.5 is not an integer"),
-        (((None, "1"),), r"entry '1' is not an integer"),
-        (((0, 1j),), r"entry 1j is not an integer"),
+    """Arrays are rejected when the mask is no boolean 2-axis array, when empty, of two shapes,
+    not numbers, outside Z_q on a live entry or non-integral; integral values read as ints."""
+    full = [[True, True]]
+    for values, mask, message in (
+        ([[0, 1]], [[1, 1]], r"boolean 2-axis array, got int64 \(1, 2\)"),
+        ([0, 1], [True, True], r"boolean 2-axis array, got bool \(2,\)"),
+        (np.zeros((0, 2)), np.zeros((0, 2), bool), "at least one row"),
+        ([[0, 1], [1, 0]], full, r"values of shape \(2, 2\) do not match the mask's \(1, 2\)"),
+        ([[0, 9, 1, 0], [9, 3, 7, 0]], [[True, False, True, True], [False, True, True, True]],
+         "entry 7 outside Z_4"),  # 7 is the first live offender
+        ([[0, 1], [-1, 9]], full * 2, "entry -1 outside Z_4"),
+        ([[0, 1.5]], full, r"entry 1\.5 is not an integer"),
+        ([["0", "1"]], full, "training values must be numbers, got dtype <U1"),
+        ([[0, 1j]], full, r"entry 1j is not an integer"),
     ):
         with pytest.raises(ValueError, match=message):
-            TrainingMatrix(4, rows, 1, 2)
-    tm = TrainingMatrix(4, ((np.int64(3), None, 1.0, True),), 1, 2)
-    vals, mask = tm.values_and_mask()
-    assert vals.tolist() == [[3, 0, 1, 1]] and mask.tolist() == [[True, False, True, True]]
-    assert not vals.flags.writeable and not mask.flags.writeable
-    assert training_matrix_to_csv(tm) == training_matrix_to_csv(TrainingMatrix(4, ((3, None, 1, 1),), 1, 2))
+            TrainingMatrix(4, values, mask, 1, 2)
+    live = [[True, False, True, True]]
+    tm = TrainingMatrix(4, [[np.int64(3), 9.5, 1.0, True]], live, 1, 2)  # a silent entry is never read
+    assert tm.values.tolist() == [[3, 0, 1, 1]] and tm.mask.tolist() == live
+    assert not tm.values.flags.writeable and not tm.mask.flags.writeable
+    assert training_matrix_to_csv(tm) == training_matrix_to_csv(TrainingMatrix(4, [[3, 0, 1, 1]], live, 1, 2))
     with pytest.raises(ValueError, match=r"phase 2\.9 is not an integer"):
         PhaseSequence(4, (0, 2.9))
     assert PhaseSequence(4, (np.int64(3), 1.0, True)).phases == (3, 1, 1)
@@ -358,11 +396,11 @@ def test_bit_mapping_edge_cases():
     with pytest.raises(ValueError):
         map_bits_to_gsm_block("010", GSMConfig(4, 2))
     # int() would truncate 0.7 and 1.9 into bits, and read '1' as one
-    for bits in ([0.7, 1, 0, 1.9], [0, 1, 0, 2], [0, 1, 0, "1"], [0, None, 0, 1], "0102"):
+    for bits in ([0.7, 1, 0, 1.9], [0, 1, 0, 2], [0, 1, 0, "1"], [0, None, 0, 1], "0102", "01a1", "01 01"):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             map_bits_to_gsm_block(bits, GSMConfig(4, 2))
     want = map_bits_to_gsm_block("0101", GSMConfig(4, 2))
-    for bits in ([0, 1, 0, 1], [0, 1.0, 0, True], np.array([0, 1, 0, 1])):
+    for bits in ([0, 1, 0, 1], [0, 1.0, 0, True], np.array([0, 1, 0, 1]), " 0101\n"):
         assert np.array_equal(map_bits_to_gsm_block(bits, GSMConfig(4, 2)), want)
 
 
@@ -454,7 +492,7 @@ def reference_label(tm, i, j):
 def test_design_criterion_matches_per_shift_reference(table4, table5):
     """Correlation violations equal an explicit per-shift loop, in report order."""
     for tm, zone in _reference_matrices(table4, table5):
-        vals, mask = (x.tolist() for x in tm.values_and_mask())
+        vals, mask = tm.values.tolist(), tm.mask.tolist()
         width, q = tm.width, tm.q
         value = {}
         for i in range(tm.num_rows):

@@ -201,7 +201,8 @@ def test_zone_scans_build_no_cyclo_int(monkeypatch):
         fam = theorem3_construct(optimal_theorem3_params(4, 2, 1), 1, q, (1, 2, 3, 0, 1))
         scans += [lambda w=w, f=fam: check_eczcs(f, w) for w in (fam.length // 2, fam.length)]
     zc = baseline_zadoff_chu(GSMConfig(4, 2), 1, 32)
-    silent = TrainingMatrix(4, ((0, 1, None, 3, 2, None), (None, 2, 3, 1, None, 0)), 1, 3)
+    live = np.array([[1, 1, 0, 1, 1, 0], [0, 1, 1, 1, 0, 1]], dtype=bool)
+    silent = TrainingMatrix(4, [[0, 1, 0, 3, 2, 0], [0, 2, 3, 1, 0, 0]], live, 1, 3)
     scans += [lambda: check_design_criterion(zc, 5), lambda: check_design_criterion(silent, 2)]
     want = [scan().to_json() for scan in scans]
     assert zc.q == 64
