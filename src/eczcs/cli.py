@@ -187,6 +187,8 @@ def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
         (("parts", "pi", "U"), int, 2, "a list of integer lists"),
         (("eta",), int, 1, "a list of integers"),
     ), "construction spec key")
+    if "m" not in spec_dict:
+        raise ValueError("construction spec needs key 'm'")
     if "parts" in spec_dict and "pi" in spec_dict:
         raise ValueError("construction spec takes 'parts' or 'pi', not both")
     raw = spec_dict.get("parts", spec_dict.get("pi"))

@@ -37,7 +37,8 @@ def theorem2_construct(seed: Family, declared_width: int, *, force: bool = False
     declared_width : int
         The seed's zone width; the output family has a zone one narrower.
     force : bool
-        Skip the seed re-verification (for experimentation only).
+        Skip the seed re-verification (for experimentation only); the
+        declared width must still lie in 1..L.
 
     If the seed is mutually orthogonal (zone equal to L), the output zone
     reaches L, half the doubled length, which is optimal for binary seeds
@@ -45,6 +46,8 @@ def theorem2_construct(seed: Family, declared_width: int, *, force: bool = False
     """
     if seed.set_size % 2:
         raise ValueError("the seed sets must contain an even number of sequences")
+    if not 1 <= declared_width <= seed.length:
+        raise ValueError(f"declared seed width {declared_width} outside 1..{seed.length}")
     if not force:
         verdict = check_zccs(seed, declared_width)
         if not verdict.passed:

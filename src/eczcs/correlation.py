@@ -1,14 +1,16 @@
 """Exact aperiodic and periodic correlation functions and set-level sums.
 
-Every function returns a :class:`~eczcs.cyclotomic.CycloInt`, so zero tests
-are exact.  All of them read one kernel, :func:`cross_tally` of every
-a-row against every b-row (:func:`cyclic_tally` for every row pair of
-one batch, a pair function for its one pair only): binary and quaternary
-values come from per-row FFTs of unit values, rounded to integers inside
-a checked margin, other alphabets (and any call outside the margin) from
-an integer phase-difference count.  The aperiodic set sums rho and
-rho-hat come as tables over every shift, cyclic tallies of
-:func:`set_rows`, where every member is followed by silent entries.
+The single-value functions return a :class:`~eczcs.cyclotomic.CycloInt`;
+tables and profiles are canonical count arrays, one row per shift equal to
+its ``CycloInt.counts``, so zero tests are exact.  All of them read one
+kernel, :func:`cross_tally` of every a-row against every b-row
+(:func:`cyclic_tally` for every row pair of one batch, a pair function for
+its one pair only): binary and quaternary values come from per-row FFTs of
+unit values, rounded to integers inside a checked margin, other alphabets
+(and any call outside the margin) from an integer phase-difference count.
+The aperiodic set sums rho and rho-hat come as tables over every shift,
+cyclic tallies of :func:`set_rows`, where every member is followed by
+silent entries.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycloInt, root_table
+from .cyclotomic import CycloInt, magnitudes, reduction_matrix, root_table
 from .sequences import Family, PhaseSequence, SequenceSet
 
 
@@ -161,69 +163,65 @@ def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.n
     return cross_tally(rows[:1], live, rows[1:], live, s0.q, shifts)[0, 0]
 
 
-def _values(q: int, counts: np.ndarray) -> list[CycloInt]:
-    return [CycloInt(q, row) for row in counts]
+def set_corr_table(s0: SequenceSet, s1: SequenceSet) -> np.ndarray:
+    """Set sum rho at every shift -(L-1)..(L-1): shape (2L-1, q), row u + L - 1 the canonical
+    count vector of rho(u), equal to its ``CycloInt.counts``."""
+    return set_pair_counts(s0, s1) @ reduction_matrix(s0.q)
 
 
-def set_corr_table(s0: SequenceSet, s1: SequenceSet) -> list[CycloInt]:
-    """Set sum rho at every shift -(L-1)..(L-1), shift u at index u + L - 1."""
-    return _values(s0.q, set_pair_counts(s0, s1))
-
-
-def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> list[CycloInt]:
-    """Rotated sum rho-hat (member n against n+1 mod N), indexed as set_corr_table.
+def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> np.ndarray:
+    """Rotated sum rho-hat (member n against n+1 mod N), laid out as set_corr_table.
 
     Unlike rho this sum is not symmetric under swapping its arguments, and
     negating the shift is not equivalent to swapping either, so callers
     must evaluate both signs explicitly.
     """
-    return _values(g0.q, set_pair_counts(g0, g1, rotation=1))
+    return set_pair_counts(g0, g1, rotation=1) @ reduction_matrix(g0.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationProfile:
-    """Correlation values tabulated over a contiguous shift range."""
+    """Correlation values over the shifts first, first + 1, ...: a read-only int64 copy of their
+    canonical count vectors, row i at shift first + i."""
 
-    shifts: tuple[int, ...]
-    values: tuple[CycloInt, ...]
+    q: int
+    first: int
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.shifts) != len(self.values):
-            raise ValueError("shift range and value list differ in length")
-        if not self.shifts:
+        counts = np.array(self.counts, dtype=np.int64)
+        if not len(counts):
             raise ValueError("empty shift range")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def shifts(self) -> range:
+        return range(self.first, self.first + len(self.counts))
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["u", "magnitude", "is_zero"])
-        for u, v in zip(self.shifts, self.values):
-            writer.writerow([u, f"{v.magnitude():.12g}", int(v.is_zero())])
+        mags = (f"{m:.12g}" for m in magnitudes(self.q, self.counts).tolist())
+        writer.writerows(zip(self.shifts, mags, (~self.counts.any(axis=1)).astype(int).tolist()))
         return out.getvalue()
-
-
-def _aperiodic_shifts(length: int) -> tuple[int, ...]:
-    return tuple(range(-(length - 1), length))
 
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
     _check_pair(s0, s1)
-    table = _values(s0.q, set_pair_counts(SequenceSet((s0,)), SequenceSet((s1,))))
-    return CorrelationProfile(_aperiodic_shifts(s0.length), tuple(table))
+    return CorrelationProfile(s0.q, 1 - s0.length, set_corr_table(SequenceSet((s0,)), SequenceSet((s1,))))
 
 
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
     _check_pair(s0, s1)
-    shifts = tuple(range(s0.length))
-    table = _values(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, shifts)[0, 0])
-    return CorrelationProfile(shifts, tuple(table))
+    counts = cross_tally(s0.array(), None, s1.array(), None, s0.q, range(s0.length))[0, 0]
+    return CorrelationProfile(s0.q, 0, counts @ reduction_matrix(s0.q))
 
 
 def profile_set_corr(fam: Family, m1: int, m2: int) -> CorrelationProfile:
-    table = set_corr_table(fam.sets[m1], fam.sets[m2])
-    return CorrelationProfile(_aperiodic_shifts(fam.length), tuple(table))
+    return CorrelationProfile(fam.q, 1 - fam.length, set_corr_table(fam.sets[m1], fam.sets[m2]))
 
 
 def profile_cross_channel(fam: Family, m1: int, m2: int) -> CorrelationProfile:
-    table = cross_channel_table(fam.sets[m1], fam.sets[m2])
-    return CorrelationProfile(_aperiodic_shifts(fam.length), tuple(table))
+    return CorrelationProfile(fam.q, 1 - fam.length, cross_channel_table(fam.sets[m1], fam.sets[m2]))

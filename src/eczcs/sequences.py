@@ -258,6 +258,9 @@ def family_from_json(obj: dict) -> Family:
         (("M", "N", "L"), int, 0, "an integer"),
         (("sets",), int, 3, "a list of sets of integer lists"),
     ), "family key")
+    for key in ("q", "sets"):
+        if key not in obj:
+            raise ValueError(f"family document needs key {key!r}")
     fam = family_from_lists(obj["q"], obj["sets"])
     for key, got in (("M", fam.num_sets), ("N", fam.set_size), ("L", fam.length)):
         if key in obj and obj[key] != got:

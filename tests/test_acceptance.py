@@ -67,9 +67,10 @@ def test_criterion_1_exact_table_reproduction(table4, table5):
 
 def test_criterion_2_correlation_list_reproduction(table4, table5):
     from eczcs import cross_channel_table, set_corr_table
+    from eczcs.cyclotomic import magnitudes as row_magnitudes
 
-    def magnitudes(table, length):  # shifts 0..L-1 of a table over -(L-1)..(L-1)
-        return tuple(int(v.magnitude()) for v in table[length - 1:])
+    def magnitudes(table, length):  # shifts 0..L-1 of a binary table over -(L-1)..(L-1)
+        return tuple(int(m) for m in row_magnitudes(2, table[length - 1:]).tolist())
 
     start = time.perf_counter()
     rho4 = magnitudes(set_corr_table(table4.sets[0], table4.sets[0]), 24)

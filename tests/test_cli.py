@@ -59,6 +59,17 @@ def test_construct_theorem2_emits_length24_table(tmp_path, capsys, table4):
     assert code == 0 and from_file.read_text() == format_family_text(table4)  # text seeds: q = 2
 
 
+def test_construct_theorem2_declared_width_outside_seed_exits_2(tmp_path, capsys):
+    """A declared seed width outside 1..L is an input error, with or without --force."""
+    seed_file, out_file = tmp_path / "seed.txt", tmp_path / "fam.txt"
+    seed_file.write_text(format_family_text(load_fixture_family("zccs_2x2x12")))
+    for extra in (["--declared-z", "0"], ["--declared-z", "13", "--force"]):
+        code, out, err = run(capsys, "construct", "theorem2", "--seed-file", str(seed_file), *extra,
+                             "--out", str(out_file))
+        assert code == 2 and f"declared seed width {extra[1]} outside 1..12" in err, (extra, err)
+        assert out == "" and not out_file.exists()
+
+
 def test_construct_theorem3_preset_emits_length32_table(tmp_path, capsys, table5):
     out_file = tmp_path / "fam.txt"
     code, _, _ = run(
@@ -370,6 +381,8 @@ def test_malformed_family_and_spec_documents_exit_2(tmp_path, capsys):
         (dict(fam, sets=[[[0, True]]]), "'sets'"),
         (dict(fam, sets=[["01"]]), "'sets'"),
         (dict(fam, q=1026), "family key 'q' must be at most 1024, got 1026"),
+        ({"sets": fam["sets"]}, "family document needs key 'q'"),
+        ({"q": 2}, "family document needs key 'sets'"),
     ):
         fam_file.write_text(json.dumps(doc))
         code, _, err = run(capsys, "verify", str(fam_file), "--kind", "mocs")
@@ -391,6 +404,7 @@ def test_malformed_family_and_spec_documents_exit_2(tmp_path, capsys):
         (dict(spec, q=1026), "construction spec key 'q' must be at most 1024, got 1026"),
         ([spec], "JSON object"),
         ({k: x for k, x in spec.items() if k != "v"}, "construction spec needs 'v' for theorem3"),
+        ({k: x for k, x in spec.items() if k != "m"}, "construction spec needs key 'm'"),
     ):
         spec_file.write_text(json.dumps(doc))
         code, _, err = run(capsys, "construct", "theorem3", "--spec", str(spec_file))

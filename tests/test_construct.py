@@ -55,6 +55,16 @@ def test_unverified_seed_refused_unless_forced():
     assert forced.length == 8
 
 
+def test_declared_width_outside_seed_length_rejected(table3):
+    """force skips the seed verification, not the range check: 0, -3 and L + 1 are refused."""
+    for width in (0, -3, table3.length + 1):
+        for force in (False, True):
+            with pytest.raises(ValueError, match=f"declared seed width {width} outside 1..12") as err:
+                theorem2_construct(table3, width, force=force)
+            assert not isinstance(err.value, SeedVerificationError)
+    assert theorem2_construct(table3, table3.length, force=True).length == 24  # L is in range
+
+
 def test_zone_shrinks_by_one(table3):
     fam = theorem2_construct(table3, 10)
     assert measure_zcz_width(fam) == 9

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 import tracemalloc
 
@@ -11,16 +13,18 @@ from eczcs import (
     SequenceSet,
     accf,
     cross_channel_table,
+    family_from_lists,
     parse_sequence,
     pccf,
     pccf_via_accf,
     profile_accf,
     profile_cross_channel,
+    profile_pccf,
     profile_set_corr,
     set_corr_table,
 )
 from eczcs import correlation
-from eczcs.cyclotomic import CycloInt
+from eczcs.cyclotomic import CycloInt, magnitudes
 
 from conftest import RHO_T4_00, RHOHAT_T4_01, RHO_T5_02, RHOHAT_T5_LIST, float_accf, float_pccf
 
@@ -139,10 +143,10 @@ def test_shift_and_shape_errors():
 
 def test_set_corr_sum_reference_lists(table4, table5):
     g0, g1 = table4.sets
-    got = tuple(int(v.magnitude()) for v in set_corr_table(g0, g0)[23:])
+    got = magnitude_ints(2, set_corr_table(g0, g0)[23:])
     assert got == RHO_T4_00
     h0, h2 = table5.sets[0], table5.sets[2]
-    got5 = tuple(int(v.magnitude()) for v in set_corr_table(h0, h2)[31:])
+    got5 = magnitude_ints(2, set_corr_table(h0, h2)[31:])
     assert got5 == RHO_T5_02
 
 
@@ -151,23 +155,23 @@ def test_set_corr_sum_single_member_reduces_to_accf():
     a, b = rand_seq(rng, 2, 8), rand_seq(rng, 2, 8)
     table = set_corr_table(SequenceSet((a,)), SequenceSet((b,)))
     for u in range(-7, 8):
-        assert table[u + 7] == accf(a, b, u)
+        assert table[u + 7].tolist() == list(accf(a, b, u).counts)
 
 
 def test_cross_channel_sum_reference_lists(table4, table5):
     g0, g1 = table4.sets
-    got = tuple(int(v.magnitude()) for v in cross_channel_table(g0, g1)[23:])
+    got = magnitude_ints(2, cross_channel_table(g0, g1)[23:])
     assert got == RHOHAT_T4_01
     assert got[15:] == (0,) * 9
     # the frozen rotated-sum list for the length-32 fixture pairs set 0 with set 3
     h0, h3 = table5.sets[0], table5.sets[3]
-    got5 = tuple(int(v.magnitude()) for v in cross_channel_table(h0, h3)[31:])
+    got5 = magnitude_ints(2, cross_channel_table(h0, h3)[31:])
     assert got5 == RHOHAT_T5_LIST
     assert got5[15] == 20
     # the (0, 2) pairing also carries the tail-end zone
     h2 = table5.sets[2]
-    tail = [int(v.magnitude()) for v in cross_channel_table(h0, h2)[31 + 24:]]
-    assert tail == [0] * 8
+    tail = magnitude_ints(2, cross_channel_table(h0, h2)[31 + 24:])
+    assert tail == (0,) * 8
 
 
 def test_cross_channel_single_member_is_autocorrelation():
@@ -176,7 +180,7 @@ def test_cross_channel_single_member_is_autocorrelation():
     single = SequenceSet((a,))
     table = cross_channel_table(single, single)
     for u in range(-8, 9):
-        assert table[u + 8] == accf(a, a, u)
+        assert table[u + 8].tolist() == list(accf(a, a, u).counts)
 
 
 def test_tables_match_pointwise_sums(table5):
@@ -187,8 +191,8 @@ def test_tables_match_pointwise_sums(table5):
     plain = list(zip(g0.members, g3.members))
     rotated = list(zip(g0.members, g3.members[1:] + g3.members[:1]))
     for u in range(-(length - 1), length):
-        assert table[u + length - 1] == sum_accf(plain, u, 2)
-        assert rot[u + length - 1] == sum_accf(rotated, u, 2)
+        assert table[u + length - 1].tolist() == list(sum_accf(plain, u, 2).counts)
+        assert rot[u + length - 1].tolist() == list(sum_accf(rotated, u, 2).counts)
 
 
 def test_set_shape_mismatch_rejected(table3, table4):
@@ -200,16 +204,16 @@ def test_set_shape_mismatch_rejected(table3, table4):
 
 def test_profiles_regenerate_reference_lists(table4, table5):
     prof = profile_set_corr(table4, 0, 0)
-    by_shift = dict(zip(prof.shifts, prof.values))
-    assert tuple(int(by_shift[u].magnitude()) for u in range(24)) == RHO_T4_00
+    by_shift = dict(zip(prof.shifts, magnitude_ints(2, prof.counts)))
+    assert tuple(by_shift[u] for u in range(24)) == RHO_T4_00
     prof_hat = profile_cross_channel(table5, 0, 3)
-    by_shift = dict(zip(prof_hat.shifts, prof_hat.values))
-    assert tuple(int(by_shift[u].magnitude()) for u in range(32)) == RHOHAT_T5_LIST
+    by_shift = dict(zip(prof_hat.shifts, magnitude_ints(2, prof_hat.counts)))
+    assert tuple(by_shift[u] for u in range(32)) == RHOHAT_T5_LIST
 
 
 def test_profile_rejects_empty_range():
     with pytest.raises(ValueError):
-        CorrelationProfile((), ())
+        CorrelationProfile(2, 0, ())
 
 
 def test_profile_csv_shape(table4):
@@ -217,6 +221,42 @@ def test_profile_csv_shape(table4):
     lines = text.strip().splitlines()
     assert lines[0] == "u,magnitude,is_zero"
     assert len(lines) == 1 + 47
+
+
+def reference_csv(shifts, values) -> str:
+    """The per-value profile writer: one CycloInt per value, read back by magnitude() and is_zero()."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["u", "magnitude", "is_zero"])
+    for u, v in zip(shifts, values):
+        writer.writerow([u, f"{v.magnitude():.12g}", int(v.is_zero())])
+    return out.getvalue()
+
+
+def test_profile_csv_matches_per_value_cyclo_int_writer():
+    """Every profile form writes the bytes of one CycloInt per value, q = 10, 12 and 16 included
+    (past the golden corpus) and L = 1 included."""
+    rng = random.Random(59)
+    for q in (2, 4, 6, 8, 10, 12, 16):
+        for length in (1, 2, 5, 9):
+            lists = [[[rng.randrange(q) for _ in range(length)] for _ in range(3)] for _ in range(2)]
+            fam = family_from_lists(q, lists)
+            aperiodic = range(1 - length, length)
+            for m1, m2 in ((0, 0), (0, 1), (1, 0)):
+                g0, g1 = fam.sets[m1].members, fam.sets[m2].members
+                plain, rotated = list(zip(g0, g1)), list(zip(g0, g1[1:] + g1[:1]))
+                want = reference_csv(aperiodic, [sum_accf(plain, u, q) for u in aperiodic])
+                assert profile_set_corr(fam, m1, m2).to_csv() == want, (q, length, m1, m2)
+                want = reference_csv(aperiodic, [sum_accf(rotated, u, q) for u in aperiodic])
+                assert profile_cross_channel(fam, m1, m2).to_csv() == want, (q, length, m1, m2)
+            a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
+            for s0, s1 in ((a, b), (a, a)):
+                assert profile_accf(s0, s1).to_csv() == reference_csv(
+                    aperiodic, [accf(s0, s1, u) for u in aperiodic]
+                ), (q, length)
+                assert profile_pccf(s0, s1).to_csv() == reference_csv(
+                    range(length), [pccf(s0, s1, u) for u in range(length)]
+                ), (q, length)
 
 
 def test_periodic_energy_invariant_under_cyclic_shift():
@@ -237,7 +277,7 @@ def test_general_alphabet_tables_match_accf():
         for n, length in ((1, 1), (2, 2), (3, 5), (4, 9), (4, 1)):
             a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
             shifts = range(-(length - 1), length)
-            assert profile_accf(a, b).values == tuple(accf(a, b, u) for u in shifts)
+            assert profile_accf(a, b).counts.tolist() == [list(accf(a, b, u).counts) for u in shifts]
             for u in shifts:
                 assert pccf(a, b, u) == pccf_via_accf(a, b, u)
             g0 = SequenceSet(tuple(rand_seq(rng, q, length) for _ in range(n)))
@@ -246,8 +286,8 @@ def test_general_alphabet_tables_match_accf():
             plain = list(zip(g0.members, g1.members))
             rotated = list(zip(g0.members, g1.members[1:] + g1.members[:1]))
             for u in shifts:
-                assert table[u + length - 1] == sum_accf(plain, u, q)
-                assert rot[u + length - 1] == sum_accf(rotated, u, q)
+                assert table[u + length - 1].tolist() == list(sum_accf(plain, u, q).counts)
+                assert rot[u + length - 1].tolist() == list(sum_accf(rotated, u, q).counts)
 
 
 @pytest.mark.parametrize("block", [1, 7, 20, 200, 1 << 16])
@@ -258,7 +298,7 @@ def test_tally_blocks_agree_with_accf(monkeypatch, block):
     for q, length in ((6, 9), (8, 1), (12, 5)):
         a, b = rand_seq(rng, q, length), rand_seq(rng, q, length)
         shifts = range(-(length - 1), length)
-        assert profile_accf(a, b).values == tuple(accf(a, b, u) for u in shifts)
+        assert profile_accf(a, b).counts.tolist() == [list(accf(a, b, u).counts) for u in shifts]
         assert tuple(pccf(a, b, u) for u in range(length)) == tuple(
             pccf_via_accf(a, b, u) for u in range(length)
         )
@@ -345,13 +385,17 @@ def test_long_aperiodic_table_memory_stays_bounded():
     a, b = (PhaseSequence(8, tuple(int(x) for x in rng.integers(0, 8, 2048))) for _ in range(2))
     tracemalloc.start()
     try:
-        values = profile_accf(a, b).values
+        counts = profile_accf(a, b).counts
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     for u in (-2047, -1000, 0, 1, 2047):
-        assert values[u + 2047] == accf(a, b, u)
+        assert counts[u + 2047].tolist() == list(accf(a, b, u).counts)
+
+
+def magnitude_ints(q, rows):
+    return tuple(int(m) for m in magnitudes(q, rows).tolist())
 
 
 def sum_accf(pairs, u, q):

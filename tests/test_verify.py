@@ -31,7 +31,9 @@ from eczcs import (
     theorem3_construct,
 )
 from eczcs import verify
-from eczcs.correlation import cyclic_tally, set_rows
+from eczcs.correlation import (
+    cyclic_tally, profile_accf, profile_cross_channel, profile_pccf, profile_set_corr, set_rows,
+)
 from eczcs.cyclotomic import cyclotomic_poly, reduction_matrix
 from eczcs.gbf import PartitionSpec
 from eczcs.simulate import baseline_zadoff_chu
@@ -191,7 +193,8 @@ def test_verdict_has_no_truth_value(table4):
 
 
 def test_zone_scans_build_no_cyclo_int(monkeypatch):
-    """Failing scans report the same verdicts with CycloInt construction disabled."""
+    """Failing scans report the same verdicts, and profiles write the same CSV text, with
+    CycloInt construction disabled."""
     table4 = load_fixture_family("eczcs_2x2x24")
     lifted = family_from_lists(
         4, [[[2 * p for p in s.phases] for s in st.members] for st in table4.sets]
@@ -205,6 +208,11 @@ def test_zone_scans_build_no_cyclo_int(monkeypatch):
     silent = TrainingMatrix(4, [[0, 1, 0, 3, 2, 0], [0, 2, 3, 1, 0, 0]], live, 1, 3)
     scans += [lambda: check_design_criterion(zc, 5), lambda: check_design_criterion(silent, 2)]
     want = [scan().to_json() for scan in scans]
+    a, b = lifted.sets[0].members[0], lifted.sets[1].members[1]
+    profiles = [lambda: profile_set_corr(lifted, 0, 1), lambda: profile_cross_channel(lifted, 0, 1),
+                lambda: profile_accf(a, b), lambda: profile_pccf(a, b)]
+    texts = [profile().to_csv() for profile in profiles]
+    assert lifted.q == 4 and all(text.count("\n") > 12 for text in texts)
     assert zc.q == 64
     assert not any(v["passed"] for v in want)
     assert any(x["check"] == "row-energy" for x in want[-1]["violations"])
@@ -214,6 +222,7 @@ def test_zone_scans_build_no_cyclo_int(monkeypatch):
 
     monkeypatch.setattr(CycloInt, "__post_init__", refuse)
     assert [scan().to_json() for scan in scans] == want
+    assert [profile().to_csv() for profile in profiles] == texts
 
 
 def _in_scan_order(violations) -> bool:
