@@ -7,7 +7,7 @@ training-matrix design for generalized spatial modulation, and a
 least-squares channel-estimation simulator.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .construct import (
     SeedLibraryEntry,
@@ -22,7 +22,6 @@ from .correlation import (
     accf,
     cross_channel_table,
     pccf,
-    pccf_via_accf,
     profile_accf,
     profile_cross_channel,
     profile_pccf,
@@ -43,7 +42,6 @@ from .sequences import (
     Family,
     PhaseSequence,
     SequenceSet,
-    concat,
     family_from_json,
     family_from_lists,
     family_to_json,
@@ -51,8 +49,6 @@ from .sequences import (
     format_sequence,
     load_family,
     load_fixture_family,
-    modulate,
-    negate,
     parse_family_text,
     parse_sequence,
 )

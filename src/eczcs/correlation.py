@@ -1,8 +1,9 @@
 """Exact aperiodic and periodic correlation functions and set-level sums.
 
-The single-value functions return a :class:`~eczcs.cyclotomic.CycloInt`;
-tables and profiles are canonical count arrays, one row per shift equal to
-its ``CycloInt.counts``, so zero tests are exact.  All of them read one
+The single-value functions :func:`accf` and :func:`pccf` take an integer
+shift and return a :class:`~eczcs.cyclotomic.CycloInt`; tables and
+profiles are canonical count arrays, one row per shift equal to its
+``CycloInt.counts``, so zero tests are exact.  All of them read one
 kernel, :func:`cross_tally` of every a-row against every b-row
 (:func:`cyclic_tally` for every row pair of one batch, a pair function for
 its one pair only): binary and quaternary values come from per-row FFTs of
@@ -10,7 +11,8 @@ unit values, rounded to integers inside a checked margin, other alphabets
 (and any call outside the margin) from an integer phase-difference count.
 The aperiodic set sums rho and rho-hat come as tables over every shift,
 cyclic tallies of :func:`set_rows`, where every member is followed by
-silent entries.
+silent entries.  :func:`accf` keeps its own direct count of one shift,
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycloInt, magnitudes, reduction_matrix, root_table
+from .cyclotomic import CycloInt, as_ints, magnitudes, reduction_matrix, root_table
 from .sequences import Family, PhaseSequence, SequenceSet
 
 
@@ -32,15 +34,17 @@ def _check_pair(s0: PhaseSequence, s1: PhaseSequence) -> None:
         raise ValueError(f"mixed lengths {s0.length} and {s1.length}")
 
 
-def _check_shift(length: int, u: int) -> None:
+def _check_shift(length: int, u: int) -> int:
+    (u,) = as_ints((u,), "shift")
     if not -length < u < length:
         raise ValueError(f"shift {u} outside [-{length - 1}, {length - 1}]")
+    return u
 
 
 def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     """Aperiodic cross-correlation sum_k s0[k+u] * conj(s1[k]), exact."""
     _check_pair(s0, s1)
-    _check_shift(s0.length, u)
+    u = _check_shift(s0.length, u)
     q, length = s0.q, s0.length
     a, b = s0.array(), s1.array()
     if u >= 0:
@@ -114,25 +118,8 @@ def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
 def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     """Periodic cross-correlation with cyclic indexing, exact."""
     _check_pair(s0, s1)
-    _check_shift(s0.length, u)
+    u = _check_shift(s0.length, u)
     return CycloInt(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, (u,))[0, 0, 0])
-
-
-def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
-    """Periodic correlation assembled from the two aperiodic halves.
-
-    Evaluates the identity relating periodic and aperiodic correlation:
-    the plain aperiodic value at u=0, and the aperiodic value plus the
-    conjugated swapped value at the complementary shift otherwise.
-    """
-    _check_pair(s0, s1)
-    _check_shift(s0.length, u)
-    length = s0.length
-    if u == 0:
-        return accf(s0, s1, 0)
-    if u > 0:
-        return accf(s0, s1, u) + accf(s1, s0, length - u).conjugate()
-    return accf(s1, s0, -u).conjugate() + accf(s0, s1, length + u)
 
 
 def set_rows(sets) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,16 @@ from functools import lru_cache
 import numpy as np
 
 
+def as_ints(values, noun: str) -> tuple[int, ...]:
+    """values as Python ints, naming the first x with int(x) != x (numpy ints and True pass)."""
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if ints != given:
+        bad = next(g for g, p in zip(given, ints) if g != p)
+        raise ValueError(f"{noun} {bad} is not an integer")
+    return ints
+
+
 def _poly_divmod(num, den) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials (coefficients low to high), den monic."""
     rem = list(num)
@@ -41,6 +51,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     proper divisors of n; every divisor is monic, so the division is exact
     over the integers.
     """
+    (n,) = as_ints((n,), "cyclotomic index")
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
     poly = [-1] + [0] * (n - 1) + [1]
@@ -101,77 +112,32 @@ class CycloInt:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 1:
+        (q,) = as_ints((self.q,), "root order")
+        if q < 1:
             raise ValueError("root order must be positive")
-        reduced = _reduce_counts(self.q, tuple(int(c) for c in self.counts))
-        object.__setattr__(self, "counts", reduced)
-
-    @staticmethod
-    def zero(q: int) -> "CycloInt":
-        return CycloInt(q, (0,) * q)
-
-    @staticmethod
-    def integer(q: int, value: int) -> "CycloInt":
-        return CycloInt(q, (int(value),) + (0,) * (q - 1))
-
-    @staticmethod
-    def root(q: int, power: int = 1) -> "CycloInt":
-        counts = [0] * q
-        counts[power % q] = 1
-        return CycloInt(q, tuple(counts))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "counts", _reduce_counts(q, as_ints(self.counts, "count")))
 
     def is_zero(self) -> bool:
         return not any(self.counts)
-
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.q, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.q, tuple(a - b for a, b in zip(self.counts, other.counts)))
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.q, tuple(-a for a in self.counts))
-
-    def conjugate(self) -> "CycloInt":
-        flipped = [0] * self.q
-        for j, c in enumerate(self.counts):
-            flipped[(-j) % self.q] += c
-        return CycloInt(self.q, tuple(flipped))
 
     def to_complex(self) -> complex:
         table = root_table(self.q)
         return complex(sum(c * table[j] for j, c in enumerate(self.counts) if c))
 
-    def mag_sq(self):
-        """Squared magnitude: an exact integer for q in {2, 4}, float otherwise."""
-        if self.q in (2, 4):  # a canonical q = 2 vector is (c0, 0)
-            return self.counts[0] ** 2 + self.counts[1] ** 2
-        return abs(self.to_complex()) ** 2
-
     def magnitude(self) -> float:
-        m = self.mag_sq()
-        if isinstance(m, int):
-            r = math.isqrt(m)
-            if r * r == m:
-                return float(r)
-        return math.sqrt(m)
-
-    def _check(self, other: "CycloInt") -> None:
-        if self.q != other.q:
-            raise ValueError(f"mixed root orders {self.q} and {other.q}")
+        return float(magnitudes(self.q, self.counts))
 
 
 def magnitudes(q: int, reduced):
-    """CycloInt(q, v).magnitude() of every canonical count vector v along the last axis,
-    which may stop after the phi(q) entries a canonical form can fill.
+    """|value| of every canonical count vector along the last axis, which may stop after the
+    phi(q) entries a canonical form can fill: the one magnitude path of the package.
 
-    Equal bit for bit, with the arithmetic of ``mag_sq`` and
-    ``magnitude``: for q in {2, 4} the square root of the exact integer
-    re^2 + im^2; otherwise the complex value summed over ascending roots
-    as in ``to_complex``, then sqrt(hypot(re, im) ** 2) in Python floats
-    (numpy's complex ``abs`` and ``power`` may round differently).
+    For q in {2, 4} the square root of the exact integer re^2 + im^2;
+    otherwise the complex value summed over ascending roots as in
+    ``CycloInt.to_complex``, then sqrt(hypot(re, im) ** 2) in Python
+    floats (numpy's complex ``abs`` and ``power`` may round differently).
+    The tests pin it bit for bit against a scalar reference.
     """
     reduced = np.asarray(reduced, dtype=np.int64)
     if q in (2, 4):

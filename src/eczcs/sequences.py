@@ -1,9 +1,10 @@
 """Integer-phase sequences, sequence sets, and families of sets.
 
-Sequence data lives in Z_q for an even alphabet size q; the complex
-unit-circle image appears only at the simulation boundary through
-:func:`modulate`.  Binary sequences print in the '+'/'-' convention used
-by the shipped fixtures.
+Sequence data lives in Z_q for an even alphabet size q, and nothing here
+is complex: the correlation engines count phase differences, and the
+unit-circle image first appears when a training matrix becomes the LS
+model (``TrainingMatrix.complex_rows``).  Binary sequences print in the
+'+'/'-' convention used by the shipped fixtures.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyclotomic import root_table
+from .cyclotomic import as_ints
 
 FIXTURE_ENV = "ECZCS_FIXTURES"
 _MINUS_GLYPHS = {"-", "−"}
@@ -33,16 +34,6 @@ ALPHABET = (-math.inf, MAX_ALPHABET, f"at most {MAX_ALPHABET}")
 _EMPTY = ("a family must contain at least one set",
           "a sequence set must have at least one member",
           "a sequence must have length >= 1")
-
-
-def as_ints(values, noun: str) -> tuple[int, ...]:
-    """values as Python ints, naming the first x with int(x) != x (numpy ints and True pass)."""
-    given = tuple(values)
-    ints = tuple(map(int, given))
-    if ints != given:
-        bad = next(g for g, p in zip(given, ints) if g != p)
-        raise ValueError(f"{noun} {bad} is not an integer")
-    return ints
 
 
 def _checked(q, phases, rank: int) -> np.ndarray:
@@ -167,23 +158,6 @@ class Family(_PhaseArray):
     sets = property(lambda self: self._rows)
     num_sets = property(lambda self: len(self._a))
     set_size = property(lambda self: self._a.shape[1])
-
-
-def modulate(seq: PhaseSequence) -> np.ndarray:
-    """Complex image of a sequence (or set, or family): entry t equals exp(2*pi*1j*p_t/q)."""
-    return root_table(seq.q)[seq.array()]
-
-
-def negate(seq: PhaseSequence) -> PhaseSequence:
-    """The sequence whose modulation is the elementwise negation (add q/2)."""
-    half = seq.q // 2
-    return PhaseSequence(seq.q, tuple((p + half) % seq.q for p in seq.phases))
-
-
-def concat(a: PhaseSequence, b: PhaseSequence) -> PhaseSequence:
-    if a.q != b.q:
-        raise ValueError(f"cannot concatenate alphabets Z_{a.q} and Z_{b.q}")
-    return PhaseSequence(a.q, a.phases + b.phases)
 
 
 def parse_sequence(text: str, q: int = 2) -> PhaseSequence:

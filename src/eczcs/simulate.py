@@ -18,7 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from .sequences import Family, PhaseSequence, as_ints
+from .cyclotomic import as_ints
+from .sequences import Family, PhaseSequence
 from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"

@@ -22,7 +22,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .correlation import cross_tally
-from .cyclotomic import CycloInt, root_table
+from .cyclotomic import CycloInt, as_ints, root_table
 from .sequences import Family
 from .verify import Verdict, Violation, zone_violations
 
@@ -35,6 +35,8 @@ class GSMConfig:
     active_antennas: int
 
     def __post_init__(self) -> None:
+        for name in ("transmit_antennas", "active_antennas"):
+            object.__setattr__(self, name, as_ints((getattr(self, name),), name)[0])
         if not 1 <= self.active_antennas <= self.transmit_antennas:
             raise ValueError("need 1 <= active antennas <= transmit antennas")
 
@@ -134,7 +136,8 @@ def build_training_matrix(fam: Family, cfg: GSMConfig, source: str = "") -> Trai
 
 
 def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
-    """Periodic cross-correlation of rows i and j (each in 0..Nt-1) at cyclic shift u."""
+    """Periodic cross-correlation of rows i and j (each in 0..Nt-1) at integer cyclic shift u."""
+    (i, j), (u,) = as_ints((i, j), "row index"), as_ints((u,), "shift")
     if not (0 <= i < tm.num_rows and 0 <= j < tm.num_rows):
         raise ValueError(f"row indices ({i}, {j}) must lie in 0..{tm.num_rows - 1}")
     tally = cross_tally(tm.values[i], tm.mask[i], tm.values[j], tm.mask[j], tm.q, (u,))

@@ -1,0 +1,105 @@
+"""Explicit references that the tests pin the package against.
+
+No library path needs these, so they live beside the tests.  Each one
+restates a value one term at a time: sums, negation and conjugation of
+exact values; the scalar magnitude that ``cyclotomic.magnitudes`` must
+equal bit for bit; the periodic correlation assembled from two aperiodic
+halves; and the complex image, negation and concatenation of sequences.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import reduce
+
+from eczcs import PhaseSequence, accf
+from eczcs.cyclotomic import CycloInt, root_table
+
+
+def zero(q: int) -> CycloInt:
+    return CycloInt(q, (0,) * q)
+
+
+def integer(q: int, value: int) -> CycloInt:
+    return CycloInt(q, (value,) + (0,) * (q - 1))
+
+
+def root(q: int, power: int = 1) -> CycloInt:
+    counts = [0] * q
+    counts[power % q] = 1
+    return CycloInt(q, counts)
+
+
+def add(a: CycloInt, b: CycloInt) -> CycloInt:
+    if a.q != b.q:
+        raise ValueError(f"mixed root orders {a.q} and {b.q}")
+    return CycloInt(a.q, tuple(x + y for x, y in zip(a.counts, b.counts)))
+
+
+def neg(a: CycloInt) -> CycloInt:
+    return CycloInt(a.q, tuple(-c for c in a.counts))
+
+
+def sub(a: CycloInt, b: CycloInt) -> CycloInt:
+    return add(a, neg(b))
+
+
+def cyclo_sum(q: int, values) -> CycloInt:
+    """The exact sum of CycloInt values of root order q (zero when there are none)."""
+    return reduce(add, values, zero(q))
+
+
+def conjugate(a: CycloInt) -> CycloInt:
+    flipped = [0] * a.q
+    for j, c in enumerate(a.counts):
+        flipped[(-j) % a.q] += c
+    return CycloInt(a.q, flipped)
+
+
+def mag_sq(a: CycloInt):
+    """Squared magnitude: an exact integer for q in {2, 4}, float otherwise."""
+    if a.q in (2, 4):  # a canonical q = 2 vector is (c0, 0)
+        return a.counts[0] ** 2 + a.counts[1] ** 2
+    return abs(a.to_complex()) ** 2
+
+
+def magnitude(a: CycloInt) -> float:
+    """|a| from the scalar arithmetic: an exact integer square root when there is one."""
+    m = mag_sq(a)
+    if isinstance(m, int):
+        r = math.isqrt(m)
+        if r * r == m:
+            return float(r)
+    return math.sqrt(m)
+
+
+def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
+    """Periodic correlation assembled from the two aperiodic halves.
+
+    The plain aperiodic value at u = 0; otherwise the aperiodic value plus
+    the conjugated swapped value at the complementary shift.  ``accf``
+    rejects mixed pairs and shifts outside (-L, L).
+    """
+    length = s0.length
+    if u == 0:
+        return accf(s0, s1, 0)
+    if u > 0:
+        return add(accf(s0, s1, u), conjugate(accf(s1, s0, length - u)))
+    return add(conjugate(accf(s1, s0, -u)), accf(s0, s1, length + u))
+
+
+def modulate(seq):
+    """Complex image of a sequence (or set, or family): entry t equals exp(2*pi*1j*p_t/q)."""
+    return root_table(seq.q)[seq.array()]
+
+
+def negate(seq: PhaseSequence) -> PhaseSequence:
+    """The sequence whose modulation is the elementwise negation (add q/2)."""
+    half = seq.q // 2
+    return PhaseSequence(seq.q, tuple((p + half) % seq.q for p in seq.phases))
+
+
+def concat(a: PhaseSequence, b: PhaseSequence) -> PhaseSequence:
+    if a.q != b.q:
+        raise ValueError(f"cannot concatenate alphabets Z_{a.q} and Z_{b.q}")
+    return PhaseSequence(a.q, a.phases + b.phases)

@@ -32,7 +32,6 @@ from eczcs import (
     lemma2_ccc,
     monte_carlo_mse,
     pccf,
-    pccf_via_accf,
     theorem2_construct,
     theorem3_construct,
     theorem3_zcz_width,
@@ -41,6 +40,7 @@ from eczcs.construct import catalog_entry
 from eczcs.cyclotomic import CycloInt
 
 from conftest import RHO_T4_00, RHOHAT_T4_01, RHO_T5_02, RHOHAT_T5_LIST
+from reference import pccf_via_accf
 
 
 def _report(cid: str, ok: bool, detail: str = "") -> None:

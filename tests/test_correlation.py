@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from eczcs import (
     family_from_lists,
     parse_sequence,
     pccf,
-    pccf_via_accf,
     profile_accf,
     profile_cross_channel,
     profile_pccf,
@@ -27,6 +27,7 @@ from eczcs import correlation
 from eczcs.cyclotomic import CycloInt, magnitudes
 
 from conftest import RHO_T4_00, RHOHAT_T4_01, RHO_T5_02, RHOHAT_T5_LIST, float_accf, float_pccf
+from reference import add, conjugate, cyclo_sum, integer, mag_sq, pccf_via_accf, root
 
 
 def rand_seq(rng, q, length):
@@ -55,14 +56,14 @@ def test_zero_shift_autocorrelation_peak():
     rng = random.Random(1)
     for q in (2, 4, 6):
         s = rand_seq(rng, q, 9)
-        assert accf(s, s, 0) == CycloInt.integer(q, 9)
+        assert accf(s, s, 0) == integer(q, 9)
 
 
 def test_boundary_shift_single_term():
     rng = random.Random(2)
     a, b = rand_seq(rng, 4, 7), rand_seq(rng, 4, 7)
     val = accf(a, b, 6)
-    expected = CycloInt.root(4, (a.phases[6] - b.phases[0]) % 4)
+    expected = root(4, (a.phases[6] - b.phases[0]) % 4)
     assert val == expected
 
 
@@ -70,7 +71,7 @@ def test_golay_pair_complementarity():
     a = parse_sequence("+++-")
     b = parse_sequence("++-+")
     for u in (1, 2, 3):
-        total = accf(a, a, u) + accf(b, b, u)
+        total = add(accf(a, a, u), accf(b, b, u))
         oracle = float_accf(a, a, u) + float_accf(b, b, u)
         assert total.is_zero()
         assert abs(oracle) < 1e-12
@@ -87,22 +88,22 @@ def test_accf_matches_direct_summation(pair):
 def test_conjugate_symmetry(pair):
     s0, s1 = pair
     for u in range(-(s0.length - 1), s0.length):
-        assert accf(s0, s1, u) == accf(s1, s0, -u).conjugate()
+        assert accf(s0, s1, u) == conjugate(accf(s1, s0, -u))
 
 
 def test_aacf_symmetry_and_table_edge(table4):
     rng = random.Random(3)
     s = rand_seq(rng, 4, 8)
     for u in range(8):
-        assert accf(s, s, -u) == accf(s, s, u).conjugate()
+        assert accf(s, s, -u) == conjugate(accf(s, s, u))
     edge = accf(table4.sets[0].members[0], table4.sets[0].members[0], 23)
-    assert edge.mag_sq() == 1  # single +-1 product survives at the last shift
+    assert mag_sq(edge) == 1  # single +-1 product survives at the last shift
 
 
 def test_pccf_peak_and_direct_sum():
     s = parse_sequence("++-")
     t = parse_sequence("+-+")
-    assert pccf(s, s, 0) == CycloInt.integer(2, 3)
+    assert pccf(s, s, 0) == integer(2, 3)
     assert abs(pccf(s, t, 1).to_complex() - float_pccf(s, t, 1)) < 1e-12
 
 
@@ -110,7 +111,7 @@ def test_pacf_conjugate_symmetry():
     rng = random.Random(4)
     s = rand_seq(rng, 4, 10)
     for u in range(1, 10):
-        assert pccf(s, s, u) == pccf(s, s, 10 - u).conjugate()
+        assert pccf(s, s, u) == conjugate(pccf(s, s, 10 - u))
 
 
 @given(pair_strategy())
@@ -123,7 +124,7 @@ def test_pccf_via_accf_identity(pair):
 
 def test_pccf_via_accf_degenerate_cases():
     a, b = PhaseSequence(4, (1,)), PhaseSequence(4, (3,))
-    assert pccf_via_accf(a, b, 0) == accf(a, b, 0) == CycloInt.root(4, 2)
+    assert pccf_via_accf(a, b, 0) == accf(a, b, 0) == root(4, 2)
     rng = random.Random(5)
     s0, s1 = rand_seq(rng, 2, 6), rand_seq(rng, 2, 6)
     assert pccf_via_accf(s0, s1, 0) == accf(s0, s1, 0)
@@ -139,6 +140,28 @@ def test_shift_and_shape_errors():
         pccf(a, a, -2)
     with pytest.raises(ValueError):
         accf(a, PhaseSequence(4, (0, 1)), 0)
+
+
+def test_single_value_functions_reject_non_integral_shifts():
+    """accf and pccf name a non-integral shift; numpy ints, True and integral floats pass."""
+    s = PhaseSequence(4, (0, 1, 3, 2))
+    for fn in (accf, pccf):
+        for u in (2.5, -1.5, 0.5):
+            with pytest.raises(ValueError, match=rf"^shift {re.escape(str(u))} is not an integer$"):
+                fn(s, s, u)
+        assert fn(s, s, np.int64(1)) == fn(s, s, True) == fn(s, s, 1.0) == fn(s, s, 1)
+        assert fn(s, s, np.int64(-3)) == fn(s, s, -3.0) == fn(s, s, -3)
+
+
+def test_pccf_via_accf_matches_pccf_on_every_fixture_pair(table3, table4, table5, nonc2_zccs):
+    """The reference periodic value from two aperiodic halves, on every ordered member pair
+    of every shipped fixture family, at every shift."""
+    for fam in (table3, table4, table5, nonc2_zccs):
+        members = [s for st in fam.sets for s in st.members]
+        shifts = range(1 - fam.length, fam.length)
+        for a in members:
+            for b in members:
+                assert [pccf_via_accf(a, b, u) for u in shifts] == [pccf(a, b, u) for u in shifts]
 
 
 def test_set_corr_sum_reference_lists(table4, table5):
@@ -264,10 +287,10 @@ def test_periodic_energy_invariant_under_cyclic_shift():
     rng = random.Random(8)
     for q in (2, 4):
         s = rand_seq(rng, q, 12)
-        energy = sum(pccf(s, s, u).mag_sq() for u in range(12))
+        energy = sum(mag_sq(pccf(s, s, u)) for u in range(12))
         for rot in (1, 5):
             rolled = PhaseSequence(q, s.phases[rot:] + s.phases[:rot])
-            assert sum(pccf(rolled, rolled, u).mag_sq() for u in range(12)) == energy
+            assert sum(mag_sq(pccf(rolled, rolled, u)) for u in range(12)) == energy
 
 
 def test_general_alphabet_tables_match_accf():
@@ -399,7 +422,4 @@ def magnitude_ints(q, rows):
 
 
 def sum_accf(pairs, u, q):
-    total = CycloInt.zero(q)
-    for a, b in pairs:
-        total = total + accf(a, b, u)
-    return total
+    return cyclo_sum(q, (accf(a, b, u) for a, b in pairs))

@@ -15,13 +15,11 @@ from eczcs import (
     Family,
     PhaseSequence,
     SequenceSet,
-    concat,
     family_from_lists,
     family_to_json,
     format_family_text,
     lemma2_ccc,
     load_fixture_family,
-    negate,
     seed_catalog,
     theorem2_construct,
     theorem3_construct,
@@ -29,6 +27,8 @@ from eczcs import (
 )
 from eczcs.correlation import set_rows
 from eczcs.gbf import PartitionSpec, optimal_theorem3_params, theorem3_zcz_width
+
+from reference import concat, negate
 
 FIXTURES = ("zccs_2x2x12", "zccs_2x2x24_nonc2", "eczcs_2x2x24", "eczcs_4x2x32")
 

@@ -8,18 +8,17 @@ from eczcs import (
     Family,
     PhaseSequence,
     SequenceSet,
-    concat,
     family_from_json,
     family_from_lists,
     family_to_json,
     format_sequence,
     load_fixture_family,
-    modulate,
-    negate,
     parse_family_text,
     parse_sequence,
 )
 from eczcs.sequences import FIXTURE_ENV, format_family_text
+
+from reference import concat, modulate, negate
 
 
 def seq_strategy(q=2, max_len=16):

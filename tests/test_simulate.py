@@ -16,7 +16,6 @@ from eczcs import (
     build_training_matrix,
     check_design_criterion,
     ls_estimate,
-    modulate,
     monte_carlo_mse,
     mse_floor,
     noise_variance,
@@ -24,6 +23,8 @@ from eczcs import (
     zadoff_chu,
 )
 from eczcs.simulate import default_zc_roots
+
+from reference import modulate
 
 
 def test_single_tap_channel():

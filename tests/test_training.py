@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from functools import cache
 from itertools import combinations
 
@@ -33,6 +34,8 @@ from eczcs.cyclotomic import CycloInt
 from eczcs.gbf import PartitionSpec, theorem3_zcz_width
 from eczcs.verify import Violation
 
+from reference import add, cyclo_sum, integer, zero
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -42,6 +45,18 @@ def test_config_validation():
     assert GSMConfig(4, 2).group_count == 2
     assert GSMConfig(8, 3).group_count == 3
     assert GSMConfig(1, 1).group_count == 1
+
+
+def test_config_rejects_non_integral_antenna_counts(table4):
+    """A non-integral count is named with its field; integral floats and numpy ints read as ints."""
+    for args, named in (((4.5, 2), "transmit_antennas 4.5"), ((4, 1.5), "active_antennas 1.5")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
+            GSMConfig(*args)
+    cfg = GSMConfig(4.0, np.int64(2))
+    assert (cfg.transmit_antennas, cfg.active_antennas) == (4, 2)
+    assert all(type(n) is int for n in (cfg.transmit_antennas, cfg.active_antennas))
+    tm, want = build_training_matrix(table4, cfg), build_training_matrix(table4, GSMConfig(4, 2))
+    assert np.array_equal(tm.values, want.values) and np.array_equal(tm.mask, want.mask)
 
 
 def test_four_antenna_layout(table4):
@@ -145,7 +160,7 @@ def test_design_criterion_flags_zero_column(table4):
 
 def test_training_pccf_peak(table4):
     tm = build_training_matrix(table4, GSMConfig(4, 2))
-    assert training_pccf(tm, 0, 0, 0) == CycloInt.integer(2, 48)
+    assert training_pccf(tm, 0, 0, 0) == integer(2, 48)
     assert training_pccf(tm, 0, 2, 0).is_zero()  # disjoint supports
 
 
@@ -156,7 +171,19 @@ def test_training_pccf_rejects_rows_outside_the_matrix(table4):
         with pytest.raises(ValueError, match=r"row indices .* must lie in 0\.\.3"):
             training_pccf(tm, i, j, 0)
     assert training_pccf(tm, 0, 1, -1) == training_pccf(tm, 0, 1, tm.width - 1)
-    assert training_pccf(tm, 3, 3, tm.width) == CycloInt.integer(2, 48)
+    assert training_pccf(tm, 3, 3, tm.width) == integer(2, 48)
+
+
+def test_training_pccf_rejects_non_integral_rows_and_shifts(table4):
+    """One ValueError names the value; numpy ints, True and integral floats pass."""
+    tm = build_training_matrix(table4, GSMConfig(4, 2))
+    for args, named in (
+        ((0, 0, 1.5), "shift 1.5"), ((1.5, 0, 0), "row index 1.5"), ((0, 2.5, 0), "row index 2.5"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
+            training_pccf(tm, *args)
+    want = training_pccf(tm, 1, 0, 1)
+    assert training_pccf(tm, np.int64(1), 0.0, True) == training_pccf(tm, 1.0, 0, np.int64(1)) == want
 
 
 def test_arrays_are_the_one_representation(table4):
@@ -456,7 +483,7 @@ def test_training_pccf_is_the_training_theorem_at_every_shift(table3, table4, no
         def rho(a, b, d, tau):
             members_a, members_b = fam.sets[a].members, fam.sets[b].members
             terms = (accf(members_a[(k + d) % n], members_b[k], tau) for k in range(n))
-            return sum(terms, CycloInt.zero(fam.q))
+            return cyclo_sum(fam.q, terms)
 
         for nt, na in ((4, 2), (3, 2), (3, 1), (1, 1)):
             v = GSMConfig(nt, na).group_count
@@ -465,12 +492,12 @@ def test_training_pccf_is_the_training_theorem_at_every_shift(table3, table4, no
             for i in range(nt):
                 for j in range(nt):
                     for u in range(width):
-                        expected = CycloInt.zero(fam.q)
+                        expected = zero(fam.q)
                         for d in range(n):
                             tau = (u - d * v * length - (i // na - j // na) * length) % width
                             for t in (tau, tau - width):  # width >= L: no other lies in (-L, L)
                                 if -length < t < length:
-                                    expected += rho(i % na, j % na, d, t)
+                                    expected = add(expected, rho(i % na, j % na, d, t))
                         assert training_pccf(tm, i, j, u) == expected, (fam.length, nt, na, i, j, u)
 
 

@@ -26,7 +26,6 @@ from eczcs import (
     load_fixture_family,
     measure_zcz_width,
     optimal_theorem3_params,
-    pccf_via_accf,
     theorem2_construct,
     theorem3_construct,
 )
@@ -38,6 +37,8 @@ from eczcs.cyclotomic import cyclotomic_poly, reduction_matrix
 from eczcs.gbf import PartitionSpec
 from eczcs.simulate import baseline_zadoff_chu
 from eczcs.training import GSMConfig, TrainingMatrix, build_training_matrix
+
+from reference import cyclo_sum, integer, pccf_via_accf
 from eczcs.verify import read_windows, set_sum_tally
 
 from conftest import float_pccf
@@ -335,11 +336,9 @@ def _reference_aperiodic_violations(fam):
     for m1, m2 in pairs:
         for rotation in (0, 1):
             for u in range(-(length - 1), length):
-                total = CycloInt.zero(q)
-                for n in range(size):
-                    a, b = fam.sets[m1].members[n], fam.sets[m2].members[(n + rotation) % size]
-                    total = total + accf(a, b, u)
-                value[m1, m2, rotation, u] = total
+                a, b = fam.sets[m1].members, fam.sets[m2].members
+                terms = (accf(a[n], b[(n + rotation) % size], u) for n in range(size))
+                value[m1, m2, rotation, u] = cyclo_sum(q, terms)
 
     def scan(label, rotation, same, cross, peak=None):
         out = []
@@ -357,7 +356,7 @@ def _reference_aperiodic_violations(fam):
         return "same-set" if m1 == m2 else "cross-set"
 
     expected = {}
-    peak = CycloInt.integer(q, size * length)
+    peak = integer(q, size * length)
     for width in range(length + 1):
         zccs = scan(plain, 0, range(1, width), range(width), peak)
         window = set(range(1, width + 1)) | set(range(length - width, length))
