@@ -133,15 +133,21 @@ def magnitudes(q: int, reduced):
     """|value| of every canonical count vector along the last axis, which may stop after the
     phi(q) entries a canonical form can fill: the one magnitude path of the package.
 
-    For q in {2, 4} the square root of the exact integer re^2 + im^2;
-    otherwise the complex value summed over ascending roots as in
-    ``CycloInt.to_complex``, then sqrt(hypot(re, im) ** 2) in Python
-    floats (numpy's complex ``abs`` and ``power`` may round differently).
-    The tests pin it bit for bit against a scalar reference.
+    For q in {2, 4} the square root of the exact integer re^2 + im^2,
+    squared in int64 while every |count| < 2^31 (the sum then stays below
+    2^63) and in Python ints otherwise; for other q the complex value
+    summed over ascending roots as in ``CycloInt.to_complex``, then
+    sqrt(hypot(re, im) ** 2) in Python floats (numpy's complex ``abs`` and
+    ``power`` may round differently).  The tests pin it bit for bit against
+    a scalar reference.
     """
     reduced = np.asarray(reduced, dtype=np.int64)
     if q in (2, 4):
-        return np.sqrt((reduced[..., :2] ** 2).sum(axis=-1))
+        parts = reduced[..., :2]
+        if parts.size and (parts.max() >= 2**31 or parts.min() <= -(2**31)):
+            exact = [math.sqrt(re * re + im * im) for re, im in parts.reshape(-1, 2).tolist()]
+            return np.array(exact).reshape(parts.shape[:-1])
+        return np.sqrt((parts**2).sum(axis=-1))
     table = root_table(q)
     re, im = np.zeros(reduced.shape[:-1]), np.zeros(reduced.shape[:-1])
     for j in range(reduced.shape[-1]):

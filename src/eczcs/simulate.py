@@ -5,7 +5,10 @@ The noise model maps Eb/N0 in dB to a noise variance sigma^2 =
 preserves the comparisons the reports are used for, and the chosen one is
 recorded in every CSV header.  All randomness flows from one master seed
 through one counter-derived generator per TRIAL_BLOCK trials, so reports
-reproduce bit for bit; manifests name this RNG_SCHEME, new in 0.2.0.
+reproduce bit for bit; manifests name this RNG_SCHEME.  Since 0.7.0 a
+block draws only its noise: for a full-rank design the LS error of a trial
+is S n, the solver S = (X^H X)^-1 X^H applied to the noise, whatever the
+channel, so the Monte-Carlo MSE needs no channel draw.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_tr
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"
 TRIAL_BLOCK = 32
-RNG_SCHEME = f"pcg64(seed, point, block), {TRIAL_BLOCK} trials per block"
+RNG_SCHEME = f"pcg64(seed, point, block), {TRIAL_BLOCK} trials per block, noise only, re/im interleaved"
 
 
 class RankDeficientTraining(np.linalg.LinAlgError):
@@ -50,23 +53,18 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
     """
     _at_least(0, delay_spread=delay_spread, count=count)
     taps = delay_spread + 1
-    return _complex_normal(rng, math.sqrt(1.0 / (2 * taps)), (count, n_antennas, taps))
+    scale = math.sqrt(1.0 / (2 * taps))
+    out = np.empty((count, n_antennas, taps), dtype=complex)
+    re, im = rng.standard_normal((2, *out.shape))
+    np.multiply(scale, re, out=out.real)
+    np.multiply(scale, im, out=out.imag)
+    return out
 
 
 def _at_least(low: int, **sizes: int) -> None:
     for name, value in sizes.items():
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
-def _complex_normal(rng: np.random.Generator, scale: float, shape) -> np.ndarray:
-    """scale * (re + 1j * im) from one standard_normal draw of shape (2, *shape), all real
-    parts first, each half scaled straight into the float view of its part of the result."""
-    out = np.empty(shape, dtype=complex)
-    re, im = rng.standard_normal((2, *shape))
-    np.multiply(scale, re, out=out.real)
-    np.multiply(scale, im, out=out.imag)
-    return out
 
 
 def _normal_matrix(X: np.ndarray, matrix_id: str = "") -> np.ndarray:
@@ -178,13 +176,17 @@ class MSEReport:
 def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
     """Empirical and analytic normalized MSE over the configured grid.
 
-    Grid point ``index`` runs its trials in blocks of TRIAL_BLOCK, the last
-    one partial.  Block b draws from ``default_rng((seed, index, b))`` the
-    taps, ``sample_channel(spread, Nt, rng, count)``, then the real and then
-    the imaginary (count, width) noise.  The estimator, the inverse normal
-    matrix applied to X^H y as in :func:`ls_estimate`, and the analytic
-    value, :func:`analytic_mse`, are factored once per delay spread.  A
-    singular design marks its grid points as failed instead of raising.
+    The estimator is the solver S = (X^H X)^-1 X^H of :func:`ls_estimate`,
+    factored once per delay spread with the analytic value,
+    :func:`analytic_mse`.  S X = I, so the error of a trial, S (X h + n) - h,
+    is S n for every channel h: no channel is drawn.  Grid point ``index``
+    runs its trials in blocks of TRIAL_BLOCK, the last one partial.  Block b
+    draws ``default_rng((seed, index, b)).standard_normal((count, width, 2))``,
+    read as count complex noise vectors z (real and imaginary parts
+    interleaved) of unit variance per part, and adds ``vdot`` of z S^T.  The
+    noise is n = sqrt(sigma^2 / 2) z, so the sum is scaled by sigma^2 / 2 once
+    per point, and sigma^2 = 0 gives an MSE of exactly 0.  A singular design
+    marks its grid points as failed instead of raising.
     """
     energy = float(tm.energy)
     points = []
@@ -196,7 +198,7 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
             X = build_ls_model_matrix(tm, spread)
             try:
                 inverse = np.linalg.inv(_normal_matrix(X))
-                models[spread] = (X, inverse @ X.conj().T, np.trace(inverse).real)
+                models[spread] = (inverse @ X.conj().T, np.trace(inverse).real)
             except RankDeficientTraining:
                 models[spread] = None
         if models[spread] is None:
@@ -204,18 +206,15 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
                 MSEPoint(ebn0, spread, None, None, floor, cfg.trials, cfg.matrix_id, failed=True)
             )
             continue
-        X, solver, inverse_trace = models[spread]
-        width, dim = X.shape
-        noise_scale = math.sqrt(sigma2 / 2.0)
+        solver, inverse_trace = models[spread]
+        dim, width = solver.shape
         total = 0.0
         for block, start in enumerate(range(0, cfg.trials, TRIAL_BLOCK)):
             count = min(TRIAL_BLOCK, cfg.trials - start)
-            rng = np.random.default_rng((cfg.seed, index, block))
-            taps = sample_channel(spread, tm.num_rows, rng, count).reshape(count, dim)
-            noise = _complex_normal(rng, noise_scale, (count, width))
-            error = (taps @ X.T + noise) @ solver.T - taps
+            z = np.random.default_rng((cfg.seed, index, block)).standard_normal((count, width, 2))
+            error = z.view(complex)[..., 0] @ solver.T
             total += float(np.vdot(error, error).real)
-        empirical = total / (cfg.trials * dim)
+        empirical = sigma2 / 2.0 * total / (cfg.trials * dim)
         analytic = float(sigma2 * inverse_trace / dim)
         points.append(MSEPoint(ebn0, spread, empirical, analytic, floor, cfg.trials, cfg.matrix_id))
     return MSEReport(tuple(points))

@@ -133,3 +133,18 @@ def test_magnitudes_match_cyclo_int_bit_for_bit():
         got = magnitudes(q, np.array(vectors)).tolist()
         assert got == [CycloInt(q, v).magnitude() for v in vectors]
         assert got == [magnitude(CycloInt(q, v)) for v in vectors], q
+
+
+def test_magnitudes_of_counts_beyond_int64_squares():
+    """Counts of 2^31 and more square exactly, not by wrapping int64 arithmetic."""
+    assert CycloInt(2, (4_000_000_000, 0)).magnitude() == 4e9
+    big = CycloInt(4, (3_100_000_000, 3_100_000_000, 0, 0))
+    assert big.magnitude() == math.sqrt(2 * 3_100_000_000**2) == magnitude(big)
+    assert math.isclose(big.magnitude(), 4384062043.356596, rel_tol=1e-15)
+    # one large row sends the whole array down the exact path, the small rows unchanged
+    rows = [(3, -4), (2**31, 0), (-(2**31), 2**31 - 1), (2**31 - 1, -(2**31 - 1)), (0, 0)]
+    for q in (2, 4):
+        vectors = [CycloInt(q, r + (0,) * (q - 2)).counts for r in rows]
+        got = magnitudes(q, np.array(vectors)).tolist()
+        assert got == [magnitude(CycloInt(q, v)) for v in vectors], q
+        assert magnitudes(q, np.array(vectors[3:])).tolist() == got[3:]
