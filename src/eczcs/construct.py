@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cyclotomic import as_ints
 from .gbf import PartitionSpec, lemma2_ccc
 from .sequences import Family, SequenceSet, load_fixture_family
 from .verify import Verdict, check_kind, check_zccs
@@ -46,6 +47,7 @@ def theorem2_construct(seed: Family, declared_width: int, *, force: bool = False
     """
     if seed.set_size % 2:
         raise ValueError("the seed sets must contain an even number of sequences")
+    (declared_width,) = as_ints((declared_width,), "declared seed width")
     if not 1 <= declared_width <= seed.length:
         raise ValueError(f"declared seed width {declared_width} outside 1..{seed.length}")
     if not force:

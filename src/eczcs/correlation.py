@@ -9,10 +9,10 @@ kernel, :func:`cross_tally` of every a-row against every b-row
 its one pair only): binary and quaternary values come from per-row FFTs of
 unit values, rounded to integers inside a checked margin, other alphabets
 (and any call outside the margin) from an integer phase-difference count.
-The aperiodic set sums rho and rho-hat come as tables over every shift,
-cyclic tallies of :func:`set_rows`, where every member is followed by
-silent entries.  :func:`accf` keeps its own direct count of one shift,
-the reference the kernel is tested against.
+The tables of the aperiodic set sums rho and rho-hat are slices of one
+cached tally per family, :func:`set_sum_tally` of :func:`set_rows`, where
+every member is followed by silent entries.  :func:`accf` keeps its own
+direct count of one shift, the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycloInt, as_ints, magnitudes, reduction_matrix, root_table
-from .sequences import Family, PhaseSequence, SequenceSet
+from .cyclotomic import CycloInt, as_ints, cyclotomic_poly, magnitudes, reduction_matrix, root_table
+from .sequences import Family, PhaseSequence
 
 
 def _check_pair(s0: PhaseSequence, s1: PhaseSequence) -> None:
@@ -122,48 +122,51 @@ def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     return CycloInt(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, (u,))[0, 0, 0])
 
 
-def set_rows(sets) -> tuple[np.ndarray, np.ndarray]:
-    """One row per set of a family (or a sequence of sets), its N members each followed by L-1
-    silent entries, and the shared mask: a pad and a reshape of the (M, N, L) phase array.
+def set_rows(fam: Family) -> tuple[np.ndarray, np.ndarray]:
+    """One row per set of a family, its N members each followed by L-1 silent entries, and the
+    shared mask: a pad and a reshape of the (M, N, L) phase array.
 
     Member pairs n <-> n + d then meet only within L of shift d(2L-1), so
     for |u| < L the cyclic tally of two rows is the set sum rho at u and
     the rotated sum rho-hat at u - (2L-1).
     """
-    phases = sets.array() if isinstance(sets, Family) else np.stack([st.array() for st in sets])
-    m, n, length = phases.shape
-    rows = np.zeros((m, n, 2 * length - 1), dtype=phases.dtype)
-    rows[..., :length] = phases
+    m, n, length = fam.array().shape
+    rows = np.zeros((m, n, 2 * length - 1), dtype=fam.array().dtype)
+    rows[..., :length] = fam.array()
     return rows.reshape(m, -1), np.arange(n * (2 * length - 1)) % (2 * length - 1) < length
 
 
-def set_pair_counts(s0: SequenceSet, s1: SequenceSet, rotation: int = 0) -> np.ndarray:
-    """Count vectors of the set sum over member pairs n <-> (n + rotation) mod N.
-
-    Shape (2L-1, q), row i holding shift u = i - (L-1); rotation 0 gives
-    the set sum rho and rotation 1 the rotated cross-channel sum rho-hat.
+def set_sum_tally(fam: Family) -> np.ndarray:
+    """The family's set sums for |u| < L, cached read-only on first use: rho at shift u >= 0
+    in column u, rho-hat at u in column u + 2L-1.  One cyclic tally of the set rows, reduced
+    to the phi(q) = deg(Phi_q) columns a canonical vector fills: shape (M, M, 3L-1, phi(q)).
     """
-    if (s0.q, s0.length, s0.size) != (s1.q, s1.length, s1.size):
-        raise ValueError("sequence sets must share (N, L, q)")
-    rows, live = set_rows((s0, s1))
-    shifts = np.arange(1 - s0.length, s0.length) - rotation * (2 * s0.length - 1)
-    return cross_tally(rows[:1], live, rows[1:], live, s0.q, shifts)[0, 0]
+    tally = fam.__dict__.get("_set_sums")
+    if tally is None:
+        length, phi = fam.length, len(cyclotomic_poly(fam.q)) - 1
+        shifts = np.r_[0:length, 2 - 3 * length : 1 - length]
+        tally = cyclic_tally(*set_rows(fam), fam.q, shifts) @ reduction_matrix(fam.q)[:, :phi]
+        tally.setflags(write=False)
+        object.__setattr__(fam, "_set_sums", tally)
+    return tally
 
 
-def set_corr_table(s0: SequenceSet, s1: SequenceSet) -> np.ndarray:
-    """Set sum rho at every shift -(L-1)..(L-1): shape (2L-1, q), row u + L - 1 the canonical
-    count vector of rho(u), equal to its ``CycloInt.counts``."""
-    return set_pair_counts(s0, s1) @ reduction_matrix(s0.q)
+def set_corr_table(fam: Family, m1: int, m2: int) -> np.ndarray:
+    """Set sum rho of sets m1 and m2 at every shift -(L-1)..(L-1), a slice of :func:`set_sum_tally`:
+    shape (2L-1, q), row u + L - 1 the canonical count vector of rho(u), equal to its
+    ``CycloInt.counts``.  Shifts u < 0 by conjugate symmetry, rho_12(-u) = conj rho_21(u)."""
+    tally, length, reduce = set_sum_tally(fam), fam.length, reduction_matrix(fam.q)
+    phi = tally.shape[-1]  # row j of reduce[-j % q] is the canonical form of x^(-j)
+    negative = tally[m2, m1, length - 1 : 0 : -1] @ reduce[-np.arange(phi) % fam.q]
+    return np.concatenate((negative, tally[m1, m2, :length] @ reduce[:phi]))
 
 
-def cross_channel_table(g0: SequenceSet, g1: SequenceSet) -> np.ndarray:
-    """Rotated sum rho-hat (member n against n+1 mod N), laid out as set_corr_table.
-
-    Unlike rho this sum is not symmetric under swapping its arguments, and
-    negating the shift is not equivalent to swapping either, so callers
-    must evaluate both signs explicitly.
-    """
-    return set_pair_counts(g0, g1, rotation=1) @ reduction_matrix(g0.q)
+def cross_channel_table(fam: Family, m1: int, m2: int) -> np.ndarray:
+    """Rotated sum rho-hat (member n of set m1 against n+1 mod N of set m2), laid out as
+    set_corr_table: a slice of :func:`set_sum_tally`.  Unlike rho it has no swap-and-conjugate
+    symmetry, so callers evaluate both shift signs explicitly."""
+    tally = set_sum_tally(fam)
+    return tally[m1, m2, fam.length :] @ reduction_matrix(fam.q)[: tally.shape[-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +200,8 @@ class CorrelationProfile:
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
     _check_pair(s0, s1)
-    return CorrelationProfile(s0.q, 1 - s0.length, set_corr_table(SequenceSet((s0,)), SequenceSet((s1,))))
+    pair = Family.from_array(s0.q, np.stack((s0.array(), s1.array()))[:, None])  # ((s0,), (s1,))
+    return CorrelationProfile(s0.q, 1 - s0.length, set_corr_table(pair, 0, 1))
 
 
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
@@ -207,8 +211,8 @@ def profile_pccf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
 
 
 def profile_set_corr(fam: Family, m1: int, m2: int) -> CorrelationProfile:
-    return CorrelationProfile(fam.q, 1 - fam.length, set_corr_table(fam.sets[m1], fam.sets[m2]))
+    return CorrelationProfile(fam.q, 1 - fam.length, set_corr_table(fam, m1, m2))
 
 
 def profile_cross_channel(fam: Family, m1: int, m2: int) -> CorrelationProfile:
-    return CorrelationProfile(fam.q, 1 - fam.length, cross_channel_table(fam.sets[m1], fam.sets[m2]))
+    return CorrelationProfile(fam.q, 1 - fam.length, cross_channel_table(fam, m1, m2))

@@ -115,15 +115,15 @@ class SimConfig:
     matrix_id: str = ""
 
     def __post_init__(self) -> None:
-        as_ints((self.trials,), "trial count")
-        if self.trials < 1:
+        (trials,), (seed,) = as_ints((self.trials,), "trial count"), as_ints((self.seed,), "seed")
+        if trials < 1:
             raise ValueError("need at least one trial")
         if not self.ebn0_db or not self.delay_spreads:
             raise ValueError("both grids must be nonempty")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "ebn0_db", tuple(float(x) for x in self.ebn0_db))
-        object.__setattr__(self, "delay_spreads", as_ints(self.delay_spreads, "delay spread"))
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        vars(self).update(trials=trials, seed=seed, ebn0_db=tuple(float(x) for x in self.ebn0_db),
+                          delay_spreads=as_ints(self.delay_spreads, "delay spread"))
         if min(self.delay_spreads) < 0:  # worded as the LS model's width check words it
             raise ValueError("delay spread must lie in [0, matrix width)")
         for db in self.ebn0_db:

@@ -157,6 +157,13 @@ def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
     return np.select(rules, names, "iai-separated")
 
 
+def _check_delay_spread(tm: TrainingMatrix, delay_spread: int) -> int:
+    (delay_spread,) = as_ints((delay_spread,), "delay spread")
+    if not 0 <= delay_spread < tm.width:
+        raise ValueError("delay spread must lie in [0, matrix width)")
+    return delay_spread
+
+
 def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     """Exact check of the optimal-estimation conditions at one delay spread.
 
@@ -168,8 +175,7 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     in-phase autocorrelation counts its live entries, so each such fault
     is reported once, as row-energy.
     """
-    if not 0 <= delay_spread < tm.width:
-        raise ValueError("delay spread must lie in [0, matrix width)")
+    delay_spread = _check_delay_spread(tm, delay_spread)
     col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
     expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
     violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
@@ -187,8 +193,7 @@ def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:
     (t, c) is x_p[(t - c) mod width]; the block has delay_spread + 1
     columns.
     """
-    if not 0 <= delay_spread < tm.width:
-        raise ValueError("delay spread must lie in [0, matrix width)")
+    delay_spread = _check_delay_spread(tm, delay_spread)
     rows = tm.complex_rows()
     delays = (np.arange(tm.width) - np.arange(delay_spread + 1)[:, None]) % tm.width
     # transposed from C-ordered (P*(d+1), W), the layout whose BLAS sums the outputs pin

@@ -9,10 +9,10 @@ unavoidable in-phase peak is not reported as a violation.
 
 Every check reads its windows from one reduced tally, :func:`read_windows`.
 A periodic check (sequences or training rows) tallies shifts 0..width in
-:func:`zone_violations`.  The set-sum checks read :func:`set_sum_tally`,
-rho at shifts 0..L-1 and rho-hat at every shift of every set pair, cached
-on the family: one tally of :func:`~eczcs.correlation.set_rows` however
-many checks and widths read it.  Windows are shift sets, one for a row
+:func:`zone_violations`.  The set-sum checks read
+:func:`~eczcs.correlation.set_sum_tally`, rho at shifts 0..L-1 and rho-hat
+at every shift of every set pair, cached on the family: one tally however
+many checks, widths and profiles read it.  Windows are shift sets, one for a row
 against itself and one for distinct rows; hits come in (row, pair, shift)
 order, ascending in each, labelled from a table of check names per row
 pair, with magnitudes from one vectorised step over the reduced counts: no
@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import cyclic_tally, set_rows
-from .cyclotomic import cyclotomic_poly, magnitudes, reduction_matrix
+from .correlation import cyclic_tally, set_sum_tally
+from .cyclotomic import as_ints, magnitudes, reduction_matrix
 from .sequences import Family, SequenceSet
 
 
@@ -57,9 +57,11 @@ class Verdict:
         }
 
 
-def _check_width(width: int, length: int) -> None:
+def _check_width(width: int, length: int) -> int:
+    (width,) = as_ints((width,), "zone width")
     if not 0 <= width <= length:
         raise ValueError(f"zone width {width} outside 0..{length} (the sequence length)")
+    return width
 
 
 def zone_violations(values, masks, q: int, width: int, labels) -> list[Violation]:
@@ -107,24 +109,9 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     correlations for |u| <= width.  Negative shifts follow from conjugate
     symmetry because every ordered pair is checked.
     """
-    _check_width(width, sset.length)
+    width = _check_width(width, sset.length)
     labels = _pair_table(sset.size, "zcz-auto", "zcz-cross")
     return Verdict(tuple(zone_violations(sset.array(), None, sset.q, min(width, sset.length - 1), labels)))
-
-
-def set_sum_tally(fam: Family) -> np.ndarray:
-    """The family's set sums for |u| < L, cached read-only on first use: rho at shift u >= 0
-    in column u, rho-hat at u in column u + 2L-1.  One cyclic tally of the set rows, reduced
-    to the phi(q) = deg(Phi_q) columns a canonical vector fills: shape (M, M, 3L-1, phi(q)).
-    """
-    tally = fam.__dict__.get("_set_sums")
-    if tally is None:
-        length, phi = fam.length, len(cyclotomic_poly(fam.q)) - 1
-        shifts = np.r_[0:length, 2 - 3 * length : 1 - length]
-        tally = cyclic_tally(*set_rows(fam), fam.q, shifts) @ reduction_matrix(fam.q)[:, :phi]
-        tally.setflags(write=False)
-        object.__setattr__(fam, "_set_sums", tally)
-    return tally
 
 
 def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
@@ -140,7 +127,7 @@ def check_zccs(fam: Family, width: int) -> Verdict:
     |u| < width.  A same-set sum at u=0 is N*L for every unimodular
     family, so it is not checked.
     """
-    _check_width(width, fam.length)
+    width = _check_width(width, fam.length)
     violations = _set_sum_violations(fam, 0, range(1, width), range(width), ("same-set", "cross-set"))
     return Verdict(tuple(violations))
 
@@ -167,7 +154,7 @@ def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
 
 def check_szccs(fam: Family, width: int) -> Verdict:
     """Symmetrical Z-complementary code set: both zone ends, no rotation."""
-    _check_width(width, fam.length)
+    width = _check_width(width, fam.length)
     return Verdict(tuple(_symmetric_zone_violations(fam, width)))
 
 
@@ -180,7 +167,7 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     swap-and-conjugate symmetry, so both shift signs are evaluated.
     """
     length = fam.length
-    _check_width(width, length)
+    width = _check_width(width, length)
     violations = _symmetric_zone_violations(fam, width)
     tail = [*range(1 - length, width - length + 1), *range(length - width, length)]
     violations += _set_sum_violations(fam, 1, tail, tail, ("cross-channel",) * 2)
@@ -222,6 +209,7 @@ def eczcs_bound(num_sets: int, set_size: int, length: int, q: int) -> int:
     zero-correlation-zone sequence set.  The binary value is conjectured,
     so callers report it but never hard-fail a family exceeding it.
     """
+    num_sets, set_size, length = as_ints((num_sets, set_size, length), "M, N or L")
     if min(num_sets, set_size, length) < 1:
         raise ValueError(f"need M, N, L >= 1, got ({num_sets}, {set_size}, {length})")
     total = set_size * length

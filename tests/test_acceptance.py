@@ -73,10 +73,10 @@ def test_criterion_2_correlation_list_reproduction(table4, table5):
         return tuple(int(m) for m in row_magnitudes(2, table[length - 1:]).tolist())
 
     start = time.perf_counter()
-    rho4 = magnitudes(set_corr_table(table4.sets[0], table4.sets[0]), 24)
-    hat4 = magnitudes(cross_channel_table(table4.sets[0], table4.sets[1]), 24)
-    rho5 = magnitudes(set_corr_table(table5.sets[0], table5.sets[2]), 32)
-    hat5 = magnitudes(cross_channel_table(table5.sets[0], table5.sets[3]), 32)
+    rho4 = magnitudes(set_corr_table(table4, 0, 0), 24)
+    hat4 = magnitudes(cross_channel_table(table4, 0, 1), 24)
+    rho5 = magnitudes(set_corr_table(table5, 0, 2), 32)
+    hat5 = magnitudes(cross_channel_table(table5, 0, 3), 32)
     checks = {
         "rho4": rho4 == RHO_T4_00 and rho4[0] == 48 and rho4[10] == 8,
         "hat4": hat4 == RHOHAT_T4_01,

@@ -235,7 +235,7 @@ def test_report_csv_format(psi24):
     assert lines[2].startswith("16,9,") and lines[2].endswith(",10,t4")
 
 
-def test_sim_config_validation():
+def test_sim_config_validation(table4):
     with pytest.raises(ValueError):
         SimConfig(ebn0_db=(), delay_spreads=(1,), trials=10, seed=0)
     with pytest.raises(ValueError):
@@ -252,12 +252,19 @@ def test_sim_config_validation():
         ({"delay_spreads": (1, 2.7)}, "delay spread 2.7 is not an integer"),
         ({"delay_spreads": (3, -1)}, "delay spread must lie in"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"seed": 1.5}, "seed 1.5 is not an integer"),
+        ({"seed": "3"}, "seed 3 is not an integer"),
     ):
         with pytest.raises(ValueError, match=re.escape(named)):
             SimConfig(**{**base, **change})
     # numpy ints and True read as integers, the rule PhaseSequence applies to phases
     cfg = SimConfig(ebn0_db=(1.0,), delay_spreads=(np.int64(2), True, 4.0), trials=np.int64(3), seed=0)
     assert cfg.delay_spreads == (2, 1, 4) and all(type(d) is int for d in cfg.delay_spreads)
+    # an integral float trial count or seed is stored as an int, so a run takes it as one
+    cfg = SimConfig(ebn0_db=(16.0,), delay_spreads=(9,), trials=2.0, seed=np.float64(5.0))
+    assert (cfg.trials, cfg.seed) == (2, 5) and type(cfg.trials) is type(cfg.seed) is int
+    report = monte_carlo_mse(build_training_matrix(table4, GSMConfig(4, 2)), cfg)
+    assert report.to_csv().splitlines()[-1].split(",")[5] == "2"
 
 
 def test_zadoff_chu_closed_form():

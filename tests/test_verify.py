@@ -12,6 +12,7 @@ from eczcs import (
     accf,
     check_ccc,
     check_eczcs,
+    check_kind,
     check_mocs,
     check_szccs,
     check_zccs,
@@ -29,17 +30,18 @@ from eczcs import (
     theorem2_construct,
     theorem3_construct,
 )
-from eczcs import verify
+from eczcs import correlation
 from eczcs.correlation import (
-    cyclic_tally, profile_accf, profile_cross_channel, profile_pccf, profile_set_corr, set_rows,
+    cross_channel_table, cyclic_tally, profile_accf, profile_cross_channel, profile_pccf,
+    profile_set_corr, set_corr_table, set_rows, set_sum_tally,
 )
 from eczcs.cyclotomic import cyclotomic_poly, reduction_matrix
 from eczcs.gbf import PartitionSpec
 from eczcs.simulate import baseline_zadoff_chu
-from eczcs.training import GSMConfig, TrainingMatrix, build_training_matrix
+from eczcs.training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
 from reference import cyclo_sum, integer, pccf_via_accf
-from eczcs.verify import read_windows, set_sum_tally
+from eczcs.verify import read_windows
 
 from conftest import float_pccf
 
@@ -89,6 +91,33 @@ def test_zccs_width_larger_than_length_rejected(table3):
         for width in (-1, 13):
             with pytest.raises(ValueError):
                 check(table3, width)
+
+
+def _integer_argument_calls():
+    """A call of one integer argument, an integral value and the noun its rejection names."""
+    fam, table3 = load_fixture_family("eczcs_2x2x24"), load_fixture_family("zccs_2x2x12")
+    tm = build_training_matrix(fam, GSMConfig(4, 2))
+    calls = {
+        "check_eczcs": (lambda w: check_eczcs(fam, w).to_json(), 9, "zone width"),
+        "check_szccs": (lambda w: check_szccs(fam, w).to_json(), 9, "zone width"),
+        "check_zccs": (lambda w: check_zccs(fam, w).to_json(), 9, "zone width"),
+        "check_zcz_set": (lambda w: check_zcz_set(flatten_to_zcz(fam), w).to_json(), 9, "zone width"),
+        "check_kind": (lambda w: check_kind("eczcs", fam, w).to_json(), 10, "zone width"),
+        "theorem2_construct": (lambda w: theorem2_construct(table3, w), 10, "declared seed width"),
+        "eczcs_bound": (lambda m: eczcs_bound(m, 2, 24, 2), 2, "M, N or L"),
+        "check_design_criterion": (lambda d: check_design_criterion(tm, d).to_json(), 9, "delay spread"),
+        "build_ls_model_matrix": (lambda d: build_ls_model_matrix(tm, d).tolist(), 9, "delay spread"),
+    }
+    return [pytest.param(*args, id=name) for name, args in calls.items()]
+
+
+@pytest.mark.parametrize("call, value, noun", _integer_argument_calls())
+def test_integral_float_arguments_read_as_ints(call, value, noun):
+    """An integral float gives the result of its int; a fractional one raises ValueError naming it."""
+    got, want = call(float(value)), call(value)
+    assert got == want and type(got) is type(want)
+    with pytest.raises(ValueError, match=rf"^{noun} {value}\.5 is not an integer$"):
+        call(value + 0.5)
 
 
 def test_mocs_and_ccc():
@@ -265,7 +294,7 @@ def test_zone_windows_are_shift_sets():
     rng = random.Random(5)
     for q in (2, 4, 6):
         sets = [[[rng.randrange(q) for _ in range(7)] for _ in range(2)] for _ in range(3)]
-        rows, live = set_rows(family_from_lists(q, sets).sets)
+        rows, live = set_rows(family_from_lists(q, sets))
         labels = np.full((len(rows), len(rows)), "v")
         same, cross = range(-6, 4), range(-2, 7)
         reduced, reports = cyclic_tally(rows, live, q, np.arange(-13, 7)) @ reduction_matrix(q), []
@@ -395,10 +424,13 @@ def test_aperiodic_violations_match_per_shift_reference(table3, table4, table5, 
 
 
 def test_one_set_sum_tally_per_family(monkeypatch):
-    """Every set-sum check, the width scan and is_optimal read one cached tally per family object."""
+    """Every set-sum check, the width scan, is_optimal, both tables and all four rho/rho-hat
+    profiles read one cached tally per family object.  The kernel is watched at both entry
+    points, so a per-pair tally through cross_tally would be counted too."""
     calls = []
-    tally = verify.cyclic_tally
-    monkeypatch.setattr(verify, "cyclic_tally", lambda *args: calls.append(args) or tally(*args))
+    for name in ("cyclic_tally", "cross_tally"):
+        kernel = getattr(correlation, name)
+        monkeypatch.setattr(correlation, name, lambda *args, f=kernel, n=name: calls.append(n) or f(*args))
     checks = {"zccs": check_zccs, "szccs": check_szccs, "eczcs": check_eczcs}
     builders = (
         lambda: load_fixture_family("eczcs_2x2x24"),
@@ -414,12 +446,17 @@ def test_one_set_sum_tally_per_family(monkeypatch):
             verdicts = {(kind, w): check(fam, w).to_json() for w in widths for kind, check in checks.items()}
             width = measure_zcz_width(fam)
             runs.append((verdicts, check_mocs(fam).to_json(), width, is_optimal(fam, width)))
-            assert len(calls) == 1, fam.q
+            assert calls == ["cyclic_tally", "cross_tally"], fam.q
+            pairs = [(m1, m2) for m1 in range(fam.num_sets) for m2 in range(fam.num_sets)]
+            for reader in (set_corr_table, cross_channel_table, profile_set_corr, profile_cross_channel):
+                for m1, m2 in pairs:
+                    reader(fam, m1, m2)
+            assert calls == ["cyclic_tally", "cross_tally"], fam.q
             cached = set_sum_tally(fam)
             phi = len(cyclotomic_poly(fam.q)) - 1
             assert cached.shape == (fam.num_sets, fam.num_sets, 3 * fam.length - 1, phi)
             assert cached is set_sum_tally(fam) and not cached.flags.writeable
-            assert len(calls) == 1
+            assert len(calls) == 2
         assert runs[0] == runs[1]
         assert runs[0][2] >= 1 and not all(v["passed"] for v in runs[0][0].values())
     first, second = load_fixture_family("eczcs_2x2x24"), load_fixture_family("eczcs_2x2x24")
