@@ -7,7 +7,7 @@ training-matrix design for generalized spatial modulation, and a
 least-squares channel-estimation simulator.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .construct import (
     SeedLibraryEntry,

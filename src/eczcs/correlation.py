@@ -199,9 +199,10 @@ class CorrelationProfile:
 
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
-    _check_pair(s0, s1)
-    pair = Family.from_array(s0.q, np.stack((s0.array(), s1.array()))[:, None])  # ((s0,), (s1,))
-    return CorrelationProfile(s0.q, 1 - s0.length, set_corr_table(pair, 0, 1))
+    _check_pair(s0, s1)  # the set rows of ((s0,), (s1,)): cyclic tallies at |u| < L are aperiodic
+    rows, live = set_rows(Family.from_array(s0.q, np.stack((s0.array(), s1.array()))[:, None]))
+    counts = cross_tally(rows[:1], live, rows[1:], live, s0.q, range(1 - s0.length, s0.length))[0, 0]
+    return CorrelationProfile(s0.q, 1 - s0.length, counts @ reduction_matrix(s0.q))
 
 
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:

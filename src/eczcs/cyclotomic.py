@@ -25,7 +25,7 @@ def as_ints(values, noun: str) -> tuple[int, ...]:
     ints = tuple(map(int, given))
     if ints != given:
         bad = next(g for g, p in zip(given, ints) if g != p)
-        raise ValueError(f"{noun} {bad} is not an integer")
+        raise ValueError(f"{noun} {bad if isinstance(bad, (float, np.number)) else repr(bad)} is not an integer")
     return ints
 
 

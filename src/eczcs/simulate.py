@@ -4,11 +4,13 @@ The noise model maps Eb/N0 in dB to a noise variance sigma^2 =
 10^(-EbN0/10) with unit-energy transmitted symbols; any monotone mapping
 preserves the comparisons the reports are used for, and the chosen one is
 recorded in every CSV header.  All randomness flows from one master seed
-through one counter-derived generator per TRIAL_BLOCK trials, so reports
-reproduce bit for bit; manifests name this RNG_SCHEME.  Since 0.7.0 a
-block draws only its noise: for a full-rank design the LS error of a trial
-is S n, the solver S = (X^H X)^-1 X^H applied to the noise, whatever the
-channel, so the Monte-Carlo MSE needs no channel draw.
+through one counter-derived generator per grid point, so reports
+reproduce bit for bit; manifests name this RNG_SCHEME.  For a full-rank
+design the LS error of a trial is S n, the solver S = (X^H X)^-1 X^H
+applied to the noise, whatever the channel.  S n is CN(0, sigma^2 (X^H X)^-1),
+so over T trials its summed squared norm has the law of
+sigma^2 sum_k G_k / mu_k, with mu_k the eigenvalues of X^H X and G_k iid
+Gamma(T, 1): one eigvalsh per delay spread and one gamma draw per point.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .sequences import Family, PhaseSequence
 from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"
-TRIAL_BLOCK = 32
-RNG_SCHEME = f"pcg64(seed, point, block), {TRIAL_BLOCK} trials per block, noise only, re/im interleaved"
+RNG_SCHEME = "pcg64(seed, point), standard_gamma(trials, dim) against 1/eigvalsh(X^H X)"
 
 
 class RankDeficientTraining(np.linalg.LinAlgError):
@@ -51,7 +52,8 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
     one.  ``count`` channels are drawn at once, shape (count, n_antennas,
     delay_spread + 1): all real parts first, then all imaginary parts.
     """
-    _at_least(0, delay_spread=delay_spread, count=count)
+    delay_spread, n_antennas, count = _at_least(0, delay_spread=delay_spread, n_antennas=n_antennas,
+                                                count=count)
     taps = delay_spread + 1
     scale = math.sqrt(1.0 / (2 * taps))
     out = np.empty((count, n_antennas, taps), dtype=complex)
@@ -61,22 +63,33 @@ def sample_channel(delay_spread: int, n_antennas: int, rng: np.random.Generator,
     return out
 
 
-def _at_least(low: int, **sizes: int) -> None:
-    for name, value in sizes.items():
+def _at_least(low: int, **sizes) -> tuple[int, ...]:
+    """The sizes as ints, each named when it is not an integer or is below low."""
+    ints = tuple(as_ints((value,), name)[0] for name, value in sizes.items())
+    for name, value in zip(sizes, ints):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+    return ints
 
 
-def _normal_matrix(X: np.ndarray, matrix_id: str = "") -> np.ndarray:
-    """The normal matrix X^H X, or RankDeficientTraining when it is singular."""
-    normal = X.conj().T @ X
-    dim = normal.shape[0]
-    if np.linalg.matrix_rank(normal) < dim:
+def _inverse_spectrum(normal: np.ndarray, matrix_id: str = "") -> np.ndarray:
+    """1/mu for the eigenvalues mu of the normal matrix X^H X, largest first.
+
+    Raises RankDeficientTraining when mu_min <= mu_max * dim * eps, the
+    tolerance of numpy's rank test.
+    """
+    mu = np.linalg.eigvalsh(normal)
+    dim = len(mu)
+    if mu[0] <= mu[-1] * dim * np.finfo(float).eps:
         raise RankDeficientTraining(
             f"training matrix {matrix_id or '<unnamed>'} is rank deficient: "
             f"{dim} unknowns but a singular normal matrix"
         )
-    return normal
+    return 1.0 / mu
+
+
+def _mse(sigma2: float, inverse_spectrum: np.ndarray) -> float:
+    return sigma2 * float(inverse_spectrum.sum()) / len(inverse_spectrum)
 
 
 def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "") -> np.ndarray:
@@ -85,19 +98,18 @@ def ls_estimate(X: np.ndarray, y: np.ndarray, *, matrix_id: str = "") -> np.ndar
     Raises :class:`RankDeficientTraining` when the normal matrix is
     singular (for example, two antennas transmitting identical rows).
     """
-    normal = _normal_matrix(X, matrix_id)
-    rhs = X.conj().T @ y
-    return np.linalg.solve(normal, rhs)
+    normal = X.conj().T @ X
+    _inverse_spectrum(normal, matrix_id)
+    return np.linalg.solve(normal, X.conj().T @ y)
 
 
 def analytic_mse(X: np.ndarray, sigma2: float) -> float:
-    """Normalized LS estimation MSE sigma2 * Tr((X^H X)^-1) / n_columns.
+    """Normalized LS estimation MSE sigma2 * Tr((X^H X)^-1) / n_columns, the trace as sum(1/mu).
 
     Equals sigma2 / E exactly when the design criterion holds, and is
     strictly larger otherwise (the column norms pin the eigenvalue sum).
     """
-    normal = _normal_matrix(X)
-    return float(sigma2 * np.trace(np.linalg.inv(normal)).real / normal.shape[0])
+    return _mse(sigma2, _inverse_spectrum(X.conj().T @ X))
 
 
 @dataclass(frozen=True)
@@ -116,8 +128,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         (trials,), (seed,) = as_ints((self.trials,), "trial count"), as_ints((self.seed,), "seed")
-        if trials < 1:
-            raise ValueError("need at least one trial")
+        if not 1 <= trials <= 2**53:  # the gamma shape is a float64, exact up to 2^53
+            raise ValueError(f"trial count must lie in [1, 2^53], got {trials}")
         if not self.ebn0_db or not self.delay_spreads:
             raise ValueError("both grids must be nonempty")
         if seed < 0:
@@ -145,6 +157,8 @@ class MSEPoint:
     trials: int
     matrix_id: str
     failed: bool = False
+    stderr: float | None = None  # standard error of empirical_mse
+    cond: float | None = None  # condition number mu_max / mu_min of X^H X
 
 
 @dataclass(frozen=True)
@@ -155,68 +169,51 @@ class MSEReport:
         out = io.StringIO()
         out.write(f"# noise model: {NOISE_MODEL}\n")
         writer = csv.writer(out)
-        writer.writerow(
-            ["EbN0_dB", "lambda", "empirical_mse", "analytic_mse", "floor", "trials", "matrix_id"]
-        )
+        writer.writerow("EbN0_dB lambda empirical_mse analytic_mse floor trials matrix_id stderr cond".split())
         for p in self.points:
-            writer.writerow(
-                [
-                    f"{p.ebn0_db:g}",
-                    p.delay_spread,
-                    "failed" if p.failed else f"{p.empirical_mse:.10e}",
-                    "failed" if p.failed else f"{p.analytic_mse:.10e}",
-                    f"{p.floor:.10e}",
-                    p.trials,
-                    p.matrix_id,
-                ]
-            )
+            stats = (p.empirical_mse, p.analytic_mse, p.stderr, p.cond)
+            mse, analytic, stderr, cond = ("failed" if p.failed else f"{v:.10e}" for v in stats)
+            writer.writerow([f"{p.ebn0_db:g}", p.delay_spread, mse, analytic, f"{p.floor:.10e}",
+                             p.trials, p.matrix_id, stderr, cond])
         return out.getvalue()
 
 
 def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
     """Empirical and analytic normalized MSE over the configured grid.
 
-    The estimator is the solver S = (X^H X)^-1 X^H of :func:`ls_estimate`,
-    factored once per delay spread with the analytic value,
-    :func:`analytic_mse`.  S X = I, so the error of a trial, S (X h + n) - h,
-    is S n for every channel h: no channel is drawn.  Grid point ``index``
-    runs its trials in blocks of TRIAL_BLOCK, the last one partial.  Block b
-    draws ``default_rng((seed, index, b)).standard_normal((count, width, 2))``,
-    read as count complex noise vectors z (real and imaginary parts
-    interleaved) of unit variance per part, and adds ``vdot`` of z S^T.  The
-    noise is n = sqrt(sigma^2 / 2) z, so the sum is scaled by sigma^2 / 2 once
-    per point, and sigma^2 = 0 gives an MSE of exactly 0.  A singular design
-    marks its grid points as failed instead of raising.
+    The inverse spectrum 1/mu of X^H X is taken once per delay spread and
+    gives the analytic value, :func:`analytic_mse`, the standard error
+    sigma^2 sqrt(sum(1/mu^2) / trials) / dim and the condition number
+    mu_max / mu_min.  The summed squared LS error of the trials has the law
+    of sigma^2 sum_k G_k / mu_k, G_k iid Gamma(trials, 1), so grid point
+    ``index`` draws ``default_rng((seed, index)).standard_gamma(trials, dim)``
+    and scales its dot product with 1/mu by sigma^2 / (trials * dim): the cost
+    does not depend on the trial count, and sigma^2 = 0 gives an MSE of
+    exactly 0.  A singular design marks its grid points as failed instead of
+    raising.
     """
     energy = float(tm.energy)
     points = []
-    models: dict[int, tuple | None] = {}
+    spectra: dict[int, np.ndarray | None] = {}
     for index, (ebn0, spread) in enumerate(product(cfg.ebn0_db, cfg.delay_spreads)):
         sigma2 = noise_variance(ebn0)
         floor = mse_floor(sigma2, energy)
-        if spread not in models:
+        if spread not in spectra:
             X = build_ls_model_matrix(tm, spread)
             try:
-                inverse = np.linalg.inv(_normal_matrix(X))
-                models[spread] = (inverse @ X.conj().T, np.trace(inverse).real)
+                spectra[spread] = _inverse_spectrum(X.conj().T @ X)
             except RankDeficientTraining:
-                models[spread] = None
-        if models[spread] is None:
-            points.append(
-                MSEPoint(ebn0, spread, None, None, floor, cfg.trials, cfg.matrix_id, failed=True)
-            )
+                spectra[spread] = None
+        inv_mu = spectra[spread]
+        if inv_mu is None:
+            points.append(MSEPoint(ebn0, spread, None, None, floor, cfg.trials, cfg.matrix_id, failed=True))
             continue
-        solver, inverse_trace = models[spread]
-        dim, width = solver.shape
-        total = 0.0
-        for block, start in enumerate(range(0, cfg.trials, TRIAL_BLOCK)):
-            count = min(TRIAL_BLOCK, cfg.trials - start)
-            z = np.random.default_rng((cfg.seed, index, block)).standard_normal((count, width, 2))
-            error = z.view(complex)[..., 0] @ solver.T
-            total += float(np.vdot(error, error).real)
-        empirical = sigma2 / 2.0 * total / (cfg.trials * dim)
-        analytic = float(sigma2 * inverse_trace / dim)
-        points.append(MSEPoint(ebn0, spread, empirical, analytic, floor, cfg.trials, cfg.matrix_id))
+        dim = len(inv_mu)
+        gamma = np.random.default_rng((cfg.seed, index)).standard_gamma(cfg.trials, dim)
+        empirical = sigma2 * float(gamma @ inv_mu) / (cfg.trials * dim)
+        stderr = sigma2 * math.sqrt(float(inv_mu @ inv_mu) / cfg.trials) / dim
+        points.append(MSEPoint(ebn0, spread, empirical, _mse(sigma2, inv_mu), floor, cfg.trials,
+                               cfg.matrix_id, stderr=stderr, cond=float(inv_mu[0] / inv_mu[-1])))
     return MSEReport(tuple(points))
 
 
@@ -243,7 +240,7 @@ def baseline_random_binary(
     cfg: GSMConfig, blocks: int, block_length: int, rng: np.random.Generator
 ) -> TrainingMatrix:
     """Random +-1 sequences dropped into the standard sparse layout."""
-    _at_least(1, blocks=blocks, block_length=block_length)
+    blocks, block_length = _at_least(1, blocks=blocks, block_length=block_length)
     draws = [[rng.integers(0, 2, block_length) for _ in range(blocks)] for _ in range(cfg.active_antennas)]
     return build_training_matrix(Family.from_array(2, np.array(draws)), cfg, source="random-binary")
 
@@ -252,7 +249,7 @@ def baseline_zadoff_chu(
     cfg: GSMConfig, blocks: int, block_length: int, roots: tuple[int, ...] | None = None
 ) -> TrainingMatrix:
     """Distinct constant-amplitude sequences in the standard sparse layout."""
-    _at_least(1, blocks=blocks, block_length=block_length)
+    blocks, block_length = _at_least(1, blocks=blocks, block_length=block_length)
     needed = cfg.active_antennas * blocks
     if roots is None:
         roots = default_zc_roots(block_length, needed)

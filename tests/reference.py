@@ -4,13 +4,16 @@ No library path needs these, so they live beside the tests.  Each one
 restates a value one term at a time: sums, negation and conjugation of
 exact values; the scalar magnitude that ``cyclotomic.magnitudes`` must
 equal bit for bit; the periodic correlation assembled from two aperiodic
-halves; and the complex image, negation and concatenation of sequences.
+halves; the complex image, negation and concatenation of sequences; and
+the Monte-Carlo LS error drawn one noise vector per trial.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+
+import numpy as np
 
 from eczcs import PhaseSequence, accf
 from eczcs.cyclotomic import CycloInt, root_table
@@ -103,3 +106,23 @@ def concat(a: PhaseSequence, b: PhaseSequence) -> PhaseSequence:
     if a.q != b.q:
         raise ValueError(f"cannot concatenate alphabets Z_{a.q} and Z_{b.q}")
     return PhaseSequence(a.q, a.phases + b.phases)
+
+
+def noise_stream_mse(X, sigma2: float, trials: int, seed: int, index: int) -> float:
+    """Normalized MSE of grid point ``index`` from per-trial noise, the stream of 0.7.0 and 0.8.0.
+
+    The LS error of a trial is S n with S = (X^H X)^-1 X^H.  Trials run in
+    blocks of 32, the last one partial; block b draws
+    ``default_rng((seed, index, b)).standard_normal((count, width, 2))``, read
+    as count unit-variance complex vectors z with real and imaginary parts
+    interleaved, and n = sqrt(sigma2 / 2) z.
+    """
+    solver = np.linalg.inv(X.conj().T @ X) @ X.conj().T
+    dim, width = solver.shape
+    total = 0.0
+    for block, start in enumerate(range(0, trials, 32)):
+        count = min(32, trials - start)
+        parts = np.random.default_rng((seed, index, block)).standard_normal((count, width, 2))
+        error = (parts[..., 0] + 1j * parts[..., 1]) @ solver.T
+        total += float(np.vdot(error, error).real)
+    return sigma2 / 2.0 * total / (trials * dim)

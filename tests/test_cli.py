@@ -361,7 +361,8 @@ def test_simulate_rejects_negative_lambda_and_zero_trials(tmp_path, capsys):
         "seed": 1,
     }
     cfg_file = tmp_path / "sim.json"
-    for change, named in (({"delay_spreads": [-1]}, "delay spread"), ({"trials": 0}, "trial")):
+    for change, named in (({"delay_spreads": [-1]}, "delay spread"), ({"trials": 0}, "trial"),
+                          ({"trials": 10**400}, "trial count must lie in [1, 2^53]")):
         cfg_file.write_text(json.dumps(dict(config, **change)))
         code, out, err = run(capsys, "simulate", "--config", str(cfg_file))
         assert code == 2 and out == "", change

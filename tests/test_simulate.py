@@ -24,7 +24,7 @@ from eczcs import (
 )
 from eczcs.simulate import default_zc_roots
 
-from reference import modulate
+from reference import modulate, noise_stream_mse
 
 
 def test_single_tap_channel():
@@ -52,6 +52,10 @@ def test_sample_channel_rejects_negative_spread_and_count():
         with pytest.raises(ValueError, match=name):
             sample_channel(spread, 2, rng, count)
     assert sample_channel(0, 2, rng, 0).shape == (0, 2, 1)
+    # integral floats read as ints, as every other integer argument does
+    assert sample_channel(2.0, 4, rng, 3).shape == sample_channel(2.0, 4.0, rng, 3.0).shape == (3, 4, 3)
+    with pytest.raises(ValueError, match="count 2.5 is not an integer"):
+        sample_channel(2, 4, rng, 2.5)
 
 
 def test_channel_determinism():
@@ -167,27 +171,93 @@ def test_ls_error_is_the_solver_applied_to_the_noise(psi24):
     assert not np.allclose(build_ls_model_matrix(zc, 9).imag, 0)  # one real and one complex X
 
 
-def test_monte_carlo_block_stream_reference(psi24):
-    # the documented scheme, which defines the streams of every report:
-    # block b of grid point i draws from default_rng((seed, i, b)) only its
-    # noise, standard_normal((count, width, 2)) with real and imaginary parts
-    # interleaved, for min(32, trials left) trials; the summed squared norms
-    # of the solver applied to it are scaled by sigma^2 / 2 once per point
-    X = build_ls_model_matrix(psi24, 9)
-    solver = np.linalg.inv(X.conj().T @ X) @ X.conj().T
-    width, dim = X.shape
+def test_monte_carlo_gamma_stream_reference(psi24):
+    # the documented scheme, which defines the streams of every report: grid
+    # point i draws default_rng((seed, i)).standard_gamma(trials, dim), one
+    # Gamma(trials, 1) per eigenvalue mu of X^H X, and sigma^2 / (trials * dim)
+    # scales its dot product with 1/mu; the standard error and the condition
+    # number come from the same 1/mu
+    X = build_ls_model_matrix(psi24, 10)  # past the zone, so the spectrum is not flat
+    normal = X.conj().T @ X
+    inv_mu = 1.0 / np.linalg.eigvalsh(normal)
+    dim = len(inv_mu)
     for trials in (1, 31, 32, 33, 100):
-        cfg = SimConfig(ebn0_db=(8.0, 16.0), delay_spreads=(9,), trials=trials, seed=41)
+        cfg = SimConfig(ebn0_db=(8.0, 16.0), delay_spreads=(10,), trials=trials, seed=41)
         for index, point in enumerate(monte_carlo_mse(psi24, cfg).points):
-            total = 0.0
-            for block, start in enumerate(range(0, trials, 32)):
-                count = min(32, trials - start)
-                parts = np.random.default_rng((41, index, block)).standard_normal((count, width, 2))
-                noise = parts[:, :, 0] + 1j * parts[:, :, 1]
-                error = noise @ solver.T
-                total += float(np.vdot(error, error).real)
-            want = noise_variance(point.ebn0_db) / 2.0 * total / (trials * dim)
-            assert point.empirical_mse == want, (trials, index)
+            sigma2 = noise_variance(point.ebn0_db)
+            gamma = np.random.default_rng((41, index)).standard_gamma(trials, dim)
+            assert point.empirical_mse == sigma2 * float(gamma @ inv_mu) / (trials * dim), (trials, index)
+            assert point.analytic_mse == analytic_mse(X, sigma2)
+            cov = sigma2 * np.linalg.inv(normal)
+            stderr = math.sqrt(np.trace(cov @ cov).real / trials) / dim  # the formula of the oracle
+            assert math.isclose(point.stderr, stderr, rel_tol=1e-9)
+            assert math.isclose(point.cond, np.linalg.cond(normal), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("trials", [1, 32])
+def test_gamma_stream_matches_the_noise_stream_across_seeds(psi24, trials):
+    # the per-trial noise stream of 0.7.0 and 0.8.0 and the gamma stream draw
+    # from one law: over 400 seeds both have the analytic mean and the spread
+    # the standard error predicts, on a flat spectrum (the design criterion
+    # holds) and on a random design's spread-out one
+    random_tm = baseline_random_binary(GSMConfig(4, 2), 2, 24, np.random.default_rng(5))
+    sigma2, seeds = noise_variance(10.0), range(400)
+    for tm in (psi24, random_tm):
+        X = build_ls_model_matrix(tm, 9)
+        points = [monte_carlo_mse(tm, SimConfig((10.0,), (9,), trials, s)).points[0] for s in seeds]
+        gamma = np.array([p.empirical_mse for p in points])
+        noise = np.array([noise_stream_mse(X, sigma2, trials, s, 0) for s in seeds])
+        want, stderr = points[0].analytic_mse, points[0].stderr
+        for draws in (gamma, noise):
+            assert abs(draws.mean() - want) < 4 * stderr / math.sqrt(len(seeds)), tm.source
+            assert 0.8 < draws.std(ddof=1) / stderr < 1.25, tm.source
+        assert abs(gamma.mean() - noise.mean()) < 4 * stderr * math.sqrt(2 / len(seeds)), tm.source
+        assert 0.8 < gamma.std(ddof=1) / noise.std(ddof=1) < 1.25, tm.source
+
+
+def test_monte_carlo_cost_does_not_depend_on_trials(psi24):
+    # a billion trials are one gamma draw per eigenvalue, not a billion noise vectors
+    cfg = SimConfig(ebn0_db=(16.0,), delay_spreads=(10,), trials=10**9, seed=8)
+    point = monte_carlo_mse(psi24, cfg).points[0]
+    X = build_ls_model_matrix(psi24, 10)
+    cov = noise_variance(16.0) * np.linalg.inv(X.conj().T @ X)
+    stderr = math.sqrt(np.trace(cov @ cov).real / cfg.trials) / X.shape[1]
+    assert point.trials == 10**9 and math.isclose(point.stderr, stderr, rel_tol=1e-9)
+    assert point.empirical_mse != point.analytic_mse
+    assert abs(point.empirical_mse - point.analytic_mse) < 6 * stderr
+
+
+def test_rank_check_agrees_with_matrix_rank(psi24):
+    # the eigenvalue test mu_min <= mu_max * dim * eps is numpy's rank tolerance
+    import dataclasses
+
+    rows = [0, 0, *range(2, psi24.num_rows)]
+    duplicate = dataclasses.replace(psi24, values=psi24.values[rows], mask=psi24.mask[rows])
+    zc = baseline_zadoff_chu(GSMConfig(4, 2), 2, 24)
+    outcomes = set()
+    for tm in (psi24, zc, duplicate):
+        for spread in (0, 2, 5, 9, 10, 22, 23, 24, 30, 95):
+            X = build_ls_model_matrix(tm, spread)
+            full = np.linalg.matrix_rank(X.conj().T @ X) == X.shape[1]
+            try:
+                analytic_mse(X, 1.0)
+                ls_estimate(X, np.zeros(X.shape[0], dtype=complex))
+                raised = False
+            except RankDeficientTraining:
+                raised = True
+            assert raised != full, (tm.source, spread)
+            outcomes.add((tm is duplicate, full))
+    assert outcomes == {(False, True), (False, False), (True, False)}
+    # a diagonal design has an exact spectrum: a positive normal eigenvalue of
+    # 1e-18 lies under the tolerance 2 * eps, one of 1e-14 above it
+    for scale, full in ((1e-9, False), (1e-7, True)):
+        X = np.diag([1.0, scale])
+        assert (np.linalg.matrix_rank(X.T @ X) == 2) == full
+        if full:
+            assert math.isclose(analytic_mse(X, 1.0), (1.0 + scale**-2) / 2, rel_tol=1e-12)
+        else:
+            with pytest.raises(RankDeficientTraining):
+                analytic_mse(X, 1.0)
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials(table5):
@@ -211,7 +281,7 @@ def test_monte_carlo_memory_does_not_grow_with_trials(table5):
 def test_monte_carlo_zero_noise(psi24):
     cfg = SimConfig(ebn0_db=(math.inf,), delay_spreads=(3,), trials=50, seed=5)
     report = monte_carlo_mse(psi24, cfg)
-    assert report.points[0].empirical_mse == 0.0  # sigma^2 / 2 scales the whole sum
+    assert report.points[0].empirical_mse == 0.0  # sigma^2 scales the whole sum
     assert report.points[0].floor == 0.0
 
 
@@ -231,8 +301,11 @@ def test_report_csv_format(psi24):
     text = monte_carlo_mse(psi24, cfg).to_csv()
     lines = text.strip().splitlines()
     assert lines[0].startswith("# noise model: sigma2 = 10^(-EbN0_dB/10)")
-    assert lines[1] == "EbN0_dB,lambda,empirical_mse,analytic_mse,floor,trials,matrix_id"
-    assert lines[2].startswith("16,9,") and lines[2].endswith(",10,t4")
+    assert lines[1] == "EbN0_dB,lambda,empirical_mse,analytic_mse,floor,trials,matrix_id,stderr,cond"
+    assert lines[2].startswith("16,9,") and ",10,t4," in lines[2]
+    point = monte_carlo_mse(psi24, cfg).points[0]
+    assert lines[2].split(",")[-2:] == [f"{point.stderr:.10e}", f"{point.cond:.10e}"]
+    assert math.isclose(point.cond, 1.0, rel_tol=1e-12)  # X^H X = E I inside the zone
 
 
 def test_sim_config_validation(table4):
@@ -249,11 +322,12 @@ def test_sim_config_validation(table4):
     base = dict(ebn0_db=(1.0,), delay_spreads=(1,), trials=10, seed=0)
     for change, named in (
         ({"trials": 10.5}, "trial count 10.5 is not an integer"),
+        ({"trials": 2**53 + 1}, "trial count must lie in [1, 2^53], got 9007199254740993"),
         ({"delay_spreads": (1, 2.7)}, "delay spread 2.7 is not an integer"),
         ({"delay_spreads": (3, -1)}, "delay spread must lie in"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"seed": 1.5}, "seed 1.5 is not an integer"),
-        ({"seed": "3"}, "seed 3 is not an integer"),
+        ({"seed": "3"}, "seed '3' is not an integer"),
     ):
         with pytest.raises(ValueError, match=re.escape(named)):
             SimConfig(**{**base, **change})
@@ -291,6 +365,12 @@ def test_baseline_layouts(table3):
     rnd = baseline_random_binary(cfg, 2, 24, rng)
     assert np.all(rnd.mask.sum(axis=0) == 2)
     assert rnd.source == "random-binary"
+    # integral floats read as ints: the same draws as 2 and 24
+    again = baseline_random_binary(cfg, 2.0, 24.0, np.random.default_rng(11))
+    assert np.array_equal(again.values, rnd.values)
+    assert np.array_equal(baseline_zadoff_chu(cfg, 2.0, 24.0).values, baseline_zadoff_chu(cfg, 2, 24).values)
+    with pytest.raises(ValueError, match="blocks 1.5 is not an integer"):
+        baseline_random_binary(cfg, 1.5, 24, rng)
 
     zc = baseline_zadoff_chu(cfg, 2, 24)
     assert zc.q == 48 and zc.width == 96
