@@ -75,6 +75,7 @@ from .training import (
     build_ls_model_matrix,
     build_training_matrix,
     check_design_criterion,
+    design_width,
     map_bits_to_gsm_block,
     training_matrix_meta,
     training_matrix_to_csv,

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -366,7 +367,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on first use: parsing keeps no state, and every message
+    goes to the sys.stdout or sys.stderr of the call."""
     parser = argparse.ArgumentParser(prog="eczcs", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

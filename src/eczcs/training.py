@@ -8,6 +8,10 @@ this layout, and the design criterion's expected per-slot activity is
 its column sums.  A matrix is that layout as two read-only arrays: the
 int64 phases (0 where silent) and the live mask, so silence is never
 phase 0.  Every reader (criterion, LS model, CSV) uses those arrays.
+The design criterion and ``design_width`` read one reduced periodic tally
+per matrix, cached on it and grown in blocks of shifts as delay spreads
+ask, so a sweep over delay spreads tallies each row pair a few times, not
+once per spread.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 import numpy as np
 
 from .correlation import cross_tally
-from .cyclotomic import CycloInt, as_ints, root_table
+from .cyclotomic import CycloInt, as_ints, cyclotomic_poly, reduction_matrix, root_table
 from .sequences import Family
-from .verify import Verdict, Violation, zone_violations
+from .verify import Verdict, Violation, read_windows
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,50 @@ def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
     return np.select(rules, names, "iai-separated")
 
 
+def _layout_violations(tm: TrainingMatrix) -> list[Violation]:
+    """The sparsity and row-energy faults: slots whose activity differs from the layout's
+    column sums, then rows whose live count differs from the designed energy."""
+    col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
+    expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
+    violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
+                  for c in np.nonzero(col_counts != expected)[0]]
+    return violations + [Violation("row-energy", (int(i),), 0, float(energies[i]))
+                         for i in np.nonzero(energies != tm.energy)[0]]
+
+
+_FIRST_BLOCK = 16  # shifts in the first block of a matrix's zone tally; later blocks double it
+
+
+def _zone(tm: TrainingMatrix, top: int) -> tuple:
+    """The criterion state of a matrix, cached on it and grown to shifts 0..top at least:
+    (tally, hits, hit shifts, layout faults).
+
+    The tally is the reduced periodic tally of every row pair, [row, row, shift, phi(q)
+    canonical columns], read-only.  It grows in blocks, _FIRST_BLOCK shifts first and then
+    at least doubling, up to the width, so it never holds all W shifts unless a delay spread
+    asks for them.  The hits are its windowed nonzero entries (shift >= 1 for a row against
+    itself, >= 0 for distinct rows) as Violations in (row, pair, shift) order, one
+    :func:`~eczcs.verify.read_windows` per growth.  The layout faults depend on no shift.
+    """
+    state = tm.__dict__.get("_zone")
+    if state is None:
+        phi = len(cyclotomic_poly(tm.q)) - 1
+        state = (np.zeros((tm.num_rows, tm.num_rows, 0, phi), dtype=np.int64), None, None,
+                 _layout_violations(tm))
+    tally, _, _, layout = state
+    have = tally.shape[2]
+    if have <= top:
+        shifts = np.arange(have, min(tm.width, max(top + 1, 2 * have, _FIRST_BLOCK)))
+        block = cross_tally(tm.values, tm.mask, tm.values, tm.mask, tm.q, shifts)
+        tally = np.concatenate((tally, block @ reduction_matrix(tm.q)[:, : tally.shape[3]]), axis=2)
+        tally.setflags(write=False)
+        n = tally.shape[2]
+        hits = read_windows(tally, tm.q, range(1, n), range(n), _pair_labels(tm))
+        state = (tally, hits, np.array([v.shift for v in hits], dtype=np.int64), layout)
+        object.__setattr__(tm, "_zone", state)
+    return state
+
+
 def _check_delay_spread(tm: TrainingMatrix, delay_spread: int) -> int:
     (delay_spread,) = as_ints((delay_spread,), "delay spread")
     if not 0 <= delay_spread < tm.width:
@@ -173,17 +221,28 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     1..delay_spread (same row) and 0..delay_spread (distinct rows).  The
     row-energy check is the zero-shift autocorrelation condition: a row's
     in-phase autocorrelation counts its live entries, so each such fault
-    is reported once, as row-energy.
+    is reported once, as row-energy.  Every delay spread reads the state
+    cached on the matrix (``_zone``): its sparsity and row-energy faults,
+    then its hits at shifts 0..delay_spread in (row, pair, shift) order.
     """
     delay_spread = _check_delay_spread(tm, delay_spread)
-    col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
-    expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
-    violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
-                  for c in np.nonzero(col_counts != expected)[0]]
-    violations += [Violation("row-energy", (int(i),), 0, float(energies[i]))
-                   for i in np.nonzero(energies != tm.energy)[0]]
-    violations += zone_violations(tm.values, tm.mask, tm.q, delay_spread, _pair_labels(tm))
-    return Verdict(tuple(violations))
+    _, hits, shifts, layout = _zone(tm, delay_spread)
+    return Verdict(tuple(layout + list(compress(hits, shifts <= delay_spread))))
+
+
+def design_width(tm: TrainingMatrix) -> int:
+    """The largest delay spread at which :func:`check_design_criterion` passes; -1 if none.
+
+    That is -1 when the sparsity or row-energy check fails, and otherwise the least shift
+    of a correlation hit minus one, or W - 1 when no shift has one.  The cached tally grows
+    only until it holds a hit.
+    """
+    tally, _, shifts, layout = _zone(tm, 0)
+    if layout:
+        return -1
+    while not len(shifts) and tally.shape[2] < tm.width:
+        tally, _, shifts, _ = _zone(tm, tally.shape[2])
+    return int(shifts.min()) - 1 if len(shifts) else tm.width - 1
 
 
 def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:

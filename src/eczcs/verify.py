@@ -8,8 +8,9 @@ sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
 
 Every check reads its windows from one reduced tally, :func:`read_windows`.
-A periodic check (sequences or training rows) tallies shifts 0..width in
-:func:`zone_violations`.  The set-sum checks read
+The periodic check of a sequence set tallies shifts 0..width in
+:func:`zone_violations`; the GSM design criterion reads the same windows
+from one tally per training matrix, cached on it.  The set-sum checks read
 :func:`~eczcs.correlation.set_sum_tally`, rho at shifts 0..L-1 and rho-hat
 at every shift of every set pair, cached on the family: one tally however
 many checks, widths and profiles read it.  Windows are shift sets, one for a row

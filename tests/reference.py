@@ -4,8 +4,9 @@ No library path needs these, so they live beside the tests.  Each one
 restates a value one term at a time: sums, negation and conjugation of
 exact values; the scalar magnitude that ``cyclotomic.magnitudes`` must
 equal bit for bit; the periodic correlation assembled from two aperiodic
-halves; the complex image, negation and concatenation of sequences; and
-the Monte-Carlo LS error drawn one noise vector per trial.
+halves; the complex image, negation and concatenation of sequences; the
+Monte-Carlo LS error drawn one noise vector per trial; and the design
+criterion tallied afresh at each delay spread.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from functools import reduce
 
 import numpy as np
 
-from eczcs import PhaseSequence, accf
+from eczcs import PhaseSequence, Verdict, Violation, accf
 from eczcs.cyclotomic import CycloInt, root_table
+from eczcs.training import _live
+from eczcs.verify import zone_violations
 
 
 def zero(q: int) -> CycloInt:
@@ -126,3 +129,22 @@ def noise_stream_mse(X, sigma2: float, trials: int, seed: int, index: int) -> fl
         error = (parts[..., 0] + 1j * parts[..., 1]) @ solver.T
         total += float(np.vdot(error, error).real)
     return sigma2 / 2.0 * total / (trials * dim)
+
+
+def criterion_per_spread(tm, delay_spread: int) -> Verdict:
+    """The design criterion of 0.9.0, which tallied every row pair at shifts 0..delay_spread
+    again at each delay spread: sparsity faults, row-energy faults, then the zone hits of
+    ``zone_violations`` labelled by interference mechanism."""
+    col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
+    expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
+    violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
+                  for c in np.nonzero(col_counts != expected)[0]]
+    violations += [Violation("row-energy", (int(i),), 0, float(energies[i]))
+                   for i in np.nonzero(energies != tm.energy)[0]]
+    group = np.arange(tm.num_rows) // tm.active_antennas
+    gi, gj, last = group[:, None], group, tm.group_count - 1
+    rules = [np.eye(tm.num_rows, dtype=bool), gi == gj, (gi == 0) & (gj == last), gi == gj + 1]
+    names = ["isi", "iai-same-group", "iai-wrap", "iai-adjacent-group"]
+    labels = np.select(rules, names, "iai-separated")
+    violations += zone_violations(tm.values, tm.mask, tm.q, delay_spread, labels)
+    return Verdict(tuple(violations))

@@ -33,6 +33,41 @@ def test_module_entry_point_runs():
     assert done.stdout.strip() == __version__
 
 
+def test_main_behaves_as_a_fresh_process_on_every_call(tmp_path, monkeypatch, table4):
+    """The parser is built once per process; each main call exits and prints as a fresh
+    ``python -m eczcs.cli`` does, on the sys.stdout and sys.stderr of that call."""
+    fam_file, cfg_file = tmp_path / "t4.txt", tmp_path / "sim.json"
+    fam_file.write_text(format_family_text(table4))
+    cfg_file.write_text(json.dumps({
+        "matrix": {"kind": "seed", "id": "zccs-2-2-12-10", "nt": 4, "na": 2},
+        "ebn0_db": [12.0], "delay_spreads": [9], "trials": 100, "seed": 3,
+    }))
+    calls = [
+        ["train", str(fam_file), "--nt", "4", "--na", "2", "--lambda", "9"],
+        ["train", str(fam_file), "--nt", "four", "--na", "2", "--lambda", "9"],
+        ["--version"],
+        ["simulate", "--config", str(cfg_file)],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), COLUMNS="80")
+    fresh = []  # bytes decoded as they are: text mode would turn the CSV's \r\n into \n
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "eczcs.cli", *argv], capture_output=True, env=env, timeout=60)
+        fresh.append((done.returncode, done.stdout.decode(), done.stderr.decode()))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+    assert "invalid int value: 'four'" in fresh[1][2] and fresh[2][1] == __version__ + "\n"
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        for argv, done in zip(calls, fresh):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert (code, out.getvalue(), err.getvalue()) == done, argv
+    assert build_parser() is build_parser()
+
+
 def test_catalog_lists_seeds(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

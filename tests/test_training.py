@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 from functools import cache
@@ -21,11 +22,16 @@ from eczcs import (
     build_training_matrix,
     check_design_criterion,
     check_eczcs,
+    design_width,
     family_from_lists,
+    lemma2_ccc,
+    load_fixture_family,
     map_bits_to_gsm_block,
     measure_zcz_width,
     monte_carlo_mse,
+    theorem2_construct,
     theorem3_construct,
+    training,
     training_matrix_meta,
     training_matrix_to_csv,
     training_pccf,
@@ -34,7 +40,7 @@ from eczcs.cyclotomic import CycloInt
 from eczcs.gbf import PartitionSpec, theorem3_zcz_width
 from eczcs.verify import Violation
 
-from reference import add, cyclo_sum, integer, zero
+from reference import add, criterion_per_spread, cyclo_sum, integer, zero
 
 
 def test_config_validation():
@@ -544,3 +550,141 @@ def test_design_criterion_matches_per_shift_reference(table4, table5):
                 if v.check not in ("sparsity", "row-energy")
             ]
             assert got == expected, (tm.source, spread)
+
+
+def _faulty(tm: TrainingMatrix, seed: int) -> TrainingMatrix:
+    """A copy with one live entry silenced and one silent entry made live (phase 0)."""
+    rng = np.random.default_rng(seed)
+    mask = tm.mask.copy()
+    for live in (True, False):
+        rows, cols = np.nonzero(tm.mask == live)
+        k = rng.integers(len(rows))
+        mask[rows[k], cols[k]] = not live
+    return dataclasses.replace(tm, mask=mask)
+
+
+def _cached_matrices():
+    """Makers of fresh matrices over q in {2, 4, 6, 64}, sound and with mask edits."""
+    table4 = load_fixture_family("eczcs_2x2x24")
+    spec = PartitionSpec(4, ((3, 1, 2), (4,)))  # zone 4, (M, N, L) = (4, 2, 16)
+    makers = {
+        "table4": lambda: build_training_matrix(table4, GSMConfig(4, 2)),
+        "theorem3-q4": lambda: build_training_matrix(theorem3_construct(spec, 1, 4), GSMConfig(4, 2)),
+        "theorem3-q6": lambda: build_training_matrix(theorem3_construct(spec, 1, 6), GSMConfig(3, 2)),
+        "zadoff-chu": lambda: baseline_zadoff_chu(GSMConfig(4, 2), 1, 32),  # q = 64
+        "random-binary": lambda: baseline_random_binary(GSMConfig(4, 2), 2, 16, np.random.default_rng(5)),
+    }
+    for name in ("table4", "theorem3-q6", "zadoff-chu"):
+        makers[name + "-faulty"] = lambda make=makers[name]: _faulty(make(), 2)
+    return makers
+
+
+def test_cached_criterion_matches_the_per_spread_reference():
+    """Every delay spread 0..W-1, asked in ascending, descending and shuffled order of a fresh
+    matrix each, gives the JSON of the criterion tallied afresh at that spread."""
+    rng = random.Random(27)
+    for name, make in _cached_matrices().items():
+        tm = make()
+        want = [criterion_per_spread(tm, lam).to_json() for lam in range(tm.width)]
+        shuffled = rng.sample(range(tm.width), tm.width)
+        for order in (range(tm.width), range(tm.width - 1, -1, -1), shuffled):
+            fresh = make()
+            for lam in order:
+                assert check_design_criterion(fresh, lam).to_json() == want[lam], (name, lam)
+
+
+def test_replaced_matrix_gets_its_own_criterion():
+    """dataclasses.replace makes a matrix without the original's cached tally."""
+    for name, make in _cached_matrices().items():
+        tm = make()
+        spreads = (0, 3, tm.width // 2, tm.width - 1)
+        before = [check_design_criterion(tm, lam) for lam in spreads]
+        edited = _faulty(tm, 3)
+        for lam in spreads:
+            assert check_design_criterion(edited, lam) == criterion_per_spread(edited, lam), (name, lam)
+        assert [check_design_criterion(tm, lam) for lam in spreads] == before, name
+
+
+def test_criterion_tallies_in_growing_blocks(monkeypatch):
+    """Delay spreads 0..Z+1 of a fresh matrix run at most ceil(log2(Z+2)) + 1 tallies, not Z+2;
+    the design width reuses them."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return cross_tally(*args)
+
+    cross_tally = training.cross_tally
+    monkeypatch.setattr(training, "cross_tally", counted)
+    for fam, zone, cfg in ((load_fixture_family("eczcs_2x2x24"), 9, GSMConfig(4, 2)),
+                           (load_fixture_family("eczcs_4x2x32"), 8, GSMConfig(8, 3))):
+        calls.clear()
+        tm = build_training_matrix(fam, cfg)
+        for lam in range(zone + 2):
+            check_design_criterion(tm, lam)
+        assert design_width(tm) == zone
+        assert 1 <= len(calls) <= math.ceil(math.log2(zone + 2)) + 1, calls
+        assert sum(calls) < tm.width  # blocks, never every shift up front
+        check_design_criterion(tm, tm.width - 1)
+        assert sum(calls) == tm.width and len(calls) <= math.ceil(math.log2(tm.width)) + 1, calls
+
+
+def _width_matrices():
+    """The structured designs (with their families) and two baselines, fresh on each call."""
+    table4, table5 = load_fixture_family("eczcs_2x2x24"), load_fixture_family("eczcs_4x2x32")
+    code = lemma2_ccc(PartitionSpec(3, ((2,), (3, 1))), 2)
+    doubled = theorem2_construct(code, code.length)
+    chained = theorem3_construct(PartitionSpec(5, ((4, 1, 2), (5, 3))), 1, 2)
+    rng = np.random.default_rng(8)
+    for cfg in (GSMConfig(4, 2), GSMConfig(8, 3)):
+        for fam in (table4, table5, doubled, chained):
+            if fam.num_sets >= cfg.active_antennas:
+                yield (lambda f=fam, c=cfg: build_training_matrix(f, c)), fam
+        yield (lambda c=cfg: baseline_random_binary(c, 2, 32, rng)), None
+        yield (lambda c=cfg: baseline_zadoff_chu(c, 2, 32)), None
+
+
+def test_design_width_is_the_last_passing_delay_spread():
+    """The criterion passes exactly at the delay spreads up to the design width, each matrix
+    fresh; a structured design's width is at least its family's measured zone width."""
+    for make, fam in _width_matrices():
+        tm, width = make(), design_width(make())
+        assert -1 <= width < tm.width
+        passed = [check_design_criterion(tm, lam).passed for lam in range(tm.width)]
+        assert passed == [lam <= width for lam in range(tm.width)], (tm.source, width)
+        if fam is not None:
+            assert width >= measure_zcz_width(fam), tm.source
+
+
+def test_design_width_of_the_fixtures_and_faults(table4, table5):
+    """Zone 9 for Table 4 and 8 for Table 5; -1 with a layout fault or an in-phase cross hit;
+    W - 1 for one perfect sequence, whose autocorrelation vanishes at every nonzero shift: the
+    binary (+, +, +, -) and the Frank sequence of length 64, read through three blocks."""
+    assert design_width(build_training_matrix(table4, GSMConfig(4, 2))) == 9
+    for cfg in (GSMConfig(4, 2), GSMConfig(8, 3)):
+        assert design_width(build_training_matrix(table5, cfg)) == 8
+    tm = build_training_matrix(table4, GSMConfig(4, 2))
+    assert design_width(_faulty(tm, 1)) == -1
+    twins = dataclasses.replace(tm, values=tm.values[[0, 0, 2, 3]])  # rows 0 and 1 equal
+    assert design_width(twins) == -1 and not check_design_criterion(twins, 0).passed
+    short = TrainingMatrix(2, [[0, 0, 0, 0], [0, 0, 0, 1]],  # row 0 silent in slot 1; hits from shift 1
+                           [[True, False, False, False], [False, False, True, True]], 1, 2)
+    assert [v.check for v in check_design_criterion(short, 0).violations] == ["sparsity", "row-energy"]
+    assert design_width(short) == -1
+    frank = np.outer(np.arange(8), np.arange(8)).reshape(1, 64) % 8
+    for perfect in (TrainingMatrix(2, [[0, 0, 0, 1]], [[True] * 4], 1, 4),
+                    TrainingMatrix(8, frank, np.ones((1, 64), bool), 1, 64)):
+        assert design_width(perfect) == perfect.width - 1
+        assert check_design_criterion(perfect, perfect.width - 1).passed
+
+
+@given(theorem3_trainings())
+@settings(max_examples=60, deadline=None)
+def test_design_width_covers_the_measured_zone(case):
+    """A Theorem 3 design's width is at least its family's, and the criterion turns there."""
+    fam, _, cfg, _ = case
+    width = design_width(build_training_matrix(fam, cfg))
+    assert width >= measure_zcz_width(fam)
+    tm = build_training_matrix(fam, cfg)
+    assert check_design_criterion(tm, width).passed
+    assert width == tm.width - 1 or not check_design_criterion(tm, width + 1).passed
