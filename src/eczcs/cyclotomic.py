@@ -148,10 +148,8 @@ def magnitudes(q: int, reduced):
             exact = [math.sqrt(re * re + im * im) for re, im in parts.reshape(-1, 2).tolist()]
             return np.array(exact).reshape(parts.shape[:-1])
         return np.sqrt((parts**2).sum(axis=-1))
-    table = root_table(q)
-    re, im = np.zeros(reduced.shape[:-1]), np.zeros(reduced.shape[:-1])
-    for j in range(reduced.shape[-1]):
-        re += reduced[..., j] * table[j].real
-        im += reduced[..., j] * table[j].imag
+    table = root_table(q)[: reduced.shape[-1]]  # add.accumulate sums in order, unlike np.sum
+    re = np.add.accumulate(reduced * table.real, axis=-1)[..., -1]
+    im = np.add.accumulate(reduced * table.imag, axis=-1)[..., -1]
     hyp = np.hypot(re, im)
     return np.array([math.sqrt(h**2) for h in hyp.ravel().tolist()]).reshape(hyp.shape)

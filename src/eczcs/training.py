@@ -21,14 +21,14 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 
 import numpy as np
 
 from .correlation import cross_tally
 from .cyclotomic import CycloInt, as_ints, cyclotomic_poly, reduction_matrix, root_table
 from .sequences import Family
-from .verify import Verdict, Violation, read_windows
+from .verify import Verdict, Violation, hit_keys, memo_violations
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
 
 
 def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
-    """The interference mechanism of every row pair (i, j), an (Nt, Nt) table of check names.
+    """The interference mechanism of every row pair (i, j), an (Nt, Nt) object table of names.
 
     The first matching rule wins.  A wrap pair (group 0 against the last) is the tail of
     the cycle, cancelled by the rotated sums; with V = 1 it is a same-group pair.
@@ -158,7 +158,7 @@ def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
     gi, gj, last = group[:, None], group, tm.group_count - 1
     rules = [np.eye(tm.num_rows, dtype=bool), gi == gj, (gi == 0) & (gj == last), gi == gj + 1]
     names = ["isi", "iai-same-group", "iai-wrap", "iai-adjacent-group"]
-    return np.select(rules, names, "iai-separated")
+    return np.select(rules, names, "iai-separated").astype(object)
 
 
 def _layout_violations(tm: TrainingMatrix) -> list[Violation]:
@@ -177,30 +177,31 @@ _FIRST_BLOCK = 16  # shifts in the first block of a matrix's zone tally; later b
 
 def _zone(tm: TrainingMatrix, top: int) -> tuple:
     """The criterion state of a matrix, cached on it and grown to shifts 0..top at least:
-    (tally, hits, hit shifts, layout faults).
+    (tally, hit keys, layout faults, pair labels, memo).
 
     The tally is the reduced periodic tally of every row pair, [row, row, shift, phi(q)
     canonical columns], read-only.  It grows in blocks, _FIRST_BLOCK shifts first and then
     at least doubling, up to the width, so it never holds all W shifts unless a delay spread
-    asks for them.  The hits are its windowed nonzero entries (shift >= 1 for a row against
-    itself, >= 0 for distinct rows) as Violations in (row, pair, shift) order, one
-    :func:`~eczcs.verify.read_windows` per growth.  The layout faults depend on no shift.
+    asks for them.  The hit keys are the :func:`~eczcs.verify.hit_keys` of its windowed
+    nonzero entries (shift >= 1 for a row against itself, >= 0 for distinct rows), whose
+    records :func:`~eczcs.verify.memo_violations` builds into the memo as delay spreads ask.
+    The layout faults depend on no shift.
     """
     state = tm.__dict__.get("_zone")
     if state is None:
         phi = len(cyclotomic_poly(tm.q)) - 1
-        state = (np.zeros((tm.num_rows, tm.num_rows, 0, phi), dtype=np.int64), None, None,
-                 _layout_violations(tm))
-    tally, _, _, layout = state
+        state = (np.zeros((tm.num_rows, tm.num_rows, 0, phi), dtype=np.int64), None,
+                 _layout_violations(tm), _pair_labels(tm), {})
+    tally, _, *rest = state
     have = tally.shape[2]
     if have <= top:
         shifts = np.arange(have, min(tm.width, max(top + 1, 2 * have, _FIRST_BLOCK)))
         block = cross_tally(tm.values, tm.mask, tm.values, tm.mask, tm.q, shifts)
         tally = np.concatenate((tally, block @ reduction_matrix(tm.q)[:, : tally.shape[3]]), axis=2)
         tally.setflags(write=False)
-        n = tally.shape[2]
-        hits = read_windows(tally, tm.q, range(1, n), range(n), _pair_labels(tm))
-        state = (tally, hits, np.array([v.shift for v in hits], dtype=np.int64), layout)
+        hit, rows = tally.any(axis=-1), range(tm.num_rows)
+        hit[rows, rows, 0] = False
+        state = (tally, np.array(hit_keys(hit), dtype=np.int64), *rest)
         object.__setattr__(tm, "_zone", state)
     return state
 
@@ -226,8 +227,9 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     then its hits at shifts 0..delay_spread in (row, pair, shift) order.
     """
     delay_spread = _check_delay_spread(tm, delay_spread)
-    _, hits, shifts, layout = _zone(tm, delay_spread)
-    return Verdict(tuple(layout + list(compress(hits, shifts <= delay_spread))))
+    tally, keys, layout, labels, memo = _zone(tm, delay_spread)
+    keys = keys[keys < (delay_spread + 1) * tm.num_rows**2].tolist()  # shift-major: shifts <= spread
+    return Verdict(tuple(layout + memo_violations(memo, tally, tm.q, keys, labels)))
 
 
 def design_width(tm: TrainingMatrix) -> int:
@@ -237,12 +239,12 @@ def design_width(tm: TrainingMatrix) -> int:
     of a correlation hit minus one, or W - 1 when no shift has one.  The cached tally grows
     only until it holds a hit.
     """
-    tally, _, shifts, layout = _zone(tm, 0)
+    tally, keys, layout, *_ = _zone(tm, 0)
     if layout:
         return -1
-    while not len(shifts) and tally.shape[2] < tm.width:
-        tally, _, shifts, _ = _zone(tm, tally.shape[2])
-    return int(shifts.min()) - 1 if len(shifts) else tm.width - 1
+    while not len(keys) and tally.shape[2] < tm.width:
+        tally, keys, *_ = _zone(tm, tally.shape[2])
+    return int(keys.min()) // tm.num_rows**2 - 1 if len(keys) else tm.width - 1
 
 
 def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:

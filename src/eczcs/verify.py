@@ -7,17 +7,17 @@ corner handled explicitly: when the declared zone width equals the
 sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
 
-Every check reads its windows from one reduced tally, :func:`read_windows`.
-The periodic check of a sequence set tallies shifts 0..width in
-:func:`zone_violations`; the GSM design criterion reads the same windows
-from one tally per training matrix, cached on it.  The set-sum checks read
-:func:`~eczcs.correlation.set_sum_tally`, rho at shifts 0..L-1 and rho-hat
-at every shift of every set pair, cached on the family: one tally however
-many checks, widths and profiles read it.  Windows are shift sets, one for a row
-against itself and one for distinct rows; hits come in (row, pair, shift)
-order, ascending in each, labelled from a table of check names per row
-pair, with magnitudes from one vectorised step over the reduced counts: no
-CycloInt is built anywhere in a check.
+Every check reports the nonzero entries of a reduced tally inside its
+windows in (row, pair, shift) order, ascending in each, labelled from a
+table of check names per row pair, with magnitudes from one vectorised
+step over the reduced counts: no CycloInt is built anywhere in a check.
+:func:`memo_violations` builds those records.  The periodic check of a
+sequence set tallies shifts 0..width (:func:`zone_violations`); the GSM
+design criterion reads one tally per training matrix, cached on it.  The
+set-sum checks filter :func:`~eczcs.correlation.set_sum_tally`, rho at
+shifts 0..L-1 and rho-hat at every shift of every set pair, cached on the
+family with its records, each built once: an entry is in a window from a
+threshold width up, and the thresholds depend on L only.
 """
 
 from __future__ import annotations
@@ -79,20 +79,35 @@ def zone_violations(values, masks, q: int, width: int, labels) -> list[Violation
 
 def read_windows(reduced, q: int, same, cross, labels, first: int = 0) -> list[Violation]:
     """The violations of a reduced tally [row, row, shift - first, vector]: pair (i, j) must
-    vanish on the shift set ``same`` if i == j, on ``cross`` otherwise.  One mask, one
-    ``np.nonzero``, then (when anything is hit) one gather of check names ``labels[i, j]``
-    (as objects: hits share the table's strings) and one
-    :func:`~eczcs.cyclotomic.magnitudes` call give them in (row, pair, shift) order."""
+    vanish on the shift set ``same`` if i == j, on ``cross`` otherwise."""
     in_window = np.zeros((2, reduced.shape[2]), dtype=bool)
     for side, w in zip(in_window, (same, cross)):
         side[np.fromiter(w, dtype=np.int64) - first] = True
     window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
-    i, j, k = np.nonzero(reduced.any(axis=-1) & window)
-    if not len(i):
-        return []
-    return list(map(Violation, np.asarray(labels, dtype=object)[i, j].tolist(),
-                    zip(i.tolist(), j.tolist()), (k + first).tolist(),
-                    magnitudes(q, reduced[i, j, k]).tolist()))
+    return memo_violations({}, reduced, q, hit_keys(reduced.any(axis=-1) & window), labels, first)
+
+
+def hit_keys(hit) -> list[int]:
+    """The True entries of a boolean [row, row, shift] mask in (row, pair, shift) order, as
+    shift-major positions (shift * rows + row) * rows + pair: keys that stay the same when a
+    tally grows along its shifts."""
+    i, j, k = np.nonzero(hit)
+    return np.ravel_multi_index((k, i, j), (hit.shape[2], *hit.shape[:2])).tolist()
+
+
+def memo_violations(memo: dict, reduced, q: int, keys, labels, first: int = 0) -> list[Violation]:
+    """The violations of a reduced tally [row, row, shift - first, vector] at the positions
+    ``keys`` of :func:`hit_keys`, in their order.  Each is built on first ask, its check name
+    ``labels[i, j]`` gathered as an object, and kept in ``memo``."""
+    try:
+        return list(map(memo.__getitem__, keys))
+    except KeyError:
+        new = np.fromiter(set(keys).difference(memo), dtype=np.int64)
+        k, i, j = np.unravel_index(new, (reduced.shape[2], len(reduced), len(reduced)))
+        memo.update(zip(new.tolist(), map(
+            Violation, np.asarray(labels, dtype=object)[i, j].tolist(), zip(i.tolist(), j.tolist()),
+            (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist())))
+    return list(map(memo.__getitem__, keys))
 
 
 @lru_cache(maxsize=None)
@@ -115,10 +130,31 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     return Verdict(tuple(zone_violations(sset.array(), None, sset.q, min(width, sset.length - 1), labels)))
 
 
-def _set_sum_violations(fam: Family, rotation: int, same, cross, kinds) -> list[Violation]:
-    """Window violations of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
-    first = -rotation * (2 * fam.length - 1)
-    return read_windows(set_sum_tally(fam), fam.q, same, cross, _pair_table(fam.num_sets, *kinds), first)
+@lru_cache(maxsize=None)
+def _thresholds(length: int) -> tuple[np.ndarray, ...]:
+    """The least zone width whose window holds each shift of a rho or rho-hat table: rho under
+    zccs (u + 1) and szccs (min(u, L - u), 0 for a cross-set rho(0)), then rho-hat (L - |u|).
+    A same-set rho(0) is N*L and never checked: :func:`_set_sum_hits` masks it out."""
+    u = np.arange(length)
+    return u + 1, np.minimum(u, length - u), length - abs(np.arange(1 - length, length))
+
+
+def _set_sum_hits(fam: Family, width: int, window: int) -> list[Violation]:
+    """The set-sum violations at the width in a window, 0: rho under zccs, 1: rho under szccs,
+    2: rho-hat.  Cached on the family per rotation (rho, rho-hat): its tally columns, their
+    nonzero mask and the :func:`memo_violations` memo."""
+    state = fam.__dict__.get("_set_sum_hits")
+    if state is None:
+        tally, length, sets = set_sum_tally(fam), fam.length, range(fam.num_sets)
+        live = tally.any(axis=-1)
+        live[sets, sets, 0] = False
+        state = tuple((tally[:, :, part], live[:, :, part], {}) for part in (np.s_[:length], np.s_[length:]))
+        object.__setattr__(fam, "_set_sum_hits", state)
+    rotation = window // 2
+    reduced, live, memo = state[rotation]
+    keys = hit_keys(live & (_thresholds(fam.length)[window] <= width))
+    labels = _pair_table(fam.num_sets, *[("same-set", "cross-set"), ("cross-channel",) * 2][rotation])
+    return memo_violations(memo, reduced, fam.q, keys, labels, rotation * (1 - fam.length))
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -129,8 +165,7 @@ def check_zccs(fam: Family, width: int) -> Verdict:
     family, so it is not checked.
     """
     width = _check_width(width, fam.length)
-    violations = _set_sum_violations(fam, 0, range(1, width), range(width), ("same-set", "cross-set"))
-    return Verdict(tuple(violations))
+    return Verdict(tuple(_set_sum_hits(fam, width, 0)))
 
 
 def check_mocs(fam: Family) -> Verdict:
@@ -146,17 +181,10 @@ def check_ccc(fam: Family) -> Verdict:
     return verdict
 
 
-def _symmetric_zone_violations(fam: Family, width: int) -> list[Violation]:
-    """Front- and tail-window zeroness of the plain set correlation sums."""
-    length = fam.length
-    same = [*range(1, min(width, length - 1) + 1), *range(max(1, length - width), length)]
-    return _set_sum_violations(fam, 0, same, [0, *same], ("same-set", "cross-set"))
-
-
 def check_szccs(fam: Family, width: int) -> Verdict:
     """Symmetrical Z-complementary code set: both zone ends, no rotation."""
     width = _check_width(width, fam.length)
-    return Verdict(tuple(_symmetric_zone_violations(fam, width)))
+    return Verdict(tuple(_set_sum_hits(fam, width, 1)))
 
 
 def check_eczcs(fam: Family, width: int) -> Verdict:
@@ -167,12 +195,8 @@ def check_eczcs(fam: Family, width: int) -> Verdict:
     itself) must vanish on the tail window.  The rotated sum has no
     swap-and-conjugate symmetry, so both shift signs are evaluated.
     """
-    length = fam.length
-    width = _check_width(width, length)
-    violations = _symmetric_zone_violations(fam, width)
-    tail = [*range(1 - length, width - length + 1), *range(length - width, length)]
-    violations += _set_sum_violations(fam, 1, tail, tail, ("cross-channel",) * 2)
-    return Verdict(tuple(violations))
+    width = _check_width(width, fam.length)
+    return Verdict(tuple(_set_sum_hits(fam, width, 1) + _set_sum_hits(fam, width, 2)))
 
 
 def check_kind(kind: str, fam: Family, width: int) -> Verdict:
@@ -193,8 +217,9 @@ def check_kind(kind: str, fam: Family, width: int) -> Verdict:
 def measure_zcz_width(fam: Family) -> int:
     """Largest width at which check_eczcs passes; -1 if none does.
 
-    Window nesting makes the pass predicate monotone in the width, so the
-    first passing value of a descending sweep is the maximum.
+    Window nesting makes the pass predicate monotone (tested): the first
+    passing width of a descending scan, one memo-filtering check per width
+    (the benchmark counts them; ROADMAP item 2), is the maximum.
     """
     for width in range(fam.length, -1, -1):
         if check_eczcs(fam, width).passed:
@@ -223,11 +248,12 @@ def is_optimal(fam: Family, width: int) -> bool:
     """Whether the family meets the width bound with exact equality.
 
     Equality is exact (no floor): a family whose parameters do not divide
-    evenly is never optimal.
+    evenly is never optimal, and neither is a width outside 0..L, which
+    no zone can have.
     """
     m, n, length = fam.num_sets, fam.set_size, fam.length
     divides = n * length % (2 * m if fam.q == 2 else m) == 0
-    meets = divides and width == eczcs_bound(m, n, length, fam.q)
+    meets = divides and width == eczcs_bound(m, n, length, fam.q) and 0 <= width <= length
     return meets and check_eczcs(fam, width).passed
 
 

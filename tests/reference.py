@@ -5,8 +5,9 @@ restates a value one term at a time: sums, negation and conjugation of
 exact values; the scalar magnitude that ``cyclotomic.magnitudes`` must
 equal bit for bit; the periodic correlation assembled from two aperiodic
 halves; the complex image, negation and concatenation of sequences; the
-Monte-Carlo LS error drawn one noise vector per trial; and the design
-criterion tallied afresh at each delay spread.
+Monte-Carlo LS error drawn one noise vector per trial; the design
+criterion tallied afresh at each delay spread; and the set-sum checks
+reading their windows afresh at each call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from eczcs import PhaseSequence, Verdict, Violation, accf
 from eczcs.cyclotomic import CycloInt, root_table
 from eczcs.training import _live
-from eczcs.verify import zone_violations
+from eczcs.correlation import set_sum_tally
+from eczcs.verify import read_windows, zone_violations
 
 
 def zero(q: int) -> CycloInt:
@@ -147,4 +149,31 @@ def criterion_per_spread(tm, delay_spread: int) -> Verdict:
     names = ["isi", "iai-same-group", "iai-wrap", "iai-adjacent-group"]
     labels = np.select(rules, names, "iai-separated")
     violations += zone_violations(tm.values, tm.mask, tm.q, delay_spread, labels)
+    return Verdict(tuple(violations))
+
+
+def _set_sum_read(fam, rotation: int, same, cross, kinds) -> list:
+    """One window read of the set sums at a rotation (0: rho, 1: rho-hat) of every set pair."""
+    labels = np.where(np.eye(fam.num_sets, dtype=bool), *kinds).astype(object)
+    first = -rotation * (2 * fam.length - 1)
+    return read_windows(set_sum_tally(fam), fam.q, same, cross, labels, first)
+
+
+def set_sum_check_per_call(kind: str, fam, width: int) -> Verdict:
+    """The zccs, szccs, eczcs, mocs and ccc checks of 0.9.0 (mocs and ccc at every shift, so
+    ignoring the width), which built every window as a shift list and read it from the
+    family's set-sum tally again at each call."""
+    length, sets = fam.length, ("same-set", "cross-set")
+    if kind in ("zccs", "mocs", "ccc"):
+        width = width if kind == "zccs" else length
+        violations = _set_sum_read(fam, 0, range(1, width), range(width), sets)
+        m, n = fam.num_sets, fam.set_size
+        if kind == "ccc" and m != n:
+            violations.append(Violation("ccc-shape", (m, n), 0, float(abs(m - n))))
+        return Verdict(tuple(violations))
+    same = [*range(1, min(width, length - 1) + 1), *range(max(1, length - width), length)]
+    violations = _set_sum_read(fam, 0, same, [0, *same], sets)
+    if kind == "eczcs":
+        tail = [*range(1 - length, width - length + 1), *range(length - width, length)]
+        violations += _set_sum_read(fam, 1, tail, tail, ("cross-channel",) * 2)
     return Verdict(tuple(violations))

@@ -38,6 +38,7 @@ from eczcs import (
 )
 from eczcs.cyclotomic import CycloInt
 from eczcs.gbf import PartitionSpec, theorem3_zcz_width
+from eczcs import verify
 from eczcs.verify import Violation
 
 from reference import add, criterion_per_spread, cyclo_sum, integer, zero
@@ -688,3 +689,23 @@ def test_design_width_covers_the_measured_zone(case):
     tm = build_training_matrix(fam, cfg)
     assert check_design_criterion(tm, width).passed
     assert width == tm.width - 1 or not check_design_criterion(tm, width + 1).passed
+
+
+def test_criterion_builds_each_asked_record_once(monkeypatch):
+    """Delay spreads 0..Z+1 build the records of hits at shifts up to Z+1 only, each once,
+    though the first tally block holds 16 shifts; a repeat of the sweep builds none."""
+    built, real = [], verify.Violation
+    monkeypatch.setattr(verify, "Violation", lambda *args: built.append(args[1:3]) or real(*args))
+    for fam, zone, cfg in ((load_fixture_family("eczcs_2x2x24"), 9, GSMConfig(4, 2)),
+                           (None, 3, GSMConfig(4, 2))):
+        tm = build_training_matrix(fam, cfg) if fam else baseline_random_binary(cfg, 2, 32, np.random.default_rng(4))
+        want = [criterion_per_spread(tm, lam).to_json() for lam in range(zone + 2)]
+        built.clear()
+        assert [check_design_criterion(tm, lam).to_json() for lam in range(zone + 2)] == want
+        assert built and max(shift for _, shift in built) <= zone + 1
+        assert len(set(built)) == len(built)
+        count = len(built)
+        for lam in range(zone + 2):
+            check_design_criterion(tm, lam)
+        assert len(built) == count
+        assert tm.__dict__["_zone"][0].shape[2] >= 16  # the tally held shifts nobody asked for

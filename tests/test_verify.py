@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,17 +31,18 @@ from eczcs import (
     theorem2_construct,
     theorem3_construct,
 )
-from eczcs import correlation
+from eczcs import correlation, verify
 from eczcs.correlation import (
     cross_channel_table, cyclic_tally, profile_accf, profile_cross_channel, profile_pccf,
     profile_set_corr, set_corr_table, set_rows, set_sum_tally,
 )
 from eczcs.cyclotomic import cyclotomic_poly, reduction_matrix
-from eczcs.gbf import PartitionSpec
+from eczcs.construct import seed_catalog
+from eczcs.gbf import PartitionSpec, theorem3_zcz_width
 from eczcs.simulate import baseline_zadoff_chu
 from eczcs.training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
-from reference import cyclo_sum, integer, pccf_via_accf
+from reference import cyclo_sum, integer, pccf_via_accf, set_sum_check_per_call
 from eczcs.verify import read_windows
 
 from conftest import float_pccf
@@ -462,3 +464,114 @@ def test_one_set_sum_tally_per_family(monkeypatch):
     first, second = load_fixture_family("eczcs_2x2x24"), load_fixture_family("eczcs_2x2x24")
     assert first == second and hash(first) == hash(second)
     assert set_sum_tally(first) is not set_sum_tally(second)
+
+
+SET_SUM_KINDS = ("zccs", "szccs", "eczcs", "mocs", "ccc")
+
+
+def _memo_families(table3, table4, table5, nonc2_zccs):
+    """Random families at q in {2, 4, 6, 8, 12, 16} with M, N, L <= 4, the fixtures, and
+    Theorem 2, Theorem 3 and Lemma 2 families."""
+    rng = random.Random(2808)
+    families = [table3, table4, table5, nonc2_zccs]
+    for q in (2, 4, 6, 8, 12, 16):
+        for _ in range(6):
+            m, n, length = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            families.append(family_from_lists(q, [[[rng.randrange(q) for _ in range(length)]
+                                                   for _ in range(n)] for _ in range(m)]))
+    families += [entry.family for entry in seed_catalog()[:2]]
+    families += [theorem2_construct(entry.family, entry.params[3]) for entry in seed_catalog()[:2]]
+    families.append(theorem3_construct(PartitionSpec(5, ((4, 1, 2), (5, 3))), 1, 2))
+    families.append(theorem3_construct(optimal_theorem3_params(4, 2, 1), 1, 8, (1, 2, 3, 0, 1)))
+    families.append(lemma2_ccc(PartitionSpec(3, ((2,), (3, 1))), 4))
+    return families
+
+
+def test_memoised_set_sum_checks_match_the_per_call_reference(table3, table4, table5, nonc2_zccs):
+    """Every set-sum check equals the per-call window read at every width, asked in
+    ascending, descending and shuffled order, each order on a fresh family object."""
+    rng = random.Random(28)
+    for fam in _memo_families(table3, table4, table5, nonc2_zccs):
+        widths = list(range(fam.length + 1))
+        want = {(kind, w): set_sum_check_per_call(kind, fam, w).to_json()
+                for w in widths for kind in SET_SUM_KINDS}
+        for order in (widths, widths[::-1], rng.sample(widths, len(widths))):
+            fresh = Family.from_array(fam.q, fam.array())
+            for w in order:
+                for kind in SET_SUM_KINDS:
+                    assert check_kind(kind, fresh, w).to_json() == want[kind, w], (fam.q, fam.length, kind, w)
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def test_violations_nest_in_the_width(table4, table5):
+    """The violations of each zone check at width w are a subsequence of those at w + 1, and
+    check_eczcs passes exactly up to the measured width."""
+    rng = random.Random(11)
+    families = [table4, table5]
+    for q in (2, 4, 6, 8):
+        for _ in range(8):
+            m, n, length = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 6)
+            families.append(family_from_lists(q, [[[rng.randrange(q) for _ in range(length)]
+                                                   for _ in range(n)] for _ in range(m)]))
+    code = lemma2_ccc(PartitionSpec(3, ((2,), (3, 1))), 2)
+    families += [theorem2_construct(code, code.length), theorem2_construct(load_fixture_family("zccs_2x2x12"), 10)]
+    for q in (2, 4):
+        families.append(theorem3_construct(PartitionSpec(5, ((4, 1, 2), (5, 3))), 1, q))
+        families.append(theorem3_construct(optimal_theorem3_params(4, 2, 1), 1, q, (1, 2, 3, 0, 1)))
+    for fam in families:
+        width = measure_zcz_width(fam)
+        for check in (check_zccs, check_szccs, check_eczcs):
+            verdicts = [check(fam, w).violations for w in range(fam.length + 1)]
+            assert all(_is_subsequence(a, b) for a, b in zip(verdicts, verdicts[1:])), (fam.q, check)
+        assert [check_eczcs(fam, w).passed for w in range(fam.length + 1)] == [
+            w <= width for w in range(fam.length + 1)], (fam.q, fam.length, width)
+    assert any(measure_zcz_width(fam) >= fam.length // 2 for fam in families)
+
+
+def _counted_violations(monkeypatch) -> Counter:
+    built, real = Counter(), verify.Violation
+    monkeypatch.setattr(verify, "Violation", lambda *args: built.update([args[:3]]) or real(*args))
+    return built
+
+
+def test_width_scan_builds_each_record_once(monkeypatch):
+    """A full width scan and optimality test build each record once, and only those in the
+    widest window asked (width L): later checks at any width read them back."""
+    fam = load_fixture_family("eczcs_2x2x24")
+    want = check_eczcs(Family.from_array(fam.q, fam.array()), fam.length).violations
+    built = _counted_violations(monkeypatch)
+    width, bound = measure_zcz_width(fam), eczcs_bound(2, 2, 24, 2)
+    assert (width, bound) == (9, 12)
+    assert not is_optimal(fam, width) and not is_optimal(fam, bound)  # the bound's check fails
+    assert max(built.values()) == 1
+    assert set(built) == {v[:3] for v in want} and len(built) == len(want) > 0
+    before = sum(built.values())
+    for w in range(fam.length + 1):
+        check_eczcs(fam, w)
+    assert sum(built.values()) == before
+
+
+def test_theorem3_width_check_builds_no_rotated_record(monkeypatch):
+    """At the guaranteed width of a Theorem 3 family check_eczcs builds no rho-hat record."""
+    spec = PartitionSpec(5, ((4, 1, 2), (5, 3)))
+    fam = theorem3_construct(spec, 1, 2)
+    width = theorem3_zcz_width(spec)
+    built = _counted_violations(monkeypatch)
+    assert check_szccs(fam, fam.length).violations  # the rho hits are there to build
+    built.clear()
+    assert check_eczcs(fam, width).passed
+    assert not any(check == "cross-channel" for check, _, _ in built)
+    assert not check_eczcs(fam, fam.length).passed
+    assert any(check == "cross-channel" for check, _, _ in built)
+
+
+def test_is_optimal_is_false_outside_the_length():
+    """A bound above L (8 for an all-zero (1, 4, 4) binary family) or a negative width is
+    never optimal: no zone is wider than L."""
+    fam = Family.from_array(2, np.zeros((1, 4, 4), dtype=np.int64))
+    assert eczcs_bound(1, 4, 4, 2) == 8
+    assert [is_optimal(fam, w) for w in (8, 9, -1)] == [False, False, False]
