@@ -8,10 +8,11 @@ this layout, and the design criterion's expected per-slot activity is
 its column sums.  A matrix is that layout as two read-only arrays: the
 int64 phases (0 where silent) and the live mask, so silence is never
 phase 0.  Every reader (criterion, LS model, CSV) uses those arrays.
-The design criterion and ``design_width`` read one reduced periodic tally
-per matrix, cached on it and grown in blocks of shifts as delay spreads
-ask, so a sweep over delay spreads tallies each row pair a few times, not
-once per spread.
+The design criterion and ``design_width`` read the periodic hit list of
+the rows, :func:`~eczcs.verify.periodic_hits`, cached on the matrix and
+grown in blocks of shifts as delay spreads ask, so a sweep over delay
+spreads tallies each row pair a few times, not once per spread; this
+module adds only the pair labels of a layout and the layout faults.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 
 import numpy as np
 
 from .correlation import cross_tally
-from .cyclotomic import CycloInt, as_ints, cyclotomic_poly, reduction_matrix, root_table
+from .cyclotomic import CycloInt, as_ints, root_table
 from .sequences import Family
-from .verify import Verdict, Violation, hit_keys, memo_violations
+from .verify import Verdict, Violation, periodic_hits, read_hits
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,10 @@ class TrainingMatrix:
     source: str = ""
 
     def __post_init__(self) -> None:
+        (q,) = as_ints((self.q,), "alphabet size")
+        if q < 2:
+            raise ValueError(f"training alphabet size must be an integer >= 2, got {q}")
+        object.__setattr__(self, "q", q)
         mask, raw = np.array(self.mask), np.asarray(self.values)
         if mask.dtype != bool or mask.ndim != 2:
             raise ValueError(f"the training mask must be a boolean 2-axis array, got {mask.dtype} {mask.shape}")
@@ -116,6 +121,17 @@ class TrainingMatrix:
     def complex_rows(self) -> np.ndarray:
         return root_table(self.q)[self.values] * self.mask
 
+    @cached_property
+    def _layout_faults(self) -> tuple[Violation, ...]:
+        """The sparsity and row-energy faults: slots whose activity differs from the layout's
+        column sums, then rows whose live count differs from the designed energy."""
+        col_counts, energies = self.mask.sum(axis=0), self.mask.sum(axis=1)
+        expected = _live(self.num_rows, self.active_antennas, self.blocks_per_row, self.block_length).sum(axis=0)
+        faults = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
+                  for c in np.nonzero(col_counts != expected)[0]]
+        return tuple(faults + [Violation("row-energy", (int(i),), 0, float(energies[i]))
+                               for i in np.nonzero(energies != self.energy)[0]])
+
 
 def _live(nt: int, na: int, blocks: int, length: int) -> np.ndarray:
     """Layout mask, (Nt, N*V*L): row k transmits in slot c iff (c mod V*L) div L = k div Na."""
@@ -148,62 +164,21 @@ def training_pccf(tm: TrainingMatrix, i: int, j: int, u: int) -> CycloInt:
     return CycloInt(tm.q, tally[0, 0, 0])
 
 
-def _pair_labels(tm: TrainingMatrix) -> np.ndarray:
-    """The interference mechanism of every row pair (i, j), an (Nt, Nt) object table of names.
+@lru_cache(maxsize=None)
+def _pair_labels(nt: int, na: int) -> np.ndarray:
+    """The interference mechanism of every row pair (i, j) of an (Nt, Na) layout, a read-only
+    (Nt, Nt) object table of names, built once per shape.
 
     The first matching rule wins.  A wrap pair (group 0 against the last) is the tail of
     the cycle, cancelled by the rotated sums; with V = 1 it is a same-group pair.
     """
-    group = np.arange(tm.num_rows) // tm.active_antennas
-    gi, gj, last = group[:, None], group, tm.group_count - 1
-    rules = [np.eye(tm.num_rows, dtype=bool), gi == gj, (gi == 0) & (gj == last), gi == gj + 1]
+    group = np.arange(nt) // na
+    gi, gj, last = group[:, None], group, group[-1]
+    rules = [np.eye(nt, dtype=bool), gi == gj, (gi == 0) & (gj == last), gi == gj + 1]
     names = ["isi", "iai-same-group", "iai-wrap", "iai-adjacent-group"]
-    return np.select(rules, names, "iai-separated").astype(object)
-
-
-def _layout_violations(tm: TrainingMatrix) -> list[Violation]:
-    """The sparsity and row-energy faults: slots whose activity differs from the layout's
-    column sums, then rows whose live count differs from the designed energy."""
-    col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
-    expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
-    violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))
-                  for c in np.nonzero(col_counts != expected)[0]]
-    return violations + [Violation("row-energy", (int(i),), 0, float(energies[i]))
-                         for i in np.nonzero(energies != tm.energy)[0]]
-
-
-_FIRST_BLOCK = 16  # shifts in the first block of a matrix's zone tally; later blocks double it
-
-
-def _zone(tm: TrainingMatrix, top: int) -> tuple:
-    """The criterion state of a matrix, cached on it and grown to shifts 0..top at least:
-    (tally, hit keys, layout faults, pair labels, memo).
-
-    The tally is the reduced periodic tally of every row pair, [row, row, shift, phi(q)
-    canonical columns], read-only.  It grows in blocks, _FIRST_BLOCK shifts first and then
-    at least doubling, up to the width, so it never holds all W shifts unless a delay spread
-    asks for them.  The hit keys are the :func:`~eczcs.verify.hit_keys` of its windowed
-    nonzero entries (shift >= 1 for a row against itself, >= 0 for distinct rows), whose
-    records :func:`~eczcs.verify.memo_violations` builds into the memo as delay spreads ask.
-    The layout faults depend on no shift.
-    """
-    state = tm.__dict__.get("_zone")
-    if state is None:
-        phi = len(cyclotomic_poly(tm.q)) - 1
-        state = (np.zeros((tm.num_rows, tm.num_rows, 0, phi), dtype=np.int64), None,
-                 _layout_violations(tm), _pair_labels(tm), {})
-    tally, _, *rest = state
-    have = tally.shape[2]
-    if have <= top:
-        shifts = np.arange(have, min(tm.width, max(top + 1, 2 * have, _FIRST_BLOCK)))
-        block = cross_tally(tm.values, tm.mask, tm.values, tm.mask, tm.q, shifts)
-        tally = np.concatenate((tally, block @ reduction_matrix(tm.q)[:, : tally.shape[3]]), axis=2)
-        tally.setflags(write=False)
-        hit, rows = tally.any(axis=-1), range(tm.num_rows)
-        hit[rows, rows, 0] = False
-        state = (tally, np.array(hit_keys(hit), dtype=np.int64), *rest)
-        object.__setattr__(tm, "_zone", state)
-    return state
+    table = np.select(rules, names, "iai-separated").astype(object)
+    table.setflags(write=False)
+    return table
 
 
 def _check_delay_spread(tm: TrainingMatrix, delay_spread: int) -> int:
@@ -222,29 +197,29 @@ def check_design_criterion(tm: TrainingMatrix, delay_spread: int) -> Verdict:
     1..delay_spread (same row) and 0..delay_spread (distinct rows).  The
     row-energy check is the zero-shift autocorrelation condition: a row's
     in-phase autocorrelation counts its live entries, so each such fault
-    is reported once, as row-energy.  Every delay spread reads the state
-    cached on the matrix (``_zone``): its sparsity and row-energy faults,
-    then its hits at shifts 0..delay_spread in (row, pair, shift) order.
+    is reported once, as row-energy.  Every delay spread reads what is
+    cached on the matrix: its sparsity and row-energy faults, then the
+    records of its hits at shifts 0..delay_spread in (row, pair, shift) order.
     """
     delay_spread = _check_delay_spread(tm, delay_spread)
-    tally, keys, layout, labels, memo = _zone(tm, delay_spread)
-    keys = keys[keys < (delay_spread + 1) * tm.num_rows**2].tolist()  # shift-major: shifts <= spread
-    return Verdict(tuple(layout + memo_violations(memo, tally, tm.q, keys, labels)))
+    hits = periodic_hits(tm, tm.values, tm.mask, tm.q, delay_spread)
+    labels = _pair_labels(tm.num_rows, tm.active_antennas)
+    return Verdict(tm._layout_faults + tuple(read_hits(hits, tm.q, hits.shifts <= delay_spread, labels)))
 
 
 def design_width(tm: TrainingMatrix) -> int:
     """The largest delay spread at which :func:`check_design_criterion` passes; -1 if none.
 
     That is -1 when the sparsity or row-energy check fails, and otherwise the least shift
-    of a correlation hit minus one, or W - 1 when no shift has one.  The cached tally grows
-    only until it holds a hit.
+    of a correlation hit minus one, or W - 1 when no shift has one.  The cached hit list
+    grows only until it holds a hit.
     """
-    tally, keys, layout, *_ = _zone(tm, 0)
-    if layout:
+    if tm._layout_faults:
         return -1
-    while not len(keys) and tally.shape[2] < tm.width:
-        tally, keys, *_ = _zone(tm, tally.shape[2])
-    return int(keys.min()) // tm.num_rows**2 - 1 if len(keys) else tm.width - 1
+    hits = periodic_hits(tm, tm.values, tm.mask, tm.q, 0)
+    while not len(hits.keys) and hits.tally.shape[2] < tm.width:
+        hits = periodic_hits(tm, tm.values, tm.mask, tm.q, hits.tally.shape[2])
+    return int(hits.shifts.min()) - 1 if len(hits.keys) else tm.width - 1
 
 
 def build_ls_model_matrix(tm: TrainingMatrix, delay_spread: int) -> np.ndarray:

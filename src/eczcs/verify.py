@@ -7,17 +7,18 @@ corner handled explicitly: when the declared zone width equals the
 sequence length, the same-set window is intersected with {1..L-1} so the
 unavoidable in-phase peak is not reported as a violation.
 
-Every check reports the nonzero entries of a reduced tally inside its
-windows in (row, pair, shift) order, ascending in each, labelled from a
-table of check names per row pair, with magnitudes from one vectorised
-step over the reduced counts: no CycloInt is built anywhere in a check.
-:func:`memo_violations` builds those records.  The periodic check of a
-sequence set tallies shifts 0..width (:func:`zone_violations`); the GSM
-design criterion reads one tally per training matrix, cached on it.  The
-set-sum checks filter :func:`~eczcs.correlation.set_sum_tally`, rho at
-shifts 0..L-1 and rho-hat at every shift of every set pair, cached on the
-family with its records, each built once: an entry is in a window from a
-threshold width up, and the thresholds depend on L only.
+Every check is one filter of a cached :class:`HitList`, the nonzero
+entries of a reduced tally in (row, pair, shift) order:
+:func:`read_hits` keeps the hits whose threshold, the least zone width
+whose window holds them, is at most the width, and returns their records,
+labelled from a table of check names per row pair, each built once with
+its magnitude from the reduced counts: no CycloInt is built in a check.
+The set-sum checks read two hit lists per family, rho and rho-hat of
+:func:`~eczcs.correlation.set_sum_tally`, with thresholds from the shift
+u: u + 1 (zccs), min(u, L - u) (szccs) and L - |u| (rho-hat).  The
+periodic check of a sequence set and the GSM design criterion read one
+:func:`periodic_hits` per sequence set or training matrix, whose threshold
+is the shift itself.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import cyclic_tally, set_sum_tally
-from .cyclotomic import as_ints, magnitudes, reduction_matrix
+from .cyclotomic import as_ints, cyclotomic_poly, magnitudes, reduction_matrix
 from .sequences import Family, SequenceSet
 
 
@@ -65,49 +66,71 @@ def _check_width(width: int, length: int) -> int:
     return width
 
 
-def zone_violations(values, masks, q: int, width: int, labels) -> list[Violation]:
-    """Nonzero cyclic correlations of every ordered row pair in the periodic zone.
+class HitList(NamedTuple):
+    """The nonzero entries of a reduced tally [row, row, shift - first, vector] that a check
+    may read, in (row, pair, shift) order: each one's shift-major key (shift column * rows +
+    row) * rows + pair, which stays the same when the tally grows along its shifts, and its
+    shift, both in the smallest integer dtype that holds them (the shifts' dtype also holds
+    every threshold); ``memo`` keeps every record built, by key."""
 
-    Rows are silent where their masks (broadcast against the rows; None: all live) are
-    False.  Pair (i, j) must vanish at shifts 1..width if i == j, 0..width otherwise, its
-    hits labelled ``labels[i, j]``: one batched :func:`~eczcs.correlation.cyclic_tally` of
-    shifts 0..width, reduced in one multiply and read by :func:`read_windows`.
-    """
-    reduced = cyclic_tally(values, masks, q, np.arange(width + 1)) @ reduction_matrix(q)
-    return read_windows(reduced, q, range(1, width + 1), range(width + 1), labels)
-
-
-def read_windows(reduced, q: int, same, cross, labels, first: int = 0) -> list[Violation]:
-    """The violations of a reduced tally [row, row, shift - first, vector]: pair (i, j) must
-    vanish on the shift set ``same`` if i == j, on ``cross`` otherwise."""
-    in_window = np.zeros((2, reduced.shape[2]), dtype=bool)
-    for side, w in zip(in_window, (same, cross)):
-        side[np.fromiter(w, dtype=np.int64) - first] = True
-    window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
-    return memo_violations({}, reduced, q, hit_keys(reduced.any(axis=-1) & window), labels, first)
+    tally: np.ndarray
+    keys: np.ndarray
+    shifts: np.ndarray
+    memo: dict
 
 
-def hit_keys(hit) -> list[int]:
-    """The True entries of a boolean [row, row, shift] mask in (row, pair, shift) order, as
-    shift-major positions (shift * rows + row) * rows + pair: keys that stay the same when a
-    tally grows along its shifts."""
-    i, j, k = np.nonzero(hit)
-    return np.ravel_multi_index((k, i, j), (hit.shape[2], *hit.shape[:2])).tolist()
+def _hit_list(tally, first: int, energy: bool, memo: dict) -> HitList:
+    """The hit list of a reduced tally whose column c holds shift c + first, less each row's
+    in-phase energy at shift 0 (never checked) if ``energy``."""
+    hit = tally.any(axis=-1)
+    rows, columns = len(hit), hit.shape[2]
+    if energy:
+        hit[range(rows), range(rows), -first] = False
+    pairs, column = np.divmod(np.flatnonzero(hit), columns)  # pairs: row * rows + pair
+    keys = (column * rows**2 + pairs).astype(np.min_scalar_type(hit.size))
+    reach = max(-first, first + columns)  # |shift| and every threshold <= reach < -(-reach - 1)
+    return HitList(tally, keys, (column + first).astype(np.min_scalar_type(-reach - 1)), memo)
 
 
-def memo_violations(memo: dict, reduced, q: int, keys, labels, first: int = 0) -> list[Violation]:
-    """The violations of a reduced tally [row, row, shift - first, vector] at the positions
-    ``keys`` of :func:`hit_keys`, in their order.  Each is built on first ask, its check name
-    ``labels[i, j]`` gathered as an object, and kept in ``memo``."""
+def read_hits(hits: HitList, q: int, select, labels) -> list[Violation]:
+    """The violations of the hits a boolean ``select`` picks, in hit-list order.  Each is
+    built on first ask, its check name ``labels[i, j]`` read from an (R, R) object table and
+    its magnitude from the reduced counts, and kept in the memo."""
+    keys, memo = hits.keys[select].tolist(), hits.memo
     try:
         return list(map(memo.__getitem__, keys))
     except KeyError:
-        new = np.fromiter(set(keys).difference(memo), dtype=np.int64)
-        k, i, j = np.unravel_index(new, (reduced.shape[2], len(reduced), len(reduced)))
-        memo.update(zip(new.tolist(), map(
-            Violation, np.asarray(labels, dtype=object)[i, j].tolist(), zip(i.tolist(), j.tolist()),
-            (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist())))
+        new = np.flatnonzero(select)[[key not in memo for key in keys]]
+        k, i, j = np.unravel_index(hits.keys[new], (hits.tally.shape[2], *hits.tally.shape[:2]))
+        memo.update(zip(hits.keys[new].tolist(), map(
+            Violation, labels[i, j].tolist(), zip(i.tolist(), j.tolist()), hits.shifts[new].tolist(),
+            magnitudes(q, hits.tally[i, j, k]).tolist())))
     return list(map(memo.__getitem__, keys))
+
+
+_FIRST_BLOCK = 16  # shifts in the first block of a periodic tally; later blocks double it
+
+
+def periodic_hits(owner, values, mask, q: int, top: int) -> HitList:
+    """The hit list of the periodic tally of every row pair of ``values`` (silent where
+    ``mask``, broadcast against them, is False; None: all live), cached on ``owner`` as
+    ``_zone`` and grown to hold shifts 0..top at least, top below the row width W.
+
+    The tally, reduced to the phi(q) canonical columns and read-only, grows in blocks:
+    _FIRST_BLOCK shifts first and then at least doubling, up to W, so it never holds all
+    W shifts unless a caller asks for them.  A hit's shift is the least zone width whose
+    window (shifts 1..width for a row against itself, 0..width for distinct rows) holds it.
+    """
+    hits = vars(owner).get("_zone")
+    have = 0 if hits is None else hits.tally.shape[2]
+    if have <= top:
+        shifts = np.arange(have, min(values.shape[-1], max(top + 1, 2 * have, _FIRST_BLOCK)))
+        block = cyclic_tally(values, mask, q, shifts) @ reduction_matrix(q)[:, : len(cyclotomic_poly(q)) - 1]
+        tally = block if hits is None else np.concatenate((hits.tally, block), axis=2)
+        tally.setflags(write=False)
+        hits = _hit_list(tally, 0, True, {} if hits is None else hits.memo)
+        vars(owner)["_zone"] = hits
+    return hits
 
 
 @lru_cache(maxsize=None)
@@ -125,36 +148,27 @@ def check_zcz_set(sset: SequenceSet, width: int) -> Verdict:
     correlations for |u| <= width.  Negative shifts follow from conjugate
     symmetry because every ordered pair is checked.
     """
-    width = _check_width(width, sset.length)
-    labels = _pair_table(sset.size, "zcz-auto", "zcz-cross")
-    return Verdict(tuple(zone_violations(sset.array(), None, sset.q, min(width, sset.length - 1), labels)))
-
-
-@lru_cache(maxsize=None)
-def _thresholds(length: int) -> tuple[np.ndarray, ...]:
-    """The least zone width whose window holds each shift of a rho or rho-hat table: rho under
-    zccs (u + 1) and szccs (min(u, L - u), 0 for a cross-set rho(0)), then rho-hat (L - |u|).
-    A same-set rho(0) is N*L and never checked: :func:`_set_sum_hits` masks it out."""
-    u = np.arange(length)
-    return u + 1, np.minimum(u, length - u), length - abs(np.arange(1 - length, length))
+    top = min(_check_width(width, sset.length), sset.length - 1)
+    hits, labels = periodic_hits(sset, sset.array(), None, sset.q, top), _pair_table(sset.size, "zcz-auto", "zcz-cross")
+    return Verdict(tuple(read_hits(hits, sset.q, hits.shifts <= top, labels)))
 
 
 def _set_sum_hits(fam: Family, width: int, window: int) -> list[Violation]:
-    """The set-sum violations at the width in a window, 0: rho under zccs, 1: rho under szccs,
-    2: rho-hat.  Cached on the family per rotation (rho, rho-hat): its tally columns, their
-    nonzero mask and the :func:`memo_violations` memo."""
-    state = fam.__dict__.get("_set_sum_hits")
-    if state is None:
-        tally, length, sets = set_sum_tally(fam), fam.length, range(fam.num_sets)
-        live = tally.any(axis=-1)
-        live[sets, sets, 0] = False
-        state = tuple((tally[:, :, part], live[:, :, part], {}) for part in (np.s_[:length], np.s_[length:]))
-        object.__setattr__(fam, "_set_sum_hits", state)
-    rotation = window // 2
-    reduced, live, memo = state[rotation]
-    keys = hit_keys(live & (_thresholds(fam.length)[window] <= width))
+    """The set-sum violations at the width in a window, 0: rho under zccs, 1: rho under
+    szccs, 2: rho-hat.  Cached on the family, each rotation built on first use: the hit list
+    of rho (shifts 0..L-1, less a same-set rho(0), which is N*L) or of rho-hat (shifts
+    -(L-1)..L-1) and its windows' thresholds, the least width whose window holds a hit:
+    u + 1 under zccs, min(u, L - u) under szccs (0 for a cross-set rho(0)), L - |u| for
+    rho-hat."""
+    state, rotation, length = vars(fam).setdefault("_set_sum_hits", {}), window // 2, fam.length
+    if rotation not in state:
+        part = set_sum_tally(fam)[:, :, length:] if rotation else set_sum_tally(fam)[:, :, :length]
+        hits = _hit_list(part, rotation * (1 - length), not rotation, {})
+        u = hits.shifts
+        state[rotation] = ((hits, length - abs(u)),) if rotation else ((hits, u + 1), (hits, np.minimum(u, length - u)))
+    hits, threshold = state[rotation][window % 2]
     labels = _pair_table(fam.num_sets, *[("same-set", "cross-set"), ("cross-channel",) * 2][rotation])
-    return memo_violations(memo, reduced, fam.q, keys, labels, rotation * (1 - fam.length))
+    return read_hits(hits, fam.q, threshold <= width, labels)
 
 
 def check_zccs(fam: Family, width: int) -> Verdict:
@@ -218,7 +232,7 @@ def measure_zcz_width(fam: Family) -> int:
     """Largest width at which check_eczcs passes; -1 if none does.
 
     Window nesting makes the pass predicate monotone (tested): the first
-    passing width of a descending scan, one memo-filtering check per width
+    passing width of a descending scan, one hit-list filter per width
     (the benchmark counts them; ROADMAP item 2), is the maximum.
     """
     for width in range(fam.length, -1, -1):

@@ -5,9 +5,12 @@ restates a value one term at a time: sums, negation and conjugation of
 exact values; the scalar magnitude that ``cyclotomic.magnitudes`` must
 equal bit for bit; the periodic correlation assembled from two aperiodic
 halves; the complex image, negation and concatenation of sequences; the
-Monte-Carlo LS error drawn one noise vector per trial; the design
-criterion tallied afresh at each delay spread; and the set-sum checks
-reading their windows afresh at each call.
+Monte-Carlo LS error drawn one noise vector per trial; a reader of
+shift-set windows over a reduced tally and the periodic zone tallied
+afresh through it, which the periodic check of a sequence set must
+equal; the design criterion tallied afresh at each delay spread; and
+the set-sum checks reading their windows afresh at each call.  None of
+these reads the hit lists of ``eczcs.verify``.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from functools import reduce
 import numpy as np
 
 from eczcs import PhaseSequence, Verdict, Violation, accf
-from eczcs.cyclotomic import CycloInt, root_table
+from eczcs.correlation import cyclic_tally, set_sum_tally
+from eczcs.cyclotomic import CycloInt, magnitudes, reduction_matrix, root_table
 from eczcs.training import _live
-from eczcs.correlation import set_sum_tally
-from eczcs.verify import read_windows, zone_violations
 
 
 def zero(q: int) -> CycloInt:
@@ -133,10 +135,30 @@ def noise_stream_mse(X, sigma2: float, trials: int, seed: int, index: int) -> fl
     return sigma2 / 2.0 * total / (trials * dim)
 
 
+def read_windows(reduced, q: int, same, cross, labels, first: int = 0) -> list[Violation]:
+    """The violations of a reduced tally [row, row, shift - first, vector]: pair (i, j) must
+    vanish on the shift set ``same`` if i == j, on ``cross`` otherwise.  Every nonzero entry
+    inside its pair's window is a record, in (row, pair, shift) order, labelled ``labels[i, j]``."""
+    in_window = np.zeros((2, reduced.shape[2]), dtype=bool)
+    for side, window in zip(in_window, (same, cross)):
+        side[np.fromiter(window, dtype=np.int64) - first] = True
+    window = np.where(np.eye(len(reduced), dtype=bool)[:, :, None], *in_window)
+    i, j, k = np.nonzero(reduced.any(axis=-1) & window)
+    return list(map(Violation, np.asarray(labels, dtype=object)[i, j].tolist(), zip(i.tolist(), j.tolist()),
+                    (k + first).tolist(), magnitudes(q, reduced[i, j, k]).tolist()))
+
+
+def zone_violations(values, masks, q: int, width: int, labels) -> list[Violation]:
+    """The periodic zone of every ordered row pair tallied afresh at shifts 0..width: shifts
+    1..width of a row against itself, 0..width of distinct rows."""
+    reduced = cyclic_tally(values, masks, q, np.arange(width + 1)) @ reduction_matrix(q)
+    return read_windows(reduced, q, range(1, width + 1), range(width + 1), labels)
+
+
 def criterion_per_spread(tm, delay_spread: int) -> Verdict:
     """The design criterion of 0.9.0, which tallied every row pair at shifts 0..delay_spread
     again at each delay spread: sparsity faults, row-energy faults, then the zone hits of
-    ``zone_violations`` labelled by interference mechanism."""
+    :func:`zone_violations` labelled by interference mechanism."""
     col_counts, energies = tm.mask.sum(axis=0), tm.mask.sum(axis=1)
     expected = _live(tm.num_rows, tm.active_antennas, tm.blocks_per_row, tm.block_length).sum(axis=0)
     violations = [Violation("sparsity", (int(c),), 0, float(col_counts[c]))

@@ -360,6 +360,41 @@ def test_training_matrix_validation():
     assert PhaseSequence(4, (np.int64(3), 1.0, True)).phases == (3, 1, 1)
 
 
+def test_training_alphabet_is_an_integer_of_at_least_two():
+    """q is read as an int like every other integer argument: 2.0 and numpy ints build and
+    check as 2, odd q stays allowed, and True (1), 0, negative or fractional q are rejected
+    with a message naming the alphabet."""
+    row, live = [[0, 1, 1, 0]], [[True] * 4]
+    for q in (2.0, np.int64(2)):
+        tm = TrainingMatrix(q, row, live, 1, 4)
+        assert type(tm.q) is int and tm.q == 2
+        assert check_design_criterion(tm, 1) == check_design_criterion(TrainingMatrix(2, row, live, 1, 4), 1)
+    odd = TrainingMatrix(3, [[0, 1, 2, 2]], live, 1, 4)
+    assert check_design_criterion(odd, 3) == criterion_per_spread(odd, 3)
+    for q, message in ((True, "alphabet size must be an integer >= 2, got 1"),
+                       (0, "alphabet size must be an integer >= 2, got 0"),
+                       (-4, "alphabet size must be an integer >= 2, got -4"),
+                       (2.5, r"alphabet size 2\.5 is not an integer")):
+        with pytest.raises(ValueError, match=message):
+            TrainingMatrix(q, row, live, 1, 4)
+
+
+def test_pair_labels_are_one_table_per_shape():
+    """Every (Nt, Na) with Nt <= 6 labels the criterion's hits as the per-spread reference does,
+    from one read-only table per shape shared by all its matrices."""
+    for nt in range(1, 7):
+        for na in range(1, nt + 1):
+            cross = {(i, j) for i in range(nt) for j in range(nt) if i != j}
+            for seed in range(2):
+                tm = baseline_random_binary(GSMConfig(nt, na), 2, 6, np.random.default_rng((nt, na, seed)))
+                verdict = check_design_criterion(tm, tm.width - 1)
+                assert verdict == criterion_per_spread(tm, tm.width - 1), (nt, na)
+                assert {v.indices for v in verdict.violations} >= cross, (nt, na)  # every pair is labelled
+            table = training._pair_labels(nt, na)
+            assert table is training._pair_labels(nt, na) and not table.flags.writeable
+            assert table.shape == (nt, nt) and table.dtype == object
+
+
 def _reference_activation_patterns(nt, na):
     """The pinned (4, 2) table, else the first 2^floor(log2 C(Nt, Na)) Na-subsets as 0/1 rows."""
     if (nt, na) == (4, 2):
@@ -613,10 +648,10 @@ def test_criterion_tallies_in_growing_blocks(monkeypatch):
 
     def counted(*args):
         calls.append(len(args[-1]))
-        return cross_tally(*args)
+        return cyclic_tally(*args)
 
-    cross_tally = training.cross_tally
-    monkeypatch.setattr(training, "cross_tally", counted)
+    cyclic_tally = verify.cyclic_tally
+    monkeypatch.setattr(verify, "cyclic_tally", counted)
     for fam, zone, cfg in ((load_fixture_family("eczcs_2x2x24"), 9, GSMConfig(4, 2)),
                            (load_fixture_family("eczcs_4x2x32"), 8, GSMConfig(8, 3))):
         calls.clear()

@@ -10,6 +10,7 @@ from eczcs import (
     Family,
     PhaseSequence,
     SequenceSet,
+    Verdict,
     accf,
     check_ccc,
     check_eczcs,
@@ -42,8 +43,7 @@ from eczcs.gbf import PartitionSpec, theorem3_zcz_width
 from eczcs.simulate import baseline_zadoff_chu
 from eczcs.training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
-from reference import cyclo_sum, integer, pccf_via_accf, set_sum_check_per_call
-from eczcs.verify import read_windows
+from reference import cyclo_sum, integer, pccf_via_accf, read_windows, set_sum_check_per_call, zone_violations
 
 from conftest import float_pccf
 
@@ -315,6 +315,31 @@ def test_zone_windows_are_shift_sets():
                     assert got == want, (q, first)
             reports.append(want)
         assert reports[0] == reports[1], q
+
+
+def test_zcz_set_hit_list_matches_the_fresh_tally(monkeypatch):
+    """check_zcz_set at every width 0..L, asked in ascending, descending and shuffled order of
+    a fresh sequence set each, equals the zone tallied afresh at that width; a repeated sweep
+    of the same set builds no record."""
+    built, real = [], verify.Violation
+    monkeypatch.setattr(verify, "Violation", lambda *args: built.append(args) or real(*args))
+    rng = random.Random(29)
+    cases = [(2, flatten_to_zcz(load_fixture_family(name)).array()) for name in ("eczcs_2x2x24", "eczcs_4x2x32")]
+    cases += [(q, np.array([[rng.randrange(q) for _ in range(length)] for _ in range(size)]))
+              for q in (2, 4, 6) for size, length in ((1, 7), (2, 12), (3, 20), (4, 33))]
+    for q, rows in cases:
+        size, length = rows.shape
+        labels = np.where(np.eye(size, dtype=bool), "zcz-auto", "zcz-cross")
+        want = [Verdict(tuple(zone_violations(rows, None, q, min(w, length - 1), labels))).to_json()
+                for w in range(length + 1)]
+        for order in (range(length + 1), range(length, -1, -1), rng.sample(range(length + 1), length + 1)):
+            sset = SequenceSet.from_array(q, rows)
+            for width in order:
+                assert check_zcz_set(sset, width).to_json() == want[width], (q, length, width)
+            built.clear()
+            for width in order:
+                check_zcz_set(sset, width)
+            assert not built, (q, length)
 
 
 def test_zone_scan_never_holds_every_pair_product():
