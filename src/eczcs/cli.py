@@ -9,6 +9,8 @@ the config's digest and the version pin the report.  ``--q`` is the
 alphabet of text family files; a JSON family carries its own q, so an
 alphabet given beside one is an input error, as is an alphabet above
 1024 (MAX_ALPHABET) in any input or a Zadoff-Chu block_length above 512.
+Each input document has one schema: a key it lacks but needs, or holds
+but never reads (a typo, a key of another matrix kind), is an error too.
 
 Exit codes: 0 success (verification passed where applicable), 1 a
 requested check failed or a simulated grid point failed (rank-deficient
@@ -98,16 +100,17 @@ def _write_output(out, text: str, command: str, params: dict, inputs: list, seed
     Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_family_arg(path_str: str, q: int | None) -> tuple[Family, Path]:
-    """Read a JSON family (which carries its own q) or a text one at alphabet q, default 2."""
+def _load_family_arg(path_str: str, q: int | None, q_name: str = "--q") -> tuple[Family, Path]:
+    """Read a JSON family (which carries its own q) or a text one at alphabet q (named q_name),
+    default 2."""
     if q is not None and q > MAX_ALPHABET:
-        raise ValueError(f"--q must be at most {MAX_ALPHABET}, got {q}")
+        raise ValueError(f"{q_name} must be at most {MAX_ALPHABET}, got {q}")
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(f"no such family file: {path}")
     if path.suffix == ".json":
         if q is not None:
-            raise ValueError("--q is the alphabet of text family files; a JSON family carries its own q")
+            raise ValueError(f"{q_name} is the alphabet of text family files; a JSON family carries its own q")
         return load_family(path), path
     return parse_family_text(path.read_text(), 2 if q is None else q), path
 
@@ -148,8 +151,7 @@ def cmd_construct(args) -> int:
         else:
             raise ValueError("provide --preset or --spec")
         spec = _partition_from_dict(spec_dict)
-        q = spec_dict.get("q", 2)
-        eta = spec_dict.get("eta")
+        q, eta = spec_dict.get("q", 2), spec_dict.get("eta")
         if args.builder == "theorem3":
             if "v" not in spec_dict:
                 raise ValueError("construction spec needs 'v' for theorem3")
@@ -176,20 +178,14 @@ def cmd_construct(args) -> int:
 
 
 def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
-    """Read a construction spec; the part orderings may be named parts or pi.
-
-    An optional U (the unordered parts) and k are cross-checked when given.
-    """
-    if not isinstance(spec_dict, dict):
-        raise ValueError("construction spec must be a JSON object")
+    """Read a construction spec: the part orderings as parts or pi, cross-checked against
+    an optional U (the unordered parts) and k."""
     check_document(spec_dict, (
         (("m", "v", "k"), int, 0, "an integer"),
         (("q",), int, 0, "an integer", ALPHABET),
         (("parts", "pi", "U"), int, 2, "a list of integer lists"),
         (("eta",), int, 1, "a list of integers"),
-    ), "construction spec key")
-    if "m" not in spec_dict:
-        raise ValueError("construction spec needs key 'm'")
+    ), "construction spec", needs=("m",))
     if "parts" in spec_dict and "pi" in spec_dict:
         raise ValueError("construction spec takes 'parts' or 'pi', not both")
     raw = spec_dict.get("parts", spec_dict.get("pi"))
@@ -199,10 +195,8 @@ def _partition_from_dict(spec_dict: dict) -> PartitionSpec:
     spec = PartitionSpec(spec_dict["m"], parts)
     if "k" in spec_dict and spec_dict["k"] != spec.k:
         raise ValueError(f"declared k={spec_dict['k']} but {spec.k} parts were given")
-    if "U" in spec_dict:
-        declared = [sorted(u) for u in spec_dict["U"]]
-        if declared != [sorted(p) for p in parts]:
-            raise ValueError("declared U does not match the part orderings")
+    if "U" in spec_dict and [sorted(u) for u in spec_dict["U"]] != [sorted(p) for p in parts]:
+        raise ValueError("declared U does not match the part orderings")
     return spec
 
 
@@ -266,46 +260,18 @@ def cmd_train(args) -> int:
     return 0 if verdict.passed else 1
 
 
-def _matrix_from_config(spec: dict, base_dir: Path):
-    cfg = GSMConfig(spec["nt"], spec["na"])
-    kind = spec["kind"]
-    if kind == "family":
-        if "q" in spec and spec["path"].endswith(".json"):
-            raise ValueError("simulate config 'matrix' key 'q' is the alphabet of text families; "
-                             "a JSON family carries its own q")
-        fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q"))
-        return build_training_matrix(fam, cfg, source=spec["path"]), [path]
-    if kind == "seed":
-        entry = catalog_entry(spec["id"])
-        return build_training_matrix(entry.family, cfg, source=spec["id"]), []
-    if kind == "random-binary":
-        rng = np.random.default_rng(spec.get("rng_seed", 0))
-        return baseline_random_binary(cfg, spec["blocks"], spec["block_length"], rng), []
-    if kind == "zadoff-chu":
-        if spec["block_length"] > MAX_ALPHABET // 2:  # the alphabet of length L is Z_2L
-            raise ValueError(f"simulate config 'matrix' key 'block_length' must be at most "
-                             f"{MAX_ALPHABET // 2} for zadoff-chu, got {spec['block_length']}")
-        roots = tuple(spec["roots"]) if "roots" in spec else None
-        return baseline_zadoff_chu(cfg, spec["blocks"], spec["block_length"], roots), []
-    raise ValueError(f"unknown training matrix kind {kind!r}")
-
-
-# keys each matrix kind reads beside kind, nt and na
+# the keys each matrix kind needs beside kind, nt and na, and the keys it may also hold
 _MATRIX_KEYS = {
-    "family": ("path",),
-    "seed": ("id",),
-    "random-binary": ("blocks", "block_length"),
-    "zadoff-chu": ("blocks", "block_length"),
+    "family": (("path",), ("q",)),
+    "seed": (("id",), ()),
+    "random-binary": (("blocks", "block_length"), ("rng_seed",)),
+    "zadoff-chu": (("blocks", "block_length"), ("roots",)),
 }
 
 
 def _read_sim_config(path: Path) -> dict:
-    """Load a simulate config, naming the first key missing, mistyped or out of bounds."""
+    """Load a simulate config, naming its first missing, unread, mistyped or out-of-bounds key."""
     config = json.loads(path.read_text())
-    if not isinstance(config, dict):
-        raise ValueError(f"simulate config {path} must be a JSON object")
-    if not isinstance(config.get("matrix"), dict):
-        raise ValueError("simulate config key 'matrix' must be an object")
     # seeds key numpy generators, which take only non-negative integers
     check_document(config, (
         (("ebn0_db",), (int, float), 1, "a list of numbers"),
@@ -313,24 +279,42 @@ def _read_sim_config(path: Path) -> dict:
         (("trials",), int, 0, "an integer"),
         (("seed",), int, 0, "an integer", NON_NEGATIVE),
         (("matrix_id",), str, 0, "a string"),
-    ), "simulate config key")
-    check_document(config["matrix"], (
-        (("nt", "na", "blocks", "block_length"), int, 0, "an integer"),
-        (("q",), int, 0, "an integer", ALPHABET),
+        (("matrix",), dict, 0, "an object"),
+    ), "simulate config", needs=("ebn0_db", "delay_spreads", "trials", "seed", "matrix"))
+    matrix = config["matrix"]
+    check_document(matrix, (
+        (("nt", "na", "blocks", "block_length", "q"), int, 0, "an integer"),
         (("rng_seed",), int, 0, "an integer", NON_NEGATIVE),
         (("roots",), int, 1, "a list of integers"),
         (("kind", "path", "id"), str, 0, "a string"),
-    ), "simulate config 'matrix' key")
-    matrix, kind = config["matrix"], config["matrix"].get("kind")
-    for doc, keys, where in (
-        (config, ("ebn0_db", "delay_spreads", "trials", "seed"), ""),
-        (matrix, ("kind",), " 'matrix'"),
-        (matrix, ("nt", "na", *_MATRIX_KEYS.get(kind, ())), f" 'matrix' of kind {kind!r}"),
-    ):
-        missing = [key for key in keys if key not in doc]
-        if missing:
-            raise ValueError(f"simulate config{where} needs key {missing[0]!r}")
+    ), "simulate config 'matrix'", needs=("kind",))
+    kind = matrix["kind"]
+    if kind not in _MATRIX_KEYS:
+        raise ValueError(f"unknown training matrix kind {kind!r}")
+    needs, optional = _MATRIX_KEYS[kind]
+    # every type is checked above, so this row only names a key the kind lacks or never reads
+    check_document(matrix, ((("kind", "nt", "na", *needs, *optional), object, 0, ""),),
+                   f"simulate config 'matrix' of kind {kind!r}", needs=("nt", "na", *needs))
     return config
+
+
+def _matrix_from_config(spec: dict, base_dir: Path):
+    cfg = GSMConfig(spec["nt"], spec["na"])
+    if spec["kind"] == "family":
+        fam, path = _load_family_arg(str(base_dir / spec["path"]), spec.get("q"),
+                                     q_name="simulate config 'matrix' key 'q'")
+        return build_training_matrix(fam, cfg, source=spec["path"]), [path]
+    if spec["kind"] == "seed":
+        entry = catalog_entry(spec["id"])
+        return build_training_matrix(entry.family, cfg, source=spec["id"]), []
+    if spec["kind"] == "random-binary":
+        rng = np.random.default_rng(spec.get("rng_seed", 0))
+        return baseline_random_binary(cfg, spec["blocks"], spec["block_length"], rng), []
+    if spec["block_length"] > MAX_ALPHABET // 2:  # zadoff-chu: the alphabet of length L is Z_2L
+        raise ValueError(f"simulate config 'matrix' key 'block_length' must be at most "
+                         f"{MAX_ALPHABET // 2} for zadoff-chu, got {spec['block_length']}")
+    roots = tuple(spec["roots"]) if "roots" in spec else None
+    return baseline_zadoff_chu(cfg, spec["blocks"], spec["block_length"], roots), []
 
 
 def cmd_simulate(args) -> int:

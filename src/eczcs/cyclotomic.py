@@ -19,12 +19,22 @@ from functools import lru_cache
 import numpy as np
 
 
+def _is_int(x) -> bool:
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def as_ints(values, noun: str) -> tuple[int, ...]:
-    """values as Python ints, naming the first x with int(x) != x (numpy ints and True pass)."""
+    """values as Python ints, naming the first x without int(x) == x (numpy ints and True pass)."""
     given = tuple(values)
-    ints = tuple(map(int, given))
+    try:
+        ints = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != given:
-        bad = next(g for g, p in zip(given, ints) if g != p)
+        bad = next(g for g in given if not _is_int(g))
         raise ValueError(f"{noun} {bad if isinstance(bad, (float, np.number)) else repr(bad)} is not an integer")
     return ints
 

@@ -210,9 +210,15 @@ def is_json(x, kinds, depth: int = 0) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
-def check_document(table: dict, rows, where: str) -> None:
-    """Name the first present key not of its row's (keys, kinds, depth, noun) JSON type,
-    or outside the row's optional (low, high, wording) bound."""
+def check_document(table, rows, doc: str, needs=(), where: str = "") -> None:
+    """Name the first fault of the JSON object doc: a key no (keys, kinds, depth, noun) row
+    names, one off its row's type or optional (low, high, wording) bound, or one of needs absent."""
+    if not isinstance(table, dict):
+        raise ValueError(f"{doc} must be a JSON object")
+    where, known = where or f"{doc} key", {key for keys, *_ in rows for key in keys}
+    for key in table:
+        if key not in known:
+            raise ValueError(f"{doc} has no key {key!r}")
     for keys, kinds, depth, noun, *bound in rows:
         for key in (k for k in keys if k in table):
             value = table[key]
@@ -221,20 +227,18 @@ def check_document(table: dict, rows, where: str) -> None:
             for low, high, wording in bound:
                 if not low <= value <= high:
                     raise ValueError(f"{where} {key!r} must be {wording}, got {value}")
+    for key in needs:
+        if key not in table:
+            raise ValueError(f"{doc} needs key {key!r}")
 
 
 def family_from_json(obj: dict) -> Family:
-    """Read a family document, naming the first key of the wrong JSON type or alphabet size."""
-    if not isinstance(obj, dict):
-        raise ValueError("a family document must be a JSON object")
+    """Read a family document, naming the first key missing, unread, mistyped or out of bounds."""
     check_document(obj, (
         (("q",), int, 0, "an integer", ALPHABET),
         (("M", "N", "L"), int, 0, "an integer"),
         (("sets",), int, 3, "a list of sets of integer lists"),
-    ), "family key")
-    for key in ("q", "sets"):
-        if key not in obj:
-            raise ValueError(f"family document needs key {key!r}")
+    ), "family document", needs=("q", "sets"), where="family key")
     fam = family_from_lists(obj["q"], obj["sets"])
     for key, got in (("M", fam.num_sets), ("N", fam.set_size), ("L", fam.length)):
         if key in obj and obj[key] != got:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eczcs import __version__, family_to_json, format_family_text, load_family, load_fixture_family
+from eczcs import cli
 from eczcs.cli import build_parser, main
 from eczcs.simulate import RNG_SCHEME
 
@@ -617,3 +618,96 @@ def test_simulate_matrix_kind_is_required(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "r.csv"))
     assert code == 2 and "'kind'" in err and out == ""
     assert not (tmp_path / "r.csv").exists()
+
+
+SIM_GRID = {"ebn0_db": [10.0], "delay_spreads": [0], "trials": 3, "seed": 1}
+# a value for every key some matrix kind reads, valid for the kind that reads it
+MATRIX_VALUES = {"path": "fam.txt", "q": 2, "id": "zccs-2-2-12-10", "blocks": 1,
+                 "block_length": 8, "rng_seed": 3, "roots": [1, 3]}
+
+
+def test_simulate_unknown_matrix_kind_exits_2_before_any_builder(tmp_path, capsys, monkeypatch):
+    def no_builder(*args, **kwargs):
+        raise AssertionError("a builder ran")
+
+    for name in ("GSMConfig", "build_training_matrix", "catalog_entry", "_load_family_arg",
+                 "baseline_random_binary", "baseline_zadoff_chu", "monte_carlo_mse"):
+        monkeypatch.setattr(cli, name, no_builder)
+    cfg_file, out_file = tmp_path / "sim.json", tmp_path / "r.csv"
+    for kind, named in (("nope", "unknown training matrix kind 'nope'"),
+                        (3, "simulate config 'matrix' key 'kind' must be a string"),
+                        (None, "'kind'")):
+        cfg_file.write_text(json.dumps(dict(SIM_GRID, matrix={"kind": kind, "nt": 4, "na": 2,
+                                                              "id": "zccs-2-2-12-10"})))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_file), "--out", str(out_file))
+        assert code == 2 and named in err and out == "", (kind, err)
+        assert not out_file.exists() and not (tmp_path / "r.csv.manifest.json").exists()
+
+
+class ReadLog(dict):
+    """A matrix object that records every key its reader looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("kind", sorted(cli._MATRIX_KEYS))
+@pytest.mark.parametrize("with_optional", (False, True))
+def test_matrix_key_table_matches_the_builder(tmp_path, capsys, table4, kind, with_optional):
+    """Each kind builds from exactly the keys _MATRIX_KEYS says it needs, and from those plus
+    its optional keys; the builder reads every key given and none outside the table."""
+    (tmp_path / "fam.txt").write_text(format_family_text(table4))
+    needs, optional = cli._MATRIX_KEYS[kind]
+    keys = (*needs, *optional) if with_optional else needs
+    matrix = {"kind": kind, "nt": 4, "na": 2, **{key: MATRIX_VALUES[key] for key in keys}}
+    cfg_file = tmp_path / "sim.json"
+    cfg_file.write_text(json.dumps(dict(SIM_GRID, matrix=matrix)))
+    code, _, err = run(capsys, "simulate", "--config", str(cfg_file), "--out", str(tmp_path / "r.csv"))
+    assert code == 0, err
+    spec = ReadLog(cli._read_sim_config(cfg_file)["matrix"])
+    cli._matrix_from_config(spec, tmp_path)
+    assert set(matrix) <= spec.read <= {"kind", "nt", "na", *needs, *optional}
+
+
+def test_unread_keys_exit_2_naming_key_and_document(tmp_path, capsys, table4):
+    spec_file, fam_file, cfg_file = tmp_path / "spec.json", tmp_path / "fam.json", tmp_path / "sim.json"
+    out_file = tmp_path / "out.json"
+    fam_file.write_text(json.dumps(dict(family_to_json(table4), comment="table 4")))
+    seed = {"kind": "seed", "id": "zccs-2-2-12-10", "nt": 4, "na": 2}
+    zadoff_chu = {"kind": "zadoff-chu", "nt": 4, "na": 2, "blocks": 1, "block_length": 8}
+    family = {"kind": "family", "path": "fam.txt", "nt": 4, "na": 2}
+    for doc, argv, named in (
+        ({"m": 3, "q": 2, "parts": [[1, 2, 3]], "etta": [1, 1, 1, 1]},
+         ["construct", "lemma2", "--spec", str(spec_file)], "construction spec has no key 'etta'"),
+        (None, ["verify", str(fam_file), "--kind", "mocs"], "family document has no key 'comment'"),
+        (dict(SIM_GRID, trails=9, matrix=seed), ["simulate", "--config", str(cfg_file)],
+         "simulate config has no key 'trails'"),
+        (dict(SIM_GRID, matrix=dict(seed, blocks=7)), ["simulate", "--config", str(cfg_file)],
+         "simulate config 'matrix' of kind 'seed' has no key 'blocks'"),
+        (dict(SIM_GRID, matrix=dict(zadoff_chu, q=4)), ["simulate", "--config", str(cfg_file)],
+         "simulate config 'matrix' of kind 'zadoff-chu' has no key 'q'"),
+        (dict(SIM_GRID, matrix=dict(family, rng_seed=3)), ["simulate", "--config", str(cfg_file)],
+         "simulate config 'matrix' of kind 'family' has no key 'rng_seed'"),
+    ):
+        if doc is not None:
+            (spec_file if argv[0] == "construct" else cfg_file).write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 2 and named in err and out == "", (argv, err)
+        assert not out_file.exists() and not (tmp_path / "out.json.manifest.json").exists()
+    # lemma2 reads a theorem3 spec or preset, whose v it does not use
+    spec_file.write_text(json.dumps({"m": 3, "q": 2, "v": 1, "parts": [[1, 2, 3]]}))
+    for source in (["--preset", "eczcs-4-2-32-8"], ["--spec", str(spec_file)]):
+        assert run(capsys, "construct", "lemma2", *source)[0] == 0, source

@@ -7,6 +7,8 @@ import pytest
 import numpy as np
 
 from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, reduction_matrix, root_table
+from eczcs.simulate import SimConfig
+from eczcs.training import GSMConfig
 
 from reference import add, conjugate, integer, mag_sq, magnitude, neg, root, sub
 
@@ -109,6 +111,21 @@ def test_non_integral_order_and_counts_rejected():
     assert value == CycloInt(2, (1, 1, 0)) and type(value.q) is int
     assert all(type(c) is int for c in value.counts)
     assert cyclotomic_poly(6.0) == cyclotomic_poly(np.int64(6)) == (1, -1, 1)
+
+
+
+@pytest.mark.parametrize("value, shown", [("a", "'a'"), (None, "None"), ([3], "[3]"),
+                                          (math.inf, "inf"), (math.nan, "nan")],
+                         ids=("str", "None", "list", "inf", "nan"))
+@pytest.mark.parametrize("build, noun", [
+    (lambda value: SimConfig(ebn0_db=(1.0,), delay_spreads=(1,), trials=value, seed=1), "trial count"),
+    (lambda value: SimConfig(ebn0_db=(1.0,), delay_spreads=(1,), trials=1, seed=value), "seed"),
+    (lambda value: GSMConfig(value, 2), "transmit_antennas"),
+], ids=("SimConfig.trials", "SimConfig.seed", "GSMConfig"))
+def test_values_without_an_int_are_named(build, noun, value, shown):
+    """A string, None, a list or a non-finite float is a ValueError naming the argument."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(noun)} {re.escape(shown)} is not an integer$"):
+        build(value)
 
 
 def test_root_table_axis_points_exact():
