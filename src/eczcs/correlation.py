@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import CycloInt, as_ints, cyclotomic_poly, magnitudes, reduction_matrix, root_table
+from .cyclotomic import CycloInt, as_ints, magnitudes, reduce_tally, reduction_matrix, root_table
 from .sequences import Family, PhaseSequence
 
 
@@ -141,9 +141,9 @@ def set_sum_tally(fam: Family) -> np.ndarray:
     """
     tally = fam.__dict__.get("_set_sums")
     if tally is None:
-        length, phi = fam.length, len(cyclotomic_poly(fam.q)) - 1
+        length = fam.length
         shifts = np.r_[0:length, 2 - 3 * length : 1 - length]
-        tally = cyclic_tally(*set_rows(fam), fam.q, shifts) @ reduction_matrix(fam.q)[:, :phi]
+        tally = reduce_tally(fam.q, cyclic_tally(*set_rows(fam), fam.q, shifts))
         tally.setflags(write=False)
         object.__setattr__(fam, "_set_sums", tally)
     return tally

@@ -90,6 +90,15 @@ def reduction_matrix(q: int):
     return matrix
 
 
+def reduce_tally(q: int, counts) -> np.ndarray:
+    """Stacked count vectors (last axis q) in canonical form, cut to the phi(q) columns one can
+    fill: ``counts @ reduction_matrix(q)[:, :phi]``.  For q = 2^k >= 2, Phi_q = x^(q/2) + 1, so
+    x^(q/2 + j) = -x^j and the product is the exact fold of the upper half onto the lower."""
+    if q & (q - 1) == 0:
+        return counts[..., : q // 2] - counts[..., q // 2 :]
+    return counts @ reduction_matrix(q)[:, : len(cyclotomic_poly(q)) - 1]
+
+
 @lru_cache(maxsize=None)
 def root_table(q: int):
     """The q roots of unity as exact-as-possible complex values.
@@ -154,7 +163,7 @@ def magnitudes(q: int, reduced):
     reduced = np.asarray(reduced, dtype=np.int64)
     if q in (2, 4):
         parts = reduced[..., :2]
-        if parts.size and (parts.max() >= 2**31 or parts.min() <= -(2**31)):
+        if np.abs(parts).view(np.uint64).max(initial=0) >= 2**31:  # abs(-2^63) wraps to 2^63
             exact = [math.sqrt(re * re + im * im) for re, im in parts.reshape(-1, 2).tolist()]
             return np.array(exact).reshape(parts.shape[:-1])
         return np.sqrt((parts**2).sum(axis=-1))

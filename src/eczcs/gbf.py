@@ -47,20 +47,6 @@ class GBF:
         canonical = tuple(sorted((k, c) for k, c in merged.items() if c))
         object.__setattr__(self, "terms", canonical)
 
-    def evaluate(self, index: int) -> int:
-        """Value at the point whose bits are the binary digits of index."""
-        if not 0 <= index < (1 << self.m):
-            raise ValueError(f"index {index} outside 0..{(1 << self.m) - 1}")
-        total = 0
-        for variables, coeff in self.terms:
-            prod = coeff
-            for v in variables:
-                if not (index >> (v - 1)) & 1:
-                    prod = 0
-                    break
-            total += prod
-        return total % self.q
-
     def sequence(self) -> PhaseSequence:
         return PhaseSequence.from_array(self.q, _phase_vector(self))
 

@@ -239,7 +239,11 @@ def family_from_json(obj: dict) -> Family:
         (("M", "N", "L"), int, 0, "an integer"),
         (("sets",), int, 3, "a list of sets of integer lists"),
     ), "family document", needs=("q", "sets"), where="family key")
-    fam = family_from_lists(obj["q"], obj["sets"])
+    try:  # rectangular int64 phases are checked as one array, with the member-by-member messages
+        phases = np.array(obj["sets"], dtype=np.int64)
+    except (ValueError, OverflowError):  # ragged, or a phase beyond int64
+        phases = np.empty(0)
+    fam = Family.from_array(obj["q"], phases) if phases.ndim == 3 else family_from_lists(obj["q"], obj["sets"])
     for key, got in (("M", fam.num_sets), ("N", fam.set_size), ("L", fam.length)):
         if key in obj and obj[key] != got:
             raise ValueError(f"declared {key}={obj[key]} but sequences give {got}")

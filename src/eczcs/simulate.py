@@ -10,7 +10,10 @@ design the LS error of a trial is S n, the solver S = (X^H X)^-1 X^H
 applied to the noise, whatever the channel.  S n is CN(0, sigma^2 (X^H X)^-1),
 so over T trials its summed squared norm has the law of
 sigma^2 sum_k G_k / mu_k, with mu_k the eigenvalues of X^H X and G_k iid
-Gamma(T, 1): one eigvalsh per delay spread and one gamma draw per point.
+Gamma(T, 1): one spectrum per delay spread and one gamma draw per point.
+The Monte Carlo reads X^H X from the periodic tally that the design
+criterion caches on the training matrix, never building X: where the
+criterion passes, X^H X = E*I exactly and every mu is E with no eigvalsh.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from itertools import product
 
 import numpy as np
 
-from .cyclotomic import as_ints
+from .cyclotomic import as_ints, root_table
 from .sequences import Family, PhaseSequence
-from .training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
+from .training import GSMConfig, TrainingMatrix, build_training_matrix, check_design_criterion
+from .verify import periodic_hits
 
 NOISE_MODEL = "sigma2 = 10^(-EbN0_dB/10), unit-energy symbols"
 RNG_SCHEME = "pcg64(seed, point), standard_gamma(trials, dim) against 1/eigvalsh(X^H X)"
@@ -86,6 +90,18 @@ def _inverse_spectrum(normal: np.ndarray, matrix_id: str = "") -> np.ndarray:
             f"{dim} unknowns but a singular normal matrix"
         )
     return 1.0 / mu
+
+
+def _normal_matrix(tm: TrainingMatrix, spread: int) -> np.ndarray:
+    """X^H X for X = ``build_ls_model_matrix(tm, spread)`` from the periodic tally that the
+    design criterion caches on ``tm``, in Toeplitz blocks: entry (c, c') of block (p, p') is
+    R_p'p(c - c') for c >= c', conj R_pp'(c' - c) otherwise, where
+    R_ab(u) = sum_k x_a[k+u] conj(x_b[k]) is the tally's [a, b, u] on the roots."""
+    tally = periodic_hits(tm, tm.values, tm.mask, tm.q, spread).tally[:, :, : spread + 1]
+    corr = tally @ root_table(tm.q)[: tally.shape[-1]]
+    lag = np.subtract.outer(np.arange(spread + 1), np.arange(spread + 1))  # c - c'
+    blocks = np.where(lag >= 0, corr.transpose(1, 0, 2)[:, :, abs(lag)], corr.conj()[:, :, abs(lag)])
+    return blocks.transpose(0, 2, 1, 3).reshape(len(corr) * len(lag), -1)
 
 
 def _mse(sigma2: float, inverse_spectrum: np.ndarray) -> float:
@@ -181,8 +197,9 @@ class MSEReport:
 def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
     """Empirical and analytic normalized MSE over the configured grid.
 
-    The inverse spectrum 1/mu of X^H X is taken once per delay spread and
-    gives the analytic value, :func:`analytic_mse`, the standard error
+    The inverse spectrum 1/mu of X^H X, taken once per delay spread from
+    the tally the design criterion caches on ``tm`` (1/E throughout where it
+    passes), gives the analytic value, :func:`analytic_mse`, the standard error
     sigma^2 sqrt(sum(1/mu^2) / trials) / dim and the condition number
     mu_max / mu_min.  The summed squared LS error of the trials has the law
     of sigma^2 sum_k G_k / mu_k, G_k iid Gamma(trials, 1), so grid point
@@ -199,9 +216,10 @@ def monte_carlo_mse(tm: TrainingMatrix, cfg: SimConfig) -> MSEReport:
         sigma2 = noise_variance(ebn0)
         floor = mse_floor(sigma2, energy)
         if spread not in spectra:
-            X = build_ls_model_matrix(tm, spread)
-            try:
-                spectra[spread] = _inverse_spectrum(X.conj().T @ X)
+            try:  # a design passing the criterion has X^H X = E*I exactly
+                spectra[spread] = (np.full(tm.num_rows * (spread + 1), 1.0 / energy)
+                                   if check_design_criterion(tm, spread).passed
+                                   else _inverse_spectrum(_normal_matrix(tm, spread)))
             except RankDeficientTraining:
                 spectra[spread] = None
         inv_mu = spectra[spread]

@@ -18,7 +18,7 @@ The set-sum checks read two hit lists per family, rho and rho-hat of
 u: u + 1 (zccs), min(u, L - u) (szccs) and L - |u| (rho-hat).  The
 periodic check of a sequence set and the GSM design criterion read one
 :func:`periodic_hits` per sequence set or training matrix, whose threshold
-is the shift itself.
+is the shift itself; the Monte-Carlo MSE reads the same tally as X^H X.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import cyclic_tally, set_sum_tally
-from .cyclotomic import as_ints, cyclotomic_poly, magnitudes, reduction_matrix
+from .cyclotomic import as_ints, magnitudes, reduce_tally
 from .sequences import Family, SequenceSet
 
 
@@ -125,7 +125,7 @@ def periodic_hits(owner, values, mask, q: int, top: int) -> HitList:
     have = 0 if hits is None else hits.tally.shape[2]
     if have <= top:
         shifts = np.arange(have, min(values.shape[-1], max(top + 1, 2 * have, _FIRST_BLOCK)))
-        block = cyclic_tally(values, mask, q, shifts) @ reduction_matrix(q)[:, : len(cyclotomic_poly(q)) - 1]
+        block = reduce_tally(q, cyclic_tally(values, mask, q, shifts))
         tally = block if hits is None else np.concatenate((hits.tally, block), axis=2)
         tally.setflags(write=False)
         hits = _hit_list(tally, 0, True, {} if hits is None else hits.memo)

@@ -8,9 +8,10 @@ halves; the complex image, negation and concatenation of sequences; the
 Monte-Carlo LS error drawn one noise vector per trial; a reader of
 shift-set windows over a reduced tally and the periodic zone tallied
 afresh through it, which the periodic check of a sequence set must
-equal; the design criterion tallied afresh at each delay spread; and
-the set-sum checks reading their windows afresh at each call.  None of
-these reads the hit lists of ``eczcs.verify``.
+equal; the design criterion tallied afresh at each delay spread; the
+set-sum checks reading their windows afresh at each call; and a
+generalized Boolean function evaluated at one point, term by term.  None
+of these reads the hit lists of ``eczcs.verify``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,17 @@ def pccf_via_accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     if u > 0:
         return add(accf(s0, s1, u), conjugate(accf(s1, s0, length - u)))
     return add(conjugate(accf(s1, s0, -u)), accf(s0, s1, length + u))
+
+
+def gbf_evaluate(func, index: int) -> int:
+    """The value of a :class:`~eczcs.GBF` at the point whose bits are the binary digits of index."""
+    if not 0 <= index < (1 << func.m):
+        raise ValueError(f"index {index} outside 0..{(1 << func.m) - 1}")
+    total = 0
+    for variables, coeff in func.terms:
+        if all((index >> (v - 1)) & 1 for v in variables):
+            total += coeff
+    return total % func.q
 
 
 def modulate(seq):

@@ -6,7 +6,9 @@ import pytest
 
 import numpy as np
 
-from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, reduction_matrix, root_table
+from eczcs import correlation
+from eczcs.correlation import cyclic_tally
+from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, reduce_tally, reduction_matrix, root_table
 from eczcs.simulate import SimConfig
 from eczcs.training import GSMConfig
 
@@ -153,15 +155,39 @@ def test_magnitudes_match_cyclo_int_bit_for_bit():
 
 
 def test_magnitudes_of_counts_beyond_int64_squares():
-    """Counts of 2^31 and more square exactly, not by wrapping int64 arithmetic."""
+    """Counts of 2^31 and more, -2^63 too, square exactly, not by wrapping int64 arithmetic."""
     assert CycloInt(2, (4_000_000_000, 0)).magnitude() == 4e9
     big = CycloInt(4, (3_100_000_000, 3_100_000_000, 0, 0))
     assert big.magnitude() == math.sqrt(2 * 3_100_000_000**2) == magnitude(big)
     assert math.isclose(big.magnitude(), 4384062043.356596, rel_tol=1e-15)
     # one large row sends the whole array down the exact path, the small rows unchanged
-    rows = [(3, -4), (2**31, 0), (-(2**31), 2**31 - 1), (2**31 - 1, -(2**31 - 1)), (0, 0)]
+    rows = [(3, -4), (2**31, 0), (-(2**31), 2**31 - 1), (-(2**63), 0), (2**31 - 1, -(2**31 - 1)), (0, 0)]
     for q in (2, 4):
         vectors = [CycloInt(q, r + (0,) * (q - 2)).counts for r in rows]
         got = magnitudes(q, np.array(vectors)).tolist()
         assert got == [magnitude(CycloInt(q, v)) for v in vectors], q
-        assert magnitudes(q, np.array(vectors[3:])).tolist() == got[3:]
+        assert magnitudes(q, np.array(vectors[4:])).tolist() == got[4:]
+        assert magnitudes(q, np.array(vectors[3:4])).tolist() == got[3:4]  # alone, still exact
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8, 12, 64])
+def test_reduce_tally_folds_powers_of_two_exactly(q, monkeypatch):
+    """reduce_tally equals the product with the reduction matrix's phi(q) columns on exact-path
+    tallies, whose counts fill every column; for q = 2^k that is the fold of the upper half."""
+    monkeypatch.setattr(correlation, "_MARGIN", 0.0)  # q in {2, 4} take the exact count too
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, (3, 40))
+    counts = cyclic_tally(rows, rng.random((3, 40)) < 0.9, q, range(40))
+    assert counts.any(axis=(0, 1, 2)).all()  # a count in every column
+    phi = len(cyclotomic_poly(q)) - 1
+    reduced = reduce_tally(q, counts)
+    assert reduced.dtype == np.int64 and np.array_equal(reduced, counts @ reduction_matrix(q)[:, :phi])
+    if q & (q - 1) == 0:
+        assert np.array_equal(reduced, counts[..., : q // 2] - counts[..., q // 2 :])
+
+
+def test_quaternary_fold_subtracts_the_upper_columns():
+    """1 + j - 1 - j: columns 2 and 3 (-1 and -j) cancel columns 0 and 1, they are not dropped."""
+    assert reduce_tally(4, np.array([1, 1, 1, 1])).tolist() == [0, 0]
+    assert reduce_tally(4, np.array([[0, 0, 2, 1], [3, 0, 0, 5]])).tolist() == [[-2, -1], [3, -5]]
+    assert reduce_tally(2, np.array([4, 7])).tolist() == [-3]

@@ -15,6 +15,7 @@ from eczcs import (
     Family,
     PhaseSequence,
     SequenceSet,
+    family_from_json,
     family_from_lists,
     family_to_json,
     format_family_text,
@@ -170,3 +171,18 @@ def test_warm_theorem_sweep_builds_no_phase_sequence(monkeypatch):
     assert made == []
     families[-1].sets[0].members  # the hook does see views once they are asked for
     assert len(made) == families[-1].set_size
+
+
+def test_family_document_reads_as_one_array_with_the_list_path_messages(monkeypatch):
+    """A rectangular document builds no PhaseSequence; every malformed one, ragged or not,
+    fails with the member-by-member message."""
+    made = []
+    original = PhaseSequence._of.__func__
+    monkeypatch.setattr(PhaseSequence, "_of", classmethod(lambda cls, *a: made.append(a) or original(cls, *a)))
+    fam = load_fixture_family("eczcs_4x2x32")
+    made.clear()
+    assert family_from_json(json.loads(json.dumps(family_to_json(fam)))) == fam and made == []
+    for q, lists in ((4, [[[0, 4]]]), (4, [[[0, 1], [-1, 0]]]), (3, [[[0, 1]]]), (2, []), (2, [[]]), (2, [[[]]]),
+                     (2, [[[0, 1]], [[0, 1, 1]]]), (2, [[[0, 1], [0]]]), (2, [[[0], [0]], []]), (4, [[[0, 2**70]]]),
+                     (4, [[[-1, 2**63]]])):
+        assert message(family_from_json, {"q": q, "sets": lists}) == message(family_from_lists, q, lists), lists

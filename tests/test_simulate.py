@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 from eczcs import (
     GSMConfig,
+    PartitionSpec,
     RankDeficientTraining,
     SimConfig,
     analytic_mse,
@@ -15,14 +17,20 @@ from eczcs import (
     build_ls_model_matrix,
     build_training_matrix,
     check_design_criterion,
+    lemma2_ccc,
     ls_estimate,
     monte_carlo_mse,
     mse_floor,
     noise_variance,
     sample_channel,
+    theorem2_construct,
+    theorem3_construct,
     zadoff_chu,
 )
-from eczcs.simulate import default_zc_roots
+from eczcs import simulate, training
+from eczcs.gbf import optimal_theorem3_params
+from eczcs.simulate import _normal_matrix, default_zc_roots
+from eczcs.training import design_width
 
 from reference import modulate, noise_stream_mse
 
@@ -394,3 +402,83 @@ def test_baseline_ordering_at_reference_point(table4, nonc2_zccs):
     for name, tm in (("enhanced", enhanced), ("plain", plain), ("random", rnd)):
         values[name] = monte_carlo_mse(tm, sim).points[0].empirical_mse
     assert values["enhanced"] < values["plain"] < values["random"]
+
+
+def _designs(table4, table5):
+    """Training matrices of the fixtures, Theorem 2 and 3 families and both baselines."""
+    code = lemma2_ccc(PartitionSpec(3, ((2,), (1, 3))), 2)
+    doubled = theorem2_construct(code, code.length)
+    chained = theorem3_construct(optimal_theorem3_params(5, 2, 1), 1, 2, (1, 0, 1, 1, 0, 0))
+    designs = []
+    for cfg in (GSMConfig(4, 2), GSMConfig(8, 3)):
+        families = (table5, doubled, chained) if cfg.active_antennas > 2 else (table4, table5, doubled, chained)
+        designs += [build_training_matrix(fam, cfg, source="family") for fam in families]
+        designs += [baseline_random_binary(cfg, 2, 32, np.random.default_rng(5)), baseline_zadoff_chu(cfg, 2, 32)]
+    return designs
+
+
+def test_criterion_certifies_the_identity_normal_matrix_both_ways(table4, table5):
+    """At lambda = Z (the design width) and Z + 1 the criterion passes exactly when the tally's
+    normal matrix is E*I; a binary design's BLAS Gram matrix is then E*I too, with eigvalsh E."""
+    passed = []
+    for tm in _designs(table4, table5):
+        width = design_width(tm)
+        for spread in (width, width + 1):
+            if spread < 0:
+                continue
+            verdict = check_design_criterion(tm, spread).passed
+            identity = tm.energy * np.eye(tm.num_rows * (spread + 1))
+            assert np.array_equal(_normal_matrix(tm, spread), identity) == verdict, (tm.source, spread)
+            if tm.q == 2:
+                X = build_ls_model_matrix(tm, spread)
+                assert np.array_equal(X.conj().T @ X, identity) == verdict
+                if verdict:
+                    assert (np.linalg.eigvalsh(X.conj().T @ X) == tm.energy).all()
+            passed.append((tm.source, verdict))
+    # every design fails at Z + 1, the constructed ones pass at their zone and so does Zadoff-Chu at 0
+    assert {("family", True), ("family", False), ("random-binary", False), ("zadoff-chu", True),
+            ("zadoff-chu", False)} == set(passed)
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 64])
+def test_tally_normal_matrix_equals_the_gram_matrix(q, table4):
+    """The Toeplitz blocks read from the tally equal X^H X of the LS model: exactly for
+    q in {2, 4}, to rounding through complex roots otherwise, inside the zone, past it, at
+    spreads beyond the row width's rank, and for a design with a repeated row, which fails."""
+    cfg = GSMConfig(4, 2)
+    if q == 64:
+        tm = baseline_zadoff_chu(cfg, 2, 32)
+    elif q == 2:
+        tm = build_training_matrix(table4, cfg)
+    else:
+        tm = build_training_matrix(theorem3_construct(optimal_theorem3_params(4, 2, 1), 1, q, (1, 2, 0, 1, 3)), cfg)
+    rows = [0, 0, *range(2, tm.num_rows)]
+    repeated = dataclasses.replace(tm, values=tm.values[rows], mask=tm.mask[rows])
+    for design in (tm, repeated):
+        for spread in (0, 1, 4, 8, 9, 10, 13, 30, tm.width - 1):
+            check_design_criterion(design, spread)  # grows the cached tally to the spread
+            X = build_ls_model_matrix(design, spread)
+            gram, normal = X.conj().T @ X, _normal_matrix(design, spread)
+            if q in (2, 4):
+                assert np.array_equal(normal, gram), (q, spread)
+            else:
+                assert np.allclose(normal, gram, rtol=0, atol=1e-12 * design.energy), (q, spread)
+    cfg = SimConfig(ebn0_db=(10.0,), delay_spreads=(2, 9), trials=10, seed=1, matrix_id="dup")
+    assert all(point.failed for point in monte_carlo_mse(repeated, cfg).points)
+
+
+def test_certified_spread_builds_no_model_and_runs_no_eigvalsh(psi24, monkeypatch):
+    sigma2 = noise_variance(12.0)
+    want = analytic_mse(build_ls_model_matrix(psi24, 9), sigma2)
+    fresh = dataclasses.replace(psi24)  # no cached tally
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a certified spread")
+
+    for module in (training, simulate):  # also the name, were simulate to import it again
+        monkeypatch.setattr(module, "build_ls_model_matrix", forbidden, raising=False)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    (point,) = monte_carlo_mse(fresh, SimConfig(ebn0_db=(12.0,), delay_spreads=(9,), trials=100, seed=3)).points
+    assert point.analytic_mse == want and point.cond == 1.0
+    with pytest.raises(AssertionError, match="certified"):  # lambda = 10 is past the zone
+        monte_carlo_mse(fresh, SimConfig(ebn0_db=(12.0,), delay_spreads=(10,), trials=100, seed=3))
