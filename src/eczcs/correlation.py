@@ -1,18 +1,12 @@
 """Exact aperiodic and periodic correlation functions and set-level sums.
 
-The single-value functions :func:`accf` and :func:`pccf` take an integer
-shift and return a :class:`~eczcs.cyclotomic.CycloInt`; tables and
-profiles are canonical count arrays, one row per shift equal to its
-``CycloInt.counts``, so zero tests are exact.  All of them read one
-kernel, :func:`cross_tally` of every a-row against every b-row
-(:func:`cyclic_tally` for every row pair of one batch, a pair function for
-its one pair only): binary and quaternary values come from per-row FFTs of
-unit values, rounded to integers inside a checked margin, other alphabets
-(and any call outside the margin) from an integer phase-difference count.
-The tables of the aperiodic set sums rho and rho-hat are slices of one
-cached tally per family, :func:`set_sum_tally` of :func:`set_rows`, where
-every member is followed by silent entries.  :func:`accf` keeps its own
-direct count of one shift, the reference the kernel is tested against.
+The single-value functions :func:`accf` and :func:`pccf` take an integer shift and return a
+:class:`~eczcs.cyclotomic.CycloInt`; tables and profiles are canonical count arrays, one row
+per shift equal to its ``CycloInt.counts``, so zero tests are exact.  All of them but
+:func:`accf`, the direct count the kernel is tested against, read one kernel,
+:func:`cross_tally` of rows of K members at member lags 0, 1, ... (spectral for q in {2, 4}
+within a checked margin, else a phase-difference count); the set sums rho and rho-hat are
+one cached tally per family, :func:`set_sum_tally` of zero-padded members at lags 0 and 1.
 """
 
 from __future__ import annotations
@@ -54,7 +48,9 @@ def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
 
 
 _TALLY_BLOCK = 1 << 16
+_SPECTRAL_BLOCK = 1 << 11
 _MARGIN = 0.25
+_GEMM = 64
 
 
 def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
@@ -65,50 +61,59 @@ def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
 def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
     """Exact tallies of the cyclic correlations sum_k x[k+u] * conj(y[k]), x an a-row, y a b-row.
 
-    ``a`` and ``b`` hold rows of one width W, live where their masks
-    (broadcast against them; None: everywhere) are True.  Entry [i, j, r]
-    counts each phase difference (x[(k+u) mod W] - y[k]) mod q over live
-    positions of x = a[i], y = b[j] at u = shifts[r].  For q in {2, 4} the
-    counts are value-equal instead (real part, imaginary part): one FFT per
-    row (taken once when b and its masks are a and its masks), then per
-    a-row one inverse FFT of its spectrum times all conjugate b-spectra
-    (never the (Ra, Rb, W) product), rounded and trusted only if every
-    residual is below _MARGIN.  Otherwise, and for other alphabets, each
-    pair is counted exactly.
+    Rows are (R, W), or (R, K, W) with one shift list per member lag d = 0, 1, ... (plain
+    rows: K = 1, ``shifts`` at lag 0); masks broadcast against them (None: all live).  Entry
+    [i, j, r] counts each phase difference (x[(k+u) mod W] - y[k]) mod q over live positions,
+    summed over members n of x = a[i] against (n + d) mod K of y = b[j], at the r-th (d, u).
+    For q in {2, 4} the counts are value-equal (real part, imaginary part): per frequency the
+    (Ra, K) member spectra times the (K, Rb * lags) conjugate ones rolled by each lag, one
+    inverse FFT per block of about _SPECTRAL_BLOCK entries, rounded and trusted only if every
+    residual is below _MARGIN; otherwise, and for other alphabets, differences are counted.
     """
     same = b is a and b_masks is a_masks
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    width, shifts = a.shape[1], np.asarray(shifts, dtype=np.int64) % a.shape[1]
-    a_live = np.broadcast_to(True if a_masks is None else a_masks, a.shape)
-    b_live = np.broadcast_to(True if b_masks is None else b_masks, b.shape)
-    out = np.zeros((len(a), len(b), len(shifts), q), dtype=np.int64)
+    a_live, b_live = (True if m is None else m for m in (a_masks, b_masks))
+    if np.ndim(a) < 3:  # plain rows: one member each, shifts at lag 0
+        shifts, plain = (shifts,), (-1, 1, np.shape(a)[-1])
+        a, b, a_live, b_live = (np.reshape(x, plain) if np.ndim(x) else x for x in (a, b, a_live, b_live))
+    width, size, lag_count = a.shape[2], a.shape[1], len(shifts)
+    lags = np.repeat(np.arange(lag_count), [len(s) for s in shifts])
+    cols = np.concatenate([np.asarray(s, dtype=np.int64).reshape(-1) for s in shifts]) % width
+    out = np.zeros((len(a), len(b), len(cols), q), dtype=np.int64)
     if q in (2, 4):
         units = root_table(q).real if q == 2 else root_table(q)
         fft, ifft = (np.fft.rfft, np.fft.irfft) if q == 2 else (np.fft.fft, np.fft.ifft)
-        spectra = fft(units[a] * a_live)
-        conj = (spectra if same else fft(units[b] * b_live)).conj()
-        for i, spectrum in enumerate(spectra):
-            z = ifft(spectrum * conj, width)[:, shifts]
+        spectra = fft(units[a] * a_live).transpose(2, 0, 1)  # [f, i, n]
+        b_spectra = spectra if same else fft(units[b] * b_live).transpose(2, 0, 1)
+        turn = (np.arange(size)[:, None, None] + np.arange(lag_count)) % size  # [n, 1, d]: member n + d
+        rolled = b_spectra[:, np.arange(len(b))[:, None], turn]  # [f, n, j, d]
+        rolled = np.conjugate(rolled, out=rolled).reshape(len(rolled), size, -1)
+        gemm = len(a) * rolled[0].size > _GEMM  # multiply-adds per frequency
+        step = max(1, _SPECTRAL_BLOCK // (rolled.size // (size if gemm else 1)))  # a-rows per block
+        for start in range(0, len(a), step):
+            x = spectra[:, start : start + step]
+            product = x @ rolled if gemm else (x[..., None] * rolled[:, None]).sum(axis=2)  # [f, i, (j, d)]
+            z = ifft(product.transpose(1, 2, 0), width).reshape(x.shape[1], len(b), -1)
+            z = z.take(lags * width + cols, axis=-1)  # (rows, Rb, shifts)
             near = np.rint(z)
             if np.abs(z - near).max(initial=0) >= _MARGIN:
                 break
-            out[i, :, :, 0] = near.real
-            out[i, :, :, 1] = near.imag
+            out[start : start + step, ..., 0], out[start : start + step, ..., 1] = near.real, near.imag
         else:
             return out
-    # exact count: key x + q - y is 1..2q-1 (difference mod q, folded below) for a live
-    # x, 2q..3q-1 (dropped) for a silent one; all a-rows against one b-row per shift
-    # block, each (a-row, shift) 3q keys apart, about _TALLY_BLOCK keys and counts each
-    a2 = np.tile(np.where(a_live, a, 2 * q - 1), 2)  # a2[i, s + k] = a_i[(s + k) mod W]
+    # exact count: key x + q - y is 1..2q-1 (difference mod q, folded below) for a live x, 2q..3q-1
+    # (dropped) for a silent one; all a-rows against one b-row per block of about _TALLY_BLOCK keys.
+    # Slot s (width 2W) of a2 holds member (s + 1 - lags) mod K twice: lag d reads slot n + lags - 1 - d.
+    a2 = np.where(a_live, a, 2 * q - 1)[:, np.arange(1 - lag_count, size) % size]
+    a2 = np.concatenate((a2, a2), axis=-1).reshape(len(a), -1)
+    cols, b_live = (lag_count - 1 - lags) * 2 * width + cols, np.broadcast_to(b_live, b.shape)
     for j, y in enumerate(b):
-        pos = np.flatnonzero(b_live[j])
-        step = max(1, min(len(shifts), _TALLY_BLOCK // max(1, len(a) * max(len(pos), 3 * q))))
-        for start in range(0, len(shifts), step):
-            block = shifts[start : start + step]
-            spans = 3 * q * np.arange(len(a) * len(block)).reshape(len(a), len(block), 1)
-            key = a2[:, block[:, None] + pos] + (q - y[pos]) + spans
-            counts = np.bincount(key.ravel(), minlength=3 * q * spans.size)
-            counts = counts.reshape(len(a), len(block), 3 * q)
+        n, k = np.nonzero(b_live[j])
+        step = max(1, min(len(cols), _TALLY_BLOCK // max(1, len(a) * max(len(k), 3 * q))))
+        for start in range(0, len(cols), step):
+            block = cols[start : start + step]
+            spans = 3 * q * np.arange(len(a) * len(block)).reshape(len(a), -1, 1)
+            key = a2[:, block[:, None] + (n * 2 * width + k)] + (q - y[n, k]) + spans
+            counts = np.bincount(key.ravel(), minlength=3 * q * spans.size).reshape(len(a), -1, 3 * q)
             out[:, j, start : start + step] = counts[..., :q] + counts[..., q : 2 * q]
     return out
 
@@ -120,30 +125,21 @@ def pccf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
     return CycloInt(s0.q, cross_tally(s0.array(), None, s1.array(), None, s0.q, (u,))[0, 0, 0])
 
 
-def set_rows(fam: Family) -> tuple[np.ndarray, np.ndarray]:
-    """One row per set of a family, its N members each followed by L-1 silent entries, and the
-    shared mask: a pad and a reshape of the (M, N, L) phase array.
-
-    Member pairs n <-> n + d then meet only within L of shift d(2L-1), so
-    for |u| < L the cyclic tally of two rows is the set sum rho at u and
-    the rotated sum rho-hat at u - (2L-1).
-    """
-    m, n, length = fam.array().shape
-    rows = np.zeros((m, n, 2 * length - 1), dtype=fam.array().dtype)
-    rows[..., :length] = fam.array()
-    return rows.reshape(m, -1), np.arange(n * (2 * length - 1)) % (2 * length - 1) < length
+def _padded(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of L phases, then L silent entries, and their mask: cyclic tallies at |u| < L are aperiodic."""
+    length = phases.shape[-1]
+    return np.concatenate((phases, np.zeros_like(phases)), axis=-1), np.arange(2 * length) < length
 
 
 def set_sum_tally(fam: Family) -> np.ndarray:
-    """The family's set sums for |u| < L, cached read-only on first use: rho at shift u >= 0
-    in column u, rho-hat at u in column u + 2L-1.  One cyclic tally of the set rows, reduced
-    to the phi(q) = deg(Phi_q) columns a canonical vector fills: shape (M, M, 3L-1, phi(q)).
-    """
+    """The family's set sums for |u| < L, cached read-only on first use: rho at shift u >= 0 in
+    column u, rho-hat at u in column u + 2L-1.  One cyclic tally of the sets' zero-padded members
+    at member lags 0 (rho) and 1 (rho-hat), reduced to the phi(q) = deg(Phi_q) columns a
+    canonical vector fills: shape (M, M, 3L-1, phi(q))."""
     tally = fam.__dict__.get("_set_sums")
     if tally is None:
-        length = fam.length
-        shifts = np.r_[0:length, 2 - 3 * length : 1 - length]
-        tally = reduce_tally(fam.q, cyclic_tally(*set_rows(fam), fam.q, shifts))
+        shifts = (np.arange(fam.length), np.arange(1 - fam.length, fam.length))
+        tally = reduce_tally(fam.q, cyclic_tally(*_padded(fam.array()), fam.q, shifts))
         tally.setflags(write=False)
         object.__setattr__(fam, "_set_sums", tally)
     return tally
@@ -194,15 +190,15 @@ class CorrelationProfile:
 
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
-    _check_pair(s0, s1)  # the set rows of ((s0,), (s1,)): cyclic tallies at |u| < L are aperiodic
-    rows, live = set_rows(Family.from_array(s0.q, np.stack((s0.array(), s1.array()))[:, None]))
-    counts = cross_tally(rows[:1], live, rows[1:], live, s0.q, range(1 - s0.length, s0.length))[0, 0]
+    _check_pair(s0, s1)
+    rows, live = _padded(np.stack((s0.array(), s1.array())))
+    counts = cross_tally(rows[:1], live, rows[1:], live, s0.q, np.arange(1 - s0.length, s0.length))[0, 0]
     return CorrelationProfile(s0.q, 1 - s0.length, counts @ reduction_matrix(s0.q))
 
 
 def profile_pccf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:
     _check_pair(s0, s1)
-    counts = cross_tally(s0.array(), None, s1.array(), None, s0.q, range(s0.length))[0, 0]
+    counts = cross_tally(s0.array(), None, s1.array(), None, s0.q, np.arange(s0.length))[0, 0]
     return CorrelationProfile(s0.q, 0, counts @ reduction_matrix(s0.q))
 
 

@@ -205,9 +205,12 @@ def family_to_json(fam: Family) -> dict:
 
 def is_json(x, kinds, depth: int = 0) -> bool:
     """Whether x is a JSON value of the given kinds (a bool is no number), inside depth lists."""
-    if depth:
-        return isinstance(x, list) and all(is_json(y, kinds, depth - 1) for y in x)
-    return isinstance(x, kinds) and not isinstance(x, bool)
+    level = [x]
+    for _ in range(depth):  # one nesting level at a time, each distinct type once
+        if not all(issubclass(t, list) for t in set(map(type, level))):
+            return False
+        level = [y for ys in level for y in ys]
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, level)))
 
 
 def check_document(table, rows, doc: str, needs=(), where: str = "") -> None:

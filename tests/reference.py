@@ -9,9 +9,12 @@ Monte-Carlo LS error drawn one noise vector per trial; a reader of
 shift-set windows over a reduced tally and the periodic zone tallied
 afresh through it, which the periodic check of a sequence set must
 equal; the design criterion tallied afresh at each delay spread; the
-set-sum checks reading their windows afresh at each call; and a
-generalized Boolean function evaluated at one point, term by term.  None
-of these reads the hit lists of ``eczcs.verify``.
+set-sum checks reading their windows afresh at each call; a
+generalized Boolean function evaluated at one point, term by term; the
+set rows that laid each set out as one row for the kernel before it had
+a member axis; the set sums rho and rho-hat counted member by member;
+and the JSON type check of an input document made one element at a time.
+None of these reads the hit lists of ``eczcs.verify``.
 """
 
 from __future__ import annotations
@@ -108,6 +111,46 @@ def gbf_evaluate(func, index: int) -> int:
         if all((index >> (v - 1)) & 1 for v in variables):
             total += coeff
     return total % func.q
+
+
+def set_rows(fam) -> tuple[np.ndarray, np.ndarray]:
+    """One row per set of a family, its N members each followed by L-1 silent entries, and the
+    shared mask: a pad and a reshape of the (M, N, L) phase array.
+
+    Member pairs n <-> n + d then meet only within L of shift d(2L-1), so
+    for |u| < L the cyclic tally of two rows is the set sum rho at u and
+    the rotated sum rho-hat at u - (2L-1).
+    """
+    m, n, length = fam.array().shape
+    rows = np.zeros((m, n, 2 * length - 1), dtype=fam.array().dtype)
+    rows[..., :length] = fam.array()
+    return rows.reshape(m, -1), np.arange(n * (2 * length - 1)) % (2 * length - 1) < length
+
+
+def set_sums_by_member(q: int, phases) -> np.ndarray:
+    """The raw counts behind ``set_sum_tally`` of an (M, N, L) phase array in Z_q, laid out as it
+    is, shape (M, M, 3L-1, q): column u
+    (0 <= u < L) counts rho(u), the sum over n of member n of set m1 against member n of m2;
+    column u + 2L-1 (|u| < L) counts rho-hat(u), member n of m1 against (n + 1) mod N of m2.
+    Each aperiodic correlation is one direct count of (a[k+u] - b[k]) mod q over the overlap."""
+    m, n, length = np.shape(phases)
+    phases = np.asarray(phases).tolist()
+    out = np.zeros((m, m, 3 * length - 1, q), dtype=np.int64)
+    for column, (lag, u) in enumerate([(0, u) for u in range(length)] + [(1, u) for u in range(1 - length, length)]):
+        for m1 in range(m):
+            for m2 in range(m):
+                for k in range(n):
+                    a, b = phases[m1][k], phases[m2][(k + lag) % n]
+                    for t in range(max(0, -u), min(length, length - u)):
+                        out[m1, m2, column, (a[t + u] - b[t]) % q] += 1
+    return out
+
+
+def is_json_by_element(x, kinds, depth: int = 0) -> bool:
+    """The type check of ``sequences.is_json`` one element at a time, recursing per list entry."""
+    if depth:
+        return isinstance(x, list) and all(is_json_by_element(y, kinds, depth - 1) for y in x)
+    return isinstance(x, kinds) and not isinstance(x, bool)
 
 
 def modulate(seq):

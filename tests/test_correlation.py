@@ -25,10 +25,13 @@ from eczcs import (
     set_corr_table,
 )
 from eczcs import correlation
-from eczcs.cyclotomic import CycloInt, magnitudes
+from eczcs.cyclotomic import CycloInt, magnitudes, reduce_tally
+from eczcs.gbf import optimal_theorem3_params, theorem3_construct
 
 from conftest import RHO_T4_00, RHOHAT_T4_01, RHO_T5_02, RHOHAT_T5_LIST, float_accf, float_pccf
-from reference import add, conjugate, cyclo_sum, integer, mag_sq, pccf_via_accf, root
+from reference import (
+    add, conjugate, cyclo_sum, integer, mag_sq, pccf_via_accf, root, set_rows, set_sums_by_member,
+)
 
 
 def rand_seq(rng, q, length):
@@ -382,8 +385,8 @@ def test_batched_unit_value_tally_matches_references(monkeypatch, rows, forced_f
             got = correlation.cyclic_tally(values, masks, q, shifts)
             assert got.shape == (rows, rows, len(shifts), q)
             periodic = correlation.cyclic_tally(values, None, q, range(length))
-            set_rows = correlation.set_rows(Family(SequenceSet((s,)) for s in seqs))
-            aperiodic = correlation.cyclic_tally(*set_rows, q, range(1 - length, length))
+            one_member_sets = set_rows(Family(SequenceSet((s,)) for s in seqs))
+            aperiodic = correlation.cyclic_tally(*one_member_sets, q, range(1 - length, length))
             for i in range(rows):
                 for j in range(rows):
                     for row, u in zip(got[i, j], shifts):
@@ -396,6 +399,48 @@ def test_batched_unit_value_tally_matches_references(monkeypatch, rows, forced_f
                         assert CycloInt(q, periodic[i, j, u]) == want
                     for r, u in enumerate(range(1 - length, length)):
                         assert CycloInt(q, aperiodic[i, j, r]) == accf(seqs[i], seqs[j], u)
+
+
+@pytest.mark.parametrize("forced_exact", [False, True])
+def test_set_sums_match_member_by_member_counts(monkeypatch, forced_exact):
+    """The member-axis tally of zero-padded members at lags 0 and 1 against rho and rho-hat
+    counted member by member: q in {2, 3, 4, 6, 8}, M <= 3, N in 1..4 (with N = 1 rho-hat
+    rotates a member onto itself), L in {1, 2, 7, 16}.  Every even-q family reads the same
+    values from set_sum_tally.  A zero margin sends q in {2, 4} through the exact count, which
+    must give the direct counts themselves; the spectral path gives value-equal vectors."""
+    if forced_exact:
+        monkeypatch.setattr(correlation, "_MARGIN", 0.0)
+    rng = np.random.default_rng(32)
+    for q in (2, 3, 4, 6, 8):
+        for length in (1, 2, 7, 16):
+            for _ in range(3):
+                phases = rng.integers(0, q, (rng.integers(1, 4), rng.integers(1, 5), length))
+                want = set_sums_by_member(q, phases)
+                padded = np.pad(phases, ((0, 0), (0, 0), (0, length)))
+                shifts = (range(length), range(1 - length, length))
+                got = correlation.cyclic_tally(padded, np.arange(2 * length) < length, q, shifts)
+                if forced_exact or q not in (2, 4):
+                    assert np.array_equal(got, want), (q, phases.shape)
+                assert np.array_equal(reduce_tally(q, got), reduce_tally(q, want)), (q, phases.shape)
+                if q % 2 == 0:
+                    tally = correlation.set_sum_tally(Family.from_array(q, phases))
+                    assert np.array_equal(tally, reduce_tally(q, want)), (q, phases.shape)
+
+
+def test_long_theorem3_set_sums_spectral_equal_exact(monkeypatch):
+    """A (2, 2, 4096) quaternary Theorem 3 family: the spectral set-sum tally equals the exact
+    count's, and its temporaries stay a few MB (the tally itself is 1.5 MB)."""
+    fam = theorem3_construct(optimal_theorem3_params(12, 1, 1), 1, 4, tuple(range(13)))
+    tracemalloc.start()
+    try:
+        spectral = correlation.set_sum_tally(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    monkeypatch.setattr(correlation, "_MARGIN", 0.0)
+    exact = correlation.set_sum_tally(Family.from_array(fam.q, fam.array()))
+    assert spectral.any() and np.array_equal(spectral, exact)
 
 
 def test_long_aperiodic_table_memory_stays_bounded():

@@ -16,9 +16,9 @@ from eczcs import (
     parse_family_text,
     parse_sequence,
 )
-from eczcs.sequences import FIXTURE_ENV, format_family_text
+from eczcs.sequences import FIXTURE_ENV, format_family_text, is_json
 
-from reference import concat, modulate, negate
+from reference import concat, is_json_by_element, modulate, negate
 
 
 def seq_strategy(q=2, max_len=16):
@@ -160,3 +160,18 @@ def test_family_from_lists():
     fam = family_from_lists(2, [[[0, 1], [1, 0]], [[0, 0], [1, 1]]])
     assert (fam.num_sets, fam.set_size, fam.length, fam.q) == (2, 2, 2, 2)
     assert {key: family_to_json(fam)[key] for key in "MNL"} == {"M": 2, "N": 2, "L": 2}
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+@given(st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12))
+def test_is_json_level_by_level_matches_element_by_element(value):
+    """Every kind, depth and nesting, ragged and mixed lists, bools among integers and empty
+    lists included: the level-by-level check accepts exactly what the recursive one does."""
+    for kinds in (int, (int, float), str, dict, list, object):
+        for depth in range(4):
+            assert is_json(value, kinds, depth) == is_json_by_element(value, kinds, depth), (kinds, depth)

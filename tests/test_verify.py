@@ -35,7 +35,7 @@ from eczcs import (
 from eczcs import correlation, verify
 from eczcs.correlation import (
     cross_channel_table, cyclic_tally, profile_accf, profile_cross_channel, profile_pccf,
-    profile_set_corr, set_corr_table, set_rows, set_sum_tally,
+    profile_set_corr, set_corr_table, set_sum_tally,
 )
 from eczcs.cyclotomic import cyclotomic_poly, reduction_matrix
 from eczcs.construct import seed_catalog
@@ -43,7 +43,9 @@ from eczcs.gbf import PartitionSpec, theorem3_zcz_width
 from eczcs.simulate import baseline_zadoff_chu
 from eczcs.training import GSMConfig, TrainingMatrix, build_ls_model_matrix, build_training_matrix
 
-from reference import cyclo_sum, integer, pccf_via_accf, read_windows, set_sum_check_per_call, zone_violations
+from reference import (
+    cyclo_sum, integer, pccf_via_accf, read_windows, set_rows, set_sum_check_per_call, zone_violations,
+)
 
 from conftest import float_pccf
 
