@@ -50,7 +50,7 @@ def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
 _TALLY_BLOCK = 1 << 16
 _SPECTRAL_BLOCK = 1 << 11
 _MARGIN = 0.25
-_GEMM = 64
+_GEMM = 64  # multiply-adds per frequency up to which a broadcast product beats BLAS per frequency
 
 
 def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
@@ -66,8 +66,9 @@ def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
     [i, j, r] counts each phase difference (x[(k+u) mod W] - y[k]) mod q over live positions,
     summed over members n of x = a[i] against (n + d) mod K of y = b[j], at the r-th (d, u).
     For q in {2, 4} the counts are value-equal (real part, imaginary part): per frequency the
-    (Ra, K) member spectra times the (K, Rb * lags) conjugate ones rolled by each lag, one
-    inverse FFT per block of about _SPECTRAL_BLOCK entries, rounded and trusted only if every
+    (Ra, K) member spectra times the (K, Rb * lags) conjugate ones rolled by each lag (broadcast up
+    to _GEMM multiply-adds, else a matrix product), one inverse FFT per block of the a-rows that fit
+    in about _SPECTRAL_BLOCK temporary entries (at least one), rounded and trusted only if every
     residual is below _MARGIN; otherwise, and for other alphabets, differences are counted.
     """
     same = b is a and b_masks is a_masks
