@@ -5,8 +5,9 @@ The single-value functions :func:`accf` and :func:`pccf` take an integer shift a
 per shift equal to its ``CycloInt.counts``, so zero tests are exact.  All of them but
 :func:`accf`, the direct count the kernel is tested against, read one kernel,
 :func:`cross_tally` of rows of K members at member lags 0, 1, ... (spectral for q in {2, 4}
-within a checked margin, else a phase-difference count); the set sums rho and rho-hat are
-one cached tally per family, :func:`set_sum_tally` of zero-padded members at lags 0 and 1.
+summed over members by one einsum per block of a-rows, rounded within a checked margin, else a
+phase-difference count); the set sums rho and rho-hat are one cached tally per family,
+:func:`set_sum_tally` of zero-padded members at lags 0 and 1.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
 
 
 _TALLY_BLOCK = 1 << 16
-_SPECTRAL_BLOCK = 1 << 11
+_SPECTRAL_BLOCK = 1 << 17
 _MARGIN = 0.25
-_GEMM = 64  # multiply-adds per frequency up to which a broadcast product beats BLAS per frequency
 
 
 def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
@@ -65,11 +65,11 @@ def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
     rows: K = 1, ``shifts`` at lag 0); masks broadcast against them (None: all live).  Entry
     [i, j, r] counts each phase difference (x[(k+u) mod W] - y[k]) mod q over live positions,
     summed over members n of x = a[i] against (n + d) mod K of y = b[j], at the r-th (d, u).
-    For q in {2, 4} the counts are value-equal (real part, imaginary part): per frequency the
-    (Ra, K) member spectra times the (K, Rb * lags) conjugate ones rolled by each lag (broadcast up
-    to _GEMM multiply-adds, else a matrix product), one inverse FFT per block of the a-rows that fit
-    in about _SPECTRAL_BLOCK temporary entries (at least one), rounded and trusted only if every
-    residual is below _MARGIN; otherwise, and for other alphabets, differences are counted.
+    For q in {2, 4} the counts are value-equal (real part, imaginary part): per block of a-rows, one
+    einsum sums per frequency the (Ra, K) member spectra times the (K, Rb * lags) conjugate ones
+    rolled by each lag, then one inverse FFT.  Per a-row the product has F * Rb * lags entries (F
+    frequencies) and the transform Rb * lags * W; a block fits both in _SPECTRAL_BLOCK (or is one
+    a-row).  Rounded, trusted if every residual is below _MARGIN, else (and for other q) counted.
     """
     same = b is a and b_masks is a_masks
     a_live, b_live = (True if m is None else m for m in (a_masks, b_masks))
@@ -88,15 +88,14 @@ def cross_tally(a, a_masks, b, b_masks, q: int, shifts) -> np.ndarray:
         turn = (np.arange(size)[:, None, None] + np.arange(lag_count)) % size  # [n, 1, d]: member n + d
         rolled = b_spectra[:, np.arange(len(b))[:, None], turn]  # [f, n, j, d]
         rolled = np.conjugate(rolled, out=rolled).reshape(len(rolled), size, -1)
-        gemm = len(a) * rolled[0].size > _GEMM  # multiply-adds per frequency
-        step = max(1, _SPECTRAL_BLOCK // (rolled.size // (size if gemm else 1)))  # a-rows per block
+        step = max(1, _SPECTRAL_BLOCK // (rolled.shape[2] * (len(rolled) + width)))  # a-rows per block
         for start in range(0, len(a), step):
-            x = spectra[:, start : start + step]
-            product = x @ rolled if gemm else (x[..., None] * rolled[:, None]).sum(axis=2)  # [f, i, (j, d)]
-            z = ifft(product.transpose(1, 2, 0), width).reshape(x.shape[1], len(b), -1)
+            product = np.einsum("fin,fnj->fij", spectra[:, start : start + step], rolled)  # [f, i, (j, d)]
+            z = ifft(product.transpose(1, 2, 0), width).reshape(product.shape[1], len(b), -1)
             z = z.take(lags * width + cols, axis=-1)  # (rows, Rb, shifts)
             near = np.rint(z)
-            if np.abs(z - near).max(initial=0) >= _MARGIN:
+            z -= near
+            if np.abs(z, out=z).max(initial=0) >= _MARGIN:
                 break
             out[start : start + step, ..., 0], out[start : start + step, ..., 1] = near.real, near.imag
         else:

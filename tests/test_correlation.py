@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from eczcs import (
     CorrelationProfile,
     Family,
+    PartitionSpec,
     PhaseSequence,
     SequenceSet,
     accf,
     cross_channel_table,
     family_from_lists,
+    flatten_to_zcz,
+    lemma2_ccc,
     parse_sequence,
     pccf,
     profile_accf,
@@ -23,6 +26,7 @@ from eczcs import (
     profile_pccf,
     profile_set_corr,
     set_corr_table,
+    theorem2_construct,
 )
 from eczcs import correlation
 from eczcs.cyclotomic import CycloInt, magnitudes, reduce_tally
@@ -363,12 +367,25 @@ def masked_count(a, b, a_mask, b_mask, q, u):
     return want
 
 
+def masked_counts(a, b, a_mask, b_mask, q, shifts):
+    """masked_count of every a-row against every b-row at each shift, shape (Ra, Rb, shifts, q)."""
+    a_mask, b_mask = np.broadcast_to(a_mask, np.shape(a)), np.broadcast_to(b_mask, np.shape(b))
+    out = []
+    for u in shifts:
+        live = np.roll(a_mask, -u, -1)[:, None] & b_mask[None]
+        diff = np.where(live, (np.roll(a, -u, -1)[:, None] - b[None]) % q, q)  # q: not counted
+        out.append(np.stack([(diff == p).sum(-1) for p in range(q)], -1))
+    return np.stack(out, 2)
+
+
 @pytest.mark.parametrize("forced_fallback", [False, True])
 @pytest.mark.parametrize("rows", [1, 2, 16])
 def test_batched_unit_value_tally_matches_references(monkeypatch, rows, forced_fallback):
     """Every pair of an R-row batch against explicit masked counts, accf and pccf_via_accf.
 
-    q in {2, 4}, L = 1 included, random masks, shifts negative and beyond L.
+    q in {2, 4}, L = 1 included, random masks, shifts negative and beyond L; with 16 rows also
+    long batches: the 16 x 256 rows of a Theorem 3 family's flatten_to_zcz at shifts 0..15, and
+    masked (4, 8192) rows at q in {2, 4}, which the spectral path splits into blocks of a-rows.
     A zero margin rejects every rounding, so the exact count runs instead:
     it must give the explicit histograms themselves, the FFT path equal values.
     """
@@ -399,6 +416,19 @@ def test_batched_unit_value_tally_matches_references(monkeypatch, rows, forced_f
                         assert CycloInt(q, periodic[i, j, u]) == want
                     for r, u in enumerate(range(1 - length, length)):
                         assert CycloInt(q, aperiodic[i, j, r]) == accf(seqs[i], seqs[j], u)
+    if rows == 16:
+        flat = flatten_to_zcz(theorem3_construct(optimal_theorem3_params(4, 4, 4), 4, 2, (1, 0, 1, 1, 0)))
+        gen = np.random.default_rng(43)
+        batches = [(2, flat.array(), None, range(16))] + [
+            (q, gen.integers(0, q, (4, 8192)), gen.random((4, 8192)) < 0.7, (0, 1, 15, 4096, -8191)) for q in (2, 4)
+        ]
+        for q, values, masks, shifts in batches:
+            got = correlation.cyclic_tally(values, masks, q, shifts)
+            live = np.ones(values.shape, bool) if masks is None else masks
+            want = masked_counts(values, values, live, live, q, shifts)
+            if forced_fallback:
+                assert np.array_equal(got, want), (q, values.shape)
+            assert np.array_equal(reduce_tally(q, got), reduce_tally(q, want)), (q, values.shape)
 
 
 @pytest.mark.parametrize("forced_exact", [False, True])
@@ -406,8 +436,10 @@ def test_set_sums_match_member_by_member_counts(monkeypatch, forced_exact):
     """The member-axis tally of zero-padded members at lags 0 and 1 against rho and rho-hat
     counted member by member: q in {2, 3, 4, 6, 8}, M <= 3, N in 1..4 (with N = 1 rho-hat
     rotates a member onto itself), L in {1, 2, 7, 16}.  Every even-q family reads the same
-    values from set_sum_tally.  A zero margin sends q in {2, 4} through the exact count, which
-    must give the direct counts themselves; the spectral path gives value-equal vectors."""
+    values from set_sum_tally, and so do a (16, 16, 16) binary Theorem 3 family and a
+    (2, 2, 128) quaternary doubled code.  A zero margin sends q in {2, 4}
+    through the exact count, which must give the direct counts themselves; the spectral path
+    gives value-equal vectors."""
     if forced_exact:
         monkeypatch.setattr(correlation, "_MARGIN", 0.0)
     rng = np.random.default_rng(32)
@@ -425,6 +457,11 @@ def test_set_sums_match_member_by_member_counts(monkeypatch, forced_exact):
                 if q % 2 == 0:
                     tally = correlation.set_sum_tally(Family.from_array(q, phases))
                     assert np.array_equal(tally, reduce_tally(q, want)), (q, phases.shape)
+    code = lemma2_ccc(PartitionSpec(6, ((1, 2, 3, 4, 5, 6),)), 4, (1, 2, 3, 0, 1, 2, 3))
+    theorem3 = theorem3_construct(optimal_theorem3_params(4, 4, 4), 4, 2, (1, 0, 1, 1, 0))
+    for fam in (theorem3, theorem2_construct(code, code.length)):
+        want = set_sums_by_member(fam.q, fam.array())
+        assert np.array_equal(correlation.set_sum_tally(fam), reduce_tally(fam.q, want)), fam.array().shape
 
 
 def test_long_theorem3_set_sums_spectral_equal_exact(monkeypatch):
@@ -441,6 +478,21 @@ def test_long_theorem3_set_sums_spectral_equal_exact(monkeypatch):
     monkeypatch.setattr(correlation, "_MARGIN", 0.0)
     exact = correlation.set_sum_tally(Family.from_array(fam.q, fam.array()))
     assert spectral.any() and np.array_equal(spectral, exact)
+
+
+def test_wide_rows_tally_memory_stays_bounded():
+    """One periodic tally of (8, 32768) quaternary rows at shifts 0..15, traced peak under 24 MiB:
+    a block bounded by its product and its inverse transform reads 16.9 MB, the block that counted
+    the product only read 21.1 MB, and the whole batch in one block 75.7 MB."""
+    values = np.random.default_rng(9).integers(0, 4, (8, 32768))
+    tracemalloc.start()
+    try:
+        got = correlation.cyclic_tally(values, None, 4, range(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert (got[range(8), range(8), 0] == [32768, 0, 0, 0]).all()  # every row against itself at u = 0
 
 
 def test_long_aperiodic_table_memory_stays_bounded():

@@ -6,7 +6,8 @@ module of the package (its definition is no read), in a fenced ``python``
 block of README.md (run by ``tests/test_readme.py``) or in a benchmark
 script ``perfbench/*.py``, which may also name it in a string.  A name
 that only tests read is no part of the package: it belongs in
-``tests/reference.py``.
+``tests/reference.py``.  Every module-level name a package module defines
+is read by a package module or exported.
 """
 
 import ast
@@ -47,6 +48,18 @@ def read_names(source: str, by_string: bool = False) -> set[str]:
     return names
 
 
+def defined_names(source: str) -> set[str]:
+    """Functions, classes and assigned names that the source's module-level statements define."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
 def unread(exported, sources) -> list[str]:
     """Exported names that none of the (source, by_string) pairs reads."""
     read = set().union(*(read_names(source, by_string) for source, by_string in sources))
@@ -71,6 +84,17 @@ def test_detector_finds_unread_exports():
 
 def test_every_export_is_read_outside_its_definition():
     assert unread(exports((PACKAGE / "__init__.py").read_text()), sources()) == []
+
+
+def test_every_module_level_name_is_read_or_exported():
+    """A function, class or constant that a src module defines is read by some src module or
+    exported, so a removed code path cannot leave its constant behind."""
+    assert defined_names("_B = 1 << 11\nx: int = 2\na, (b, c) = 1, (2, 3)\ndef f(): g = 1\nclass C: d = 1\n") == {
+        "_B", "x", "a", "b", "c", "f", "C"
+    }
+    texts = [p.read_text() for p in PACKAGE.glob("*.py")]
+    read = set().union(*map(read_names, texts), exports((PACKAGE / "__init__.py").read_text()))
+    assert sorted(set().union(*map(defined_names, texts)) - read) == []
 
 
 def test_test_only_names_are_gone():
