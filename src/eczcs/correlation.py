@@ -13,10 +13,11 @@ phase-difference count); the set sums rho and rho-hat are one cached tally per f
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycloInt, as_ints, magnitudes, reduce_tally, reduction_matrix, root_table
+from .cyclotomic import CycloInt, as_ints, cyclotomic_poly, magnitudes, reduce_tally, reduction_matrix, root_table
 from .sequences import Family, PhaseSequence
 
 
@@ -51,6 +52,7 @@ def accf(s0: PhaseSequence, s1: PhaseSequence, u: int) -> CycloInt:
 _TALLY_BLOCK = 1 << 16
 _SPECTRAL_BLOCK = 1 << 17
 _MARGIN = 0.25
+_ZERO_FIELDS = np.array(["0\r\n", "1\r\n"], dtype=object)  # is_zero, line end
 
 
 def cyclic_tally(values, masks, q: int, shifts) -> np.ndarray:
@@ -163,19 +165,32 @@ def cross_channel_table(fam: Family, m1: int, m2: int) -> np.ndarray:
     return tally[m1, m2, fam.length :] @ reduction_matrix(fam.q)[: tally.shape[-1]]
 
 
+@lru_cache(maxsize=256)
+def _shift_fields(first: int, n: int) -> tuple[str, ...]:
+    """The CSV fields "u," of the shifts first .. first + n - 1, cached per profile shape."""
+    return tuple(f"{u}," for u in range(first, first + n))
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationProfile:
     """Correlation values over the shifts first, first + 1, ...: a read-only int64 copy of their
-    canonical count vectors, row i at shift first + i."""
+    canonical count vectors, row i at shift first + i (entries past phi(q) zero)."""
 
     q: int
     first: int
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
-        if not len(counts):
+        counts = np.asarray(self.counts)
+        if counts.ndim and not len(counts):
             raise ValueError("empty shift range")
+        if counts.ndim != 2 or counts.shape[1] != self.q:
+            raise ValueError(f"counts of shape {counts.shape} are not rows of q = {self.q} entries")
+        if counts.dtype.kind not in "biu":
+            counts = np.reshape(as_ints(counts.ravel().tolist(), "count"), counts.shape)
+        counts = np.array(counts, dtype=np.int64)
+        if counts[:, len(cyclotomic_poly(self.q)) - 1 :].any():
+            raise ValueError("counts are not canonical: a row has a nonzero entry past phi(q)")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -184,9 +199,10 @@ class CorrelationProfile:
         return range(self.first, self.first + len(self.counts))
 
     def to_csv(self) -> str:
-        """Rows (u, magnitude, is_zero) in ``csv``'s default dialect; no field needs quoting."""
-        mags, zeros = magnitudes(self.q, self.counts).tolist(), (~self.counts.any(axis=1)).astype(int).tolist()
-        return "u,magnitude,is_zero\r\n" + "".join(map("{},{:.12g},{}\r\n".format, self.shifts, mags, zeros))
+        """Rows (u, magnitude, is_zero) in ``csv``'s default dialect, one ``%`` over an (n, 3) object array."""
+        n, zero = len(self.counts), (~self.counts.any(axis=1)).view(np.uint8)
+        rows = np.array((_shift_fields(self.first, n), magnitudes(self.q, self.counts), _ZERO_FIELDS[zero]), dtype=object)
+        return "u,magnitude,is_zero\r\n" + ("%s%.12g,%s" * n) % tuple(rows.T.ravel().tolist())
 
 
 def profile_accf(s0: PhaseSequence, s1: PhaseSequence) -> CorrelationProfile:

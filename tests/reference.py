@@ -13,7 +13,8 @@ set-sum checks reading their windows afresh at each call; a
 generalized Boolean function evaluated at one point, term by term; the
 set rows that laid each set out as one row for the kernel before it had
 a member axis; the set sums rho and rho-hat counted member by member;
-and the JSON type check of an input document made one element at a time.
+the profile CSV written one ``str.format`` call per row; and the JSON
+type check of an input document made one element at a time.
 None of these reads the hit lists of ``eczcs.verify``.
 """
 
@@ -144,6 +145,14 @@ def set_sums_by_member(q: int, phases) -> np.ndarray:
                     for t in range(max(0, -u), min(length, length - u)):
                         out[m1, m2, column, (a[t + u] - b[t]) % q] += 1
     return out
+
+
+def profile_csv_per_row(profile) -> str:
+    """The CSV of a :class:`~eczcs.CorrelationProfile` one ``str.format`` call per row, the
+    bytes ``CorrelationProfile.to_csv`` must equal: rows (u, magnitude, is_zero), CRLF ends."""
+    mags = magnitudes(profile.q, profile.counts).tolist()
+    zeros = (~profile.counts.any(axis=1)).astype(int).tolist()
+    return "u,magnitude,is_zero\r\n" + "".join(map("{},{:.12g},{}\r\n".format, profile.shifts, mags, zeros))
 
 
 def is_json_by_element(x, kinds, depth: int = 0) -> bool:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eczcs import __version__, family_to_json, format_family_text, load_family, load_fixture_family
+from eczcs import profile_accf, profile_cross_channel, profile_pccf, profile_set_corr
 from eczcs import cli
 from eczcs.cli import build_parser, main
 from eczcs.simulate import RNG_SCHEME
@@ -259,6 +260,31 @@ def test_profile_command(tmp_path, capsys, table4):
     ):
         code, out, err = run(capsys, "profile", str(fam_file), "--pair", pair)
         assert code == 2 and message in err and out == ""
+
+
+def test_profile_command_writes_to_csv_bytes(tmp_path, capsys, table5):
+    """Every --pair form on the 4-set fixture writes the profile's to_csv() bytes, to stdout and
+    to --out alike, with the manifest's keys unchanged."""
+    fam_file = tmp_path / "t5.txt"
+    fam_file.write_text(format_family_text(table5))
+    s0, s1 = table5.sets[0].members[0], table5.sets[3].members[1]
+    wants = {
+        "rho:0,3": profile_set_corr(table5, 0, 3),
+        "rhohat:0,3": profile_cross_channel(table5, 0, 3),
+        "accf:0.0,3.1": profile_accf(s0, s1),
+        "pccf:0.0,3.1": profile_pccf(s0, s1),
+    }
+    for pair, profile in wants.items():
+        want = profile.to_csv()
+        code, out, _ = run(capsys, "profile", str(fam_file), "--pair", pair)
+        assert code == 0 and out == want, pair
+        out_file = tmp_path / "profile.csv"
+        code, out, _ = run(capsys, "profile", str(fam_file), "--pair", pair, "--out", str(out_file))
+        assert code == 0 and out == "" and out_file.read_bytes() == want.encode(), pair
+        manifest = json.loads((tmp_path / "profile.csv.manifest.json").read_text())
+        assert sorted(manifest) == ["command", "inputs", "outputs", "params", "seed", "version"]
+        assert manifest["command"] == "profile" and manifest["params"] == {"pair": pair}
+        assert manifest["outputs"] == [str(out_file)] and list(manifest["inputs"]) == [str(fam_file)]
 
 
 def test_train_command(tmp_path, capsys, table4):

@@ -29,12 +29,13 @@ from eczcs import (
     theorem2_construct,
 )
 from eczcs import correlation
-from eczcs.cyclotomic import CycloInt, magnitudes, reduce_tally
+from eczcs.cyclotomic import CycloInt, cyclotomic_poly, magnitudes, reduce_tally
 from eczcs.gbf import optimal_theorem3_params, theorem3_construct
 
 from conftest import RHO_T4_00, RHOHAT_T4_01, RHO_T5_02, RHOHAT_T5_LIST, float_accf, float_pccf
 from reference import (
-    add, conjugate, cyclo_sum, integer, mag_sq, pccf_via_accf, root, set_rows, set_sums_by_member,
+    add, conjugate, cyclo_sum, integer, mag_sq, pccf_via_accf, profile_csv_per_row, root, set_rows,
+    set_sums_by_member,
 )
 
 
@@ -238,8 +239,57 @@ def test_profiles_regenerate_reference_lists(table4, table5):
 
 
 def test_profile_rejects_empty_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty shift range"):
         CorrelationProfile(2, 0, ())
+
+
+def test_profile_rejects_counts_not_rows_of_q():
+    for q, counts in ((2, [1, 0]), (2, 5), (2, [[1, 0, 0]]), (8, [[1, 0, 0, 0]]), (4, np.zeros((2, 2, 4), int))):
+        with pytest.raises(ValueError, match="are not rows of q = "):
+            CorrelationProfile(q, 0, counts)
+
+
+def test_profile_rejects_non_integral_counts():
+    """Counts are not truncated: 0.5 used to write the row 0,0,1.  Integral floats stay accepted."""
+    for counts, bad in (([[0.5, 0], [1.7, 0]], "0.5"), ([[1, 0], [np.nan, 0]], "nan"), ([[np.inf, 0]], "inf")):
+        with pytest.raises(ValueError, match=f"count {bad} is not an integer"):
+            CorrelationProfile(2, 0, counts)
+    assert CorrelationProfile(2, 0, [[3.0, 0.0]]).counts.tolist() == [[3, 0]]
+
+
+def test_profile_rejects_non_canonical_counts():
+    """Rows with a nonzero entry past phi(q): 1 + zeta_2 and 1 + zeta_8^4 are zero, yet wrote nonzero."""
+    for q, row in ((2, [1, 1]), (8, [1, 0, 0, 0, 1, 0, 0, 0]), (3, [0, 0, 1]), (9, [0] * 8 + [2])):
+        with pytest.raises(ValueError, match="not canonical"):
+            CorrelationProfile(q, 0, [[0] * q, row])
+    assert CorrelationProfile(9, 0, [[1, 2, 3, 4, 5, 6, 0, 0, 0]]).counts.shape == (1, 9)
+
+
+def test_profile_csv_matches_per_row_format_writer():
+    """to_csv writes the bytes of one str.format call per row on hand-built canonical profiles:
+    exponent-form magnitudes, counts past the int64-square range, q in {3, 5, 9, 16}, one row,
+    first > 0, all-zero profiles and profiles with no zero row."""
+    rng = random.Random(34)
+    big = [[10**12, 0], [-(10**13) - 7, 0], [999_999_999_999, 0], [2**31, 0], [-(2**63), 0], [0, 0]]
+    profiles = [
+        CorrelationProfile(2, -3, big),
+        CorrelationProfile(4, 7, [[10**12, 3 * 10**12, 0, 0], [2**31 + 1, -(2**40), 0, 0], [2**62, 2**62, 0, 0]]),
+        CorrelationProfile(8, 0, [[10**12, 10**12, 0, -(10**12), 0, 0, 0, 0], [2**40, 1, 2, 3, 0, 0, 0, 0]]),
+        CorrelationProfile(4, 0, [[2**31 - 1, -(2**31 - 1), 0, 0]]),
+        CorrelationProfile(2, 1000, [[0, 0]] * 5),
+        CorrelationProfile(4, 5, [[1, 0, 0, 0], [0, -1, 0, 0], [3, 4, 0, 0]]),
+    ]
+    for q in (3, 5, 9, 16):
+        phi = len(cyclotomic_poly(q)) - 1
+        for first, n in ((-9, 19), (0, 1), (12, 4)):
+            rows = [[rng.randrange(-40, 41) for _ in range(phi)] + [0] * (q - phi) for _ in range(n)]
+            rows[rng.randrange(n)] = [0] * q
+            profiles += [CorrelationProfile(q, first, rows), CorrelationProfile(q, first, [[0] * q] * n)]
+            nonzero = [[rng.randrange(1, 41)] + [0] * (q - 1) for _ in range(n)]
+            profiles.append(CorrelationProfile(q, first, nonzero))
+    assert any("e+" in p.to_csv() for p in profiles)
+    for profile in profiles:
+        assert profile.to_csv() == profile_csv_per_row(profile), (profile.q, profile.first, profile.counts)
 
 
 def test_profile_csv_shape(table4):
